@@ -10,7 +10,8 @@ from .design import (DesignPoint, DesignSpace, SensorizedInput, encode,
 from .process import (CureCycleSpec, CureKineticsParams, MaterialProps,
                       MaterialSet, SimulationConstants, air_temperature,
                       cure_rate, load_material_set)
-from .solver import FieldSolution, Grid1D, exotherm, probe, solve
+from .solver import (FieldSolution, Grid1D, exotherm, probe, solve,
+                     solve_batch)
 
 __all__ = [
     "Jet2", "MlpParams", "ParamGradient", "TapeMlp", "backward",
@@ -20,6 +21,6 @@ __all__ = [
     "CureCycleSpec", "CureKineticsParams", "MaterialProps", "MaterialSet",
     "SimulationConstants", "air_temperature", "cure_rate",
     "load_material_set",
-    "FieldSolution", "Grid1D", "exotherm", "probe", "solve",
+    "FieldSolution", "Grid1D", "exotherm", "probe", "solve", "solve_batch",
     "__version__",
 ]

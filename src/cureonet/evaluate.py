@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +21,16 @@ from .losses import CollocationConfig, LossWeights
 from .operator import (OperatorConfig, OperatorTriplet, init_triplet,
                        predict_field)
 from .process import MaterialSet, air_temperature
-from .solver import FieldSolution, Grid1D, exotherm, probe, solve
-from .trainer import TrainPlan, train
+from .solver import FieldSolution, Grid1D, exotherm, probe, solve_batch
+from .trainer import TrainPlan, savez_atomic, train
 
 
 @dataclass(frozen=True)
 class Metrics:
-    """Per-output comparison against the reference solver, averaged over
-    the evaluated designs."""
+    """Per-output comparison against the reference solver. For one design
+    (`solution_metrics`) each field is that design's value; `evaluate`
+    averages each field over the designs, so its `max_abs_err` is the mean
+    over designs of per-design maxima, not the maximum over all designs."""
 
     rel_l2: float
     mae: float
@@ -51,38 +54,104 @@ def _cache_name(design: DesignPoint, grid: Grid1D, bc_scale: float,
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
+# Memory bound on one batched reference solve: ~9 designs at the default
+# grid (81+81 nodes, dt = 1 s), where each design stores ~29 MB of fields.
+MAX_BATCH_FIELD_BYTES = 256 * 2 ** 20
+
+
 def reference_solution(design: DesignPoint, props: MaterialSet, grid: Grid1D,
                        cache_dir=None, bc_scale: float = 1.0,
                        cooldown: bool = False) -> FieldSolution:
-    """Reference solve, cached on disk keyed by design + grid; the entry
-    carries the property hash and solver version, and is recomputed with a
-    warning when either no longer matches."""
-    if cache_dir is None:
-        return solve(design, props, grid, bc_scale=bc_scale,
-                     cooldown=cooldown)
+    """Reference solve of one design, cached on disk: the one-design case
+    of `reference_solutions`."""
+    return reference_solutions([design], props, grid, cache_dir=cache_dir,
+                               bc_scale=bc_scale, cooldown=cooldown)[0]
+
+
+def reference_solutions(designs, props: MaterialSet, grid: Grid1D,
+                        cache_dir=None, bc_scale: float = 1.0,
+                        cooldown: bool = False,
+                        n_times: int | None = None) -> list[FieldSolution]:
+    """Reference solves of several designs, in order. Cache entries are
+    keyed by design + grid and carry the property hash and solver version;
+    a stale or unreadable entry is recomputed with a warning. Misses are
+    solved together in `solve_batch` calls of up to MAX_BATCH_FIELD_BYTES
+    of fields each, and every entry is written whole (temp file + rename).
+    With `n_times`, each solution is thinned to that many time rows as soon
+    as it is read or written."""
     stamp = f"{props.content_hash()}:{code_version}"
-    path = os.path.join(cache_dir,
-                        f"ref_{_cache_name(design, grid, bc_scale, cooldown)}.npz")
-    if os.path.exists(path):
+    paths = [None] * len(designs)
+    out = [None] * len(designs)
+    misses = []
+    for i, design in enumerate(designs):
+        if cache_dir is not None:
+            paths[i] = os.path.join(cache_dir, "ref_" + _cache_name(
+                design, grid, bc_scale, cooldown) + ".npz")
+            sol = _read_cache_entry(paths[i], stamp, design, bc_scale)
+            if sol is not None:
+                out[i] = _thinned(sol, n_times)
+                continue
+        misses.append(i)
+    batch = _batch_size(designs, grid, cooldown)
+    for start in range(0, len(misses), batch):
+        chunk = misses[start:start + batch]
+        solved = solve_batch([designs[i] for i in chunk], props, grid,
+                             bc_scale=bc_scale, cooldown=cooldown)
+        for i, sol in zip(chunk, solved):
+            if cache_dir is not None:
+                savez_atomic(paths[i], stamp=stamp, times=sol.times,
+                             t_tool=sol.t_tool, t_part=sol.t_part,
+                             alpha=sol.alpha)
+            out[i] = _thinned(sol, n_times)
+    return out
+
+
+def _batch_size(designs, grid: Grid1D, cooldown: bool) -> int:
+    """Designs per `solve_batch` call such that the full fields of one call
+    (every step is stored) stay within MAX_BATCH_FIELD_BYTES."""
+    t_end = grid.t_end if grid.t_end is not None else max(
+        d.cycle(cooldown=cooldown).duration_s for d in designs)
+    per_design = 8 * (grid.n_tool + 2 * grid.n_part + 1) \
+        * (round(t_end / grid.dt) + 2)
+    return max(1, MAX_BATCH_FIELD_BYTES // per_design)
+
+
+def _read_cache_entry(path, stamp: str, design: DesignPoint,
+                      bc_scale: float) -> FieldSolution | None:
+    """The cached solution at `path`, or None (with a warning when an entry
+    exists but is stale or unreadable)."""
+    if not os.path.exists(path):
+        return None
+    try:
         with np.load(path) as data:
             if str(data["stamp"]) == stamp:
                 return FieldSolution(
                     times=data["times"], t_tool=data["t_tool"],
                     t_part=data["t_part"], alpha=data["alpha"],
                     design=design, bc_scale=bc_scale)
-        warnings.warn(f"reference cache entry {path} has a stale property "
-                      "hash or solver version; recomputing", RuntimeWarning)
-    sol = solve(design, props, grid, bc_scale=bc_scale, cooldown=cooldown)
-    os.makedirs(cache_dir, exist_ok=True)
-    np.savez(path, stamp=stamp, times=sol.times, t_tool=sol.t_tool,
-             t_part=sol.t_part, alpha=sol.alpha)
-    return sol
+    except (OSError, ValueError, EOFError, KeyError,
+            zipfile.BadZipFile) as err:
+        warnings.warn(f"reference cache entry {path} is unreadable "
+                      f"({err}); recomputing", RuntimeWarning)
+        return None
+    warnings.warn(f"reference cache entry {path} has a stale property "
+                  "hash or solver version; recomputing", RuntimeWarning)
+    return None
 
 
 def _thin_indices(n: int, n_keep: int) -> np.ndarray:
     if n_keep >= n:
         return np.arange(n)
     return np.unique(np.round(np.linspace(0, n - 1, n_keep)).astype(int))
+
+
+def _thinned(sol: FieldSolution, n_times: int | None) -> FieldSolution:
+    if n_times is None:
+        return sol
+    rows = _thin_indices(len(sol.times), n_times)
+    return FieldSolution(times=sol.times[rows], t_tool=sol.t_tool[rows],
+                         t_part=sol.t_part[rows], alpha=sol.alpha[rows],
+                         design=sol.design, bc_scale=sol.bc_scale)
 
 
 def solution_metrics(pred: FieldSolution, ref: FieldSolution) -> dict:
@@ -118,18 +187,14 @@ def evaluate(triplet: OperatorTriplet, test_designs, props: MaterialSet,
         raise ValueError("need at least one test design")
     if grid is None:
         grid = Grid1D()
+    refs = reference_solutions(test_designs, props, grid,
+                               cache_dir=cache_dir, cooldown=triplet.cooldown,
+                               n_times=n_times)
     acc: dict = {}
-    for design in test_designs:
-        ref = reference_solution(design, props, grid, cache_dir=cache_dir,
-                                 cooldown=triplet.cooldown)
-        rows = _thin_indices(len(ref.times), n_times)
-        thinned = FieldSolution(times=ref.times[rows],
-                                t_tool=ref.t_tool[rows],
-                                t_part=ref.t_part[rows],
-                                alpha=ref.alpha[rows], design=design)
-        pred = predict_field(triplet, design, thinned.times,
+    for design, ref in zip(test_designs, refs):
+        pred = predict_field(triplet, design, ref.times,
                              n_tool=grid.n_tool, n_part=grid.n_part)
-        for name, m in solution_metrics(pred, thinned).items():
+        for name, m in solution_metrics(pred, ref).items():
             acc.setdefault(name, []).append(m)
 
     out = {}

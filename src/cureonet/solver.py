@@ -7,22 +7,26 @@ per step with a sub-stepped RK4 using start-of-step temperature, and its
 increment feeds the part's heat-generation source. Boundary and interface
 conditions are enforced as algebraic rows (second-order one-sided stencils)
 at the new time level, which keeps the scheme second order in space and time.
+
+`solve_batch` marches many designs in lockstep on (designs, nodes) arrays:
+each design's conduction matrix is inverted once, so a step is one batched
+matrix-vector product, and the kinetics run as one RK4 over designs x nodes.
+`solve` is its one-design case.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import __version__ as code_version
 from .design import DesignPoint
-from .process import (DomainError, MaterialSet, air_temperature,
-                      celsius_to_kelvin, cure_rate)
+from .process import (ALPHA_EPS, CureKineticsParams, DomainError,
+                      MaterialSet, air_temperature, celsius_to_kelvin)
 
 
 class SolverError(RuntimeError):
@@ -91,159 +95,236 @@ def solve(design: DesignPoint, props: MaterialSet, grid: Grid1D, *,
           air_override=None,
           kinetics_substeps: int = 4,
           store_every: int = 1) -> FieldSolution:
-    """March the coupled system from the uniform initial state to t_end.
+    """March the coupled system from the uniform initial state to t_end:
+    the one-design case of `solve_batch`.
 
     `air_override` replaces the design's cure-cycle air profile with an
     arbitrary f(t) -> degC (equilibrium and manufactured-solution tests).
     """
+    return solve_batch([design], props, grid, bc_scale=bc_scale,
+                       cooldown=cooldown, t0=t0, alpha_init=alpha_init,
+                       forcing=forcing, air_override=air_override,
+                       kinetics_substeps=kinetics_substeps,
+                       store_every=store_every)[0]
+
+
+def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
+                bc_scale: float = 1.0, cooldown: bool = False,
+                t0: float = 20.0, alpha_init: float = 0.05,
+                forcing: MmsForcing | None = None,
+                air_override=None,
+                kinetics_substeps: int = 4,
+                store_every: int = 1) -> list[FieldSolution]:
+    """March several designs in lockstep on (designs, nodes) arrays and
+    return one FieldSolution per design, in order.
+
+    Each design runs to its own t_end (the grid's, or the end of its own
+    cure cycle); once there, its state is frozen and it stops storing, so
+    its solution matches, to rounding, the one `solve` gives it alone. `forcing` and
+    `air_override` apply to every design. Each solution's `meta` holds its
+    `steps` and stored alpha range, and the batch's `wall_s` and
+    `factor_s` (time spent building the conduction factors).
+    """
     if not 0.0 <= bc_scale <= 1.0:
         raise DomainError("bc_scale must lie in [0, 1]")
-    cycle = design.cycle(t0=t0, cooldown=cooldown)
-    t_end = grid.t_end if grid.t_end is not None else cycle.duration_s
-    n_steps = max(1, int(round(t_end / grid.dt)))
+    if store_every < 1 or kinetics_substeps < 1:
+        raise ValueError("store_every and kinetics_substeps must be >= 1")
+    designs = list(designs)
+    if not designs:
+        raise ValueError("need at least one design")
+    n_designs = len(designs)
+    wall_start = time.perf_counter()
     dt = grid.dt
-
     n1, n2 = grid.n_tool, grid.n_part
+    n = n1 + n2
     h1 = 1.0 / (n1 - 1)
     h2 = 1.0 / (n2 - 1)
     x1 = np.linspace(0.0, 1.0, n1)
     x2 = np.linspace(0.0, 1.0, n2)
 
-    tool, part, kinetics = props.tool, props.part, props.kinetics
-    c_t = tool.diffusivity / design.l_tool ** 2
-    c_c = part.diffusivity / design.l_part ** 2
-    r_t = c_t * dt / (2.0 * h1 * h1)
-    r_c = c_c * dt / (2.0 * h2 * h2)
-    beta_bot = design.h_bot * design.l_tool / tool.k
-    beta_top = design.h_top * design.l_part / part.k
-    kt_l = tool.k / design.l_tool
-    kc_l = part.k / design.l_part
-    b_c = part.heat_gen_coeff
+    cycles = [d.cycle(t0=t0, cooldown=cooldown) for d in designs]
+    n_steps = np.array([
+        max(1, int(round((grid.t_end if grid.t_end is not None
+                          else c.duration_s) / dt))) for c in cycles])
+    n_max = int(n_steps.max())
 
-    n = n1 + n2
-    a = sp.lil_matrix((n, n))
-    # tool bottom Robin row (x1 = 0)
-    a[0, 0] = -3.0 / (2 * h1) - beta_bot
-    a[0, 1] = 4.0 / (2 * h1)
-    a[0, 2] = -1.0 / (2 * h1)
-    # tool interior Crank-Nicolson rows
-    for i in range(1, n1 - 1):
-        a[i, i - 1] = -r_t
-        a[i, i] = 1.0 + 2.0 * r_t
-        a[i, i + 1] = -r_t
-    # interface value row at the tool-side node
-    a[n1 - 1, n1 - 1] = 1.0
-    a[n1 - 1, n1] = -1.0
-    # interface flux row at the part-side node (one-sided, second order)
-    a[n1, n1 - 3] = kt_l * 1.0 / (2 * h1)
-    a[n1, n1 - 2] = kt_l * -4.0 / (2 * h1)
-    a[n1, n1 - 1] = kt_l * 3.0 / (2 * h1)
-    a[n1, n1] = kc_l * 3.0 / (2 * h2)
-    a[n1, n1 + 1] = kc_l * -4.0 / (2 * h2)
-    a[n1, n1 + 2] = kc_l * 1.0 / (2 * h2)
-    # part interior rows
-    for j in range(1, n2 - 1):
-        g = n1 + j
-        a[g, g - 1] = -r_c
-        a[g, g] = 1.0 + 2.0 * r_c
-        a[g, g + 1] = -r_c
-    # part top Robin row (x2 = 1)
-    a[n - 1, n - 1] = 3.0 / (2 * h2) + beta_top
-    a[n - 1, n - 2] = -4.0 / (2 * h2)
-    a[n - 1, n - 3] = 1.0 / (2 * h2)
+    tool, part = props.tool, props.part
+    l_tool = np.array([d.l_tool for d in designs])
+    l_part = np.array([d.l_part for d in designs])
+    r_t = tool.diffusivity / l_tool ** 2 * dt / (2.0 * h1 * h1)
+    r_c = part.diffusivity / l_part ** 2 * dt / (2.0 * h2 * h2)
+    beta_bot = np.array([d.h_bot for d in designs]) * l_tool / tool.k
+    beta_top = np.array([d.h_top for d in designs]) * l_part / part.k
 
-    try:
-        lu = spla.splu(sp.csc_matrix(a))
-    except RuntimeError as err:
-        raise SolverError(f"singular conduction system: {err}") from None
+    factor_start = time.perf_counter()
+    inv = np.empty((n_designs, n, n))
+    for b in range(n_designs):
+        a = _conduction_matrix(n1, n2, r_t[b], r_c[b], beta_bot[b],
+                               beta_top[b], tool.k / l_tool[b],
+                               part.k / l_part[b])
+        try:
+            inv[b] = np.linalg.inv(a)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(
+                f"design {b}: singular conduction system: {err}") from None
+        if not np.all(np.isfinite(inv[b])):
+            raise SolverError(f"design {b}: non-finite conduction system")
+    factor_s = time.perf_counter() - factor_start
+
+    # air temperature at every step's new time level, per design
+    air = np.empty((n_designs, n_max))
+    if air_override is not None:
+        air[:] = [air_override(step * dt) for step in range(1, n_max + 1)]
+    else:
+        for b, cycle in enumerate(cycles):
+            air[b] = air_temperature(cycle, dt * np.arange(1, n_max + 1))
 
     fz = forcing or MmsForcing()
-    zero_t = lambda t: 0.0
-
-    def hook(f):
-        return f if f is not None else zero_t
-
-    g_bot, g_top = hook(fz.g_bot), hook(fz.g_top)
-    g_val, g_flux = hook(fz.g_val), hook(fz.g_flux)
-
-    u = np.full(n, t0, dtype=np.float64)
+    u = np.full((n_designs, n), t0, dtype=np.float64)
     if fz.ic_tool is not None:
-        u[:n1] = fz.ic_tool(x1)
+        u[:, :n1] = fz.ic_tool(x1)
     if fz.ic_part is not None:
-        u[n1:] = fz.ic_part(x2)
-    alpha = np.full(n2, alpha_init, dtype=np.float64)
+        u[:, n1:] = fz.ic_part(x2)
+    alpha = np.full((n_designs, n2), alpha_init, dtype=np.float64)
 
-    stored_times = [0.0]
-    stored_tool = [u[:n1].copy()]
-    stored_part = [u[n1:].copy()]
-    stored_alpha = [alpha.copy()]
+    # one output array per design and field, written row by row; a step's
+    # row is ceil(step / store_every), so a last step off the stride gets one
+    n_rows = 1 + -(-n_steps // store_every)
+    times_out = [np.zeros(r) for r in n_rows]
+    tool_out = [np.empty((r, n1)) for r in n_rows]
+    part_out = [np.empty((r, n2)) for r in n_rows]
+    alpha_out = [np.empty((r, n2)) for r in n_rows]
+    for b in range(n_designs):
+        tool_out[b][0] = u[b, :n1]
+        part_out[b][0] = u[b, n1:]
+        alpha_out[b][0] = alpha[b]
 
-    rhs = np.zeros(n)
-    for step in range(1, n_steps + 1):
-        t_old = (step - 1) * dt
+    gen = bc_scale * part.heat_gen_coeff
+    active = np.arange(n_designs)
+    r_t, r_c = r_t[:, None], r_c[:, None]
+    keep_t, keep_c = 1.0 - 2.0 * r_t, 1.0 - 2.0 * r_c
+    rhs = np.zeros((n_designs, n))
+    for step in range(1, n_max + 1):
         t_new = step * dt
-        t_mid = t_old + 0.5 * dt
-
-        t_part_old = u[n1:]
-        alpha_new = _advance_alpha(alpha, t_part_old, kinetics, dt,
+        alpha_new = _advance_alpha(alpha, u[:, n1:], props.kinetics, dt,
                                    kinetics_substeps)
-        d_alpha = alpha_new - alpha
+        ta_new = air[:, step - 1]
+        rhs[:, 0] = -beta_bot * ta_new
+        rhs[:, 1:n1 - 1] = (r_t * (u[:, 0:n1 - 2] + u[:, 2:n1])
+                            + keep_t * u[:, 1:n1 - 1])
+        rhs[:, n1 + 1:n - 1] = (r_c * (u[:, n1:n - 2] + u[:, n1 + 2:n])
+                                + keep_c * u[:, n1 + 1:n - 1]
+                                + gen * (alpha_new - alpha)[:, 1:-1])
+        rhs[:, n - 1] = beta_top * ta_new
+        if forcing is not None:
+            _add_forcing(rhs, fz, n1, x1, x2, t_new,
+                         (step - 1) * dt + 0.5 * dt, dt)
 
-        ta_new = (air_override(t_new) if air_override is not None
-                  else air_temperature(cycle, t_new))
-        rhs[0] = -beta_bot * ta_new + g_bot(t_new)
-        sl = slice(1, n1 - 1)
-        rhs[sl] = (r_t * (u[0:n1 - 2] + u[2:n1])
-                   + (1.0 - 2.0 * r_t) * u[1:n1 - 1])
-        if fz.source_tool is not None:
-            rhs[sl] += dt * fz.source_tool(x1[1:-1], t_mid)
-        rhs[n1 - 1] = g_val(t_new)
-        rhs[n1] = g_flux(t_new)
-        sl = slice(n1 + 1, n - 1)
-        rhs[sl] = (r_c * (u[n1:n - 2] + u[n1 + 2:n])
-                   + (1.0 - 2.0 * r_c) * u[n1 + 1:n - 1]
-                   + bc_scale * b_c * d_alpha[1:-1])
-        if fz.source_part is not None:
-            rhs[sl] += dt * fz.source_part(x2[1:-1], t_mid)
-        rhs[n - 1] = beta_top * ta_new + g_top(t_new)
-
-        u = lu.solve(rhs)
-        if not np.all(np.isfinite(u)):
-            raise SolverError(f"non-finite temperature at t = {t_new:.1f}s")
+        u = np.matmul(inv, rhs[:, :, None])[:, :, 0]
         alpha = alpha_new
+        if not np.isfinite(u).all():
+            bad = active[np.argmin(np.isfinite(u).all(axis=1))]
+            raise SolverError(
+                f"design {bad}: non-finite temperature at t = {t_new:.1f}s")
 
-        if step % store_every == 0 or step == n_steps:
-            stored_times.append(t_new)
-            stored_tool.append(u[:n1].copy())
-            stored_part.append(u[n1:].copy())
-            stored_alpha.append(alpha.copy())
+        row = -(-step // store_every)
+        stored = step % store_every == 0
+        for k, b in enumerate(active):
+            if stored or step == n_steps[b]:
+                times_out[b][row] = t_new
+                tool_out[b][row] = u[k, :n1]
+                part_out[b][row] = u[k, n1:]
+                alpha_out[b][row] = alpha[k]
 
-    return FieldSolution(
-        times=np.array(stored_times),
-        t_tool=np.array(stored_tool),
-        t_part=np.array(stored_part),
-        alpha=np.array(stored_alpha),
-        design=design,
-        bc_scale=bc_scale,
-        meta={"grid": {"n_tool": n1, "n_part": n2, "dt": dt,
-                       "t_end": n_steps * dt},
-              "property_hash": props.content_hash(),
-              "code_version": code_version,
-              "cooldown": cooldown},
-    )
+        # designs that reached their own t_end leave the batch
+        running = n_steps[active] > step
+        if not running.all():
+            (active, u, alpha, inv, air, rhs, r_t, r_c, keep_t, keep_c,
+             beta_bot, beta_top) = (
+                x[running] for x in (active, u, alpha, inv, air, rhs, r_t,
+                                     r_c, keep_t, keep_c, beta_bot, beta_top))
+
+    wall_s = time.perf_counter() - wall_start
+    base_meta = {"property_hash": props.content_hash(),
+                 "code_version": code_version, "cooldown": cooldown,
+                 "wall_s": wall_s, "factor_s": factor_s}
+    return [
+        FieldSolution(
+            times=times_out[b], t_tool=tool_out[b], t_part=part_out[b],
+            alpha=alpha_out[b], design=design, bc_scale=bc_scale,
+            meta={**base_meta,
+                  "grid": {"n_tool": n1, "n_part": n2, "dt": dt,
+                           "t_end": int(n_steps[b]) * dt},
+                  "steps": int(n_steps[b]),
+                  "alpha_min": float(alpha_out[b].min()),
+                  "alpha_max": float(alpha_out[b].max())})
+        for b, design in enumerate(designs)]
 
 
-def _advance_alpha(alpha, t_part_c, kinetics, dt, substeps):
+def _conduction_matrix(n1, n2, r_t, r_c, beta_bot, beta_top, kt_l, kc_l):
+    """Dense new-time-level matrix of one design: Robin rows at both ends,
+    Crank-Nicolson interior rows, and the interface value and flux rows
+    (one-sided, second-order stencils)."""
+    n = n1 + n2
+    h1 = 1.0 / (n1 - 1)
+    h2 = 1.0 / (n2 - 1)
+    a = np.zeros((n, n))
+    a[0, 0:3] = (-3.0 / (2 * h1) - beta_bot, 4.0 / (2 * h1),
+                 -1.0 / (2 * h1))
+    for lo, hi, r in ((1, n1 - 1, r_t), (n1 + 1, n - 1, r_c)):
+        i = np.arange(lo, hi)
+        a[i, i - 1] = -r
+        a[i, i] = 1.0 + 2.0 * r
+        a[i, i + 1] = -r
+    a[n1 - 1, n1 - 1:n1 + 1] = (1.0, -1.0)
+    a[n1, n1 - 3:n1 + 3] = (kt_l * 1.0 / (2 * h1), kt_l * -4.0 / (2 * h1),
+                            kt_l * 3.0 / (2 * h1), kc_l * 3.0 / (2 * h2),
+                            kc_l * -4.0 / (2 * h2), kc_l * 1.0 / (2 * h2))
+    a[n - 1, n - 3:n] = (1.0 / (2 * h2), -4.0 / (2 * h2),
+                         3.0 / (2 * h2) + beta_top)
+    return a
+
+
+def _add_forcing(rhs, fz: MmsForcing, n1, x1, x2, t_new, t_mid, dt):
+    """Add the manufactured-solution sources and inhomogeneities to every
+    design's right-hand side."""
+    n = rhs.shape[1]
+    if fz.g_bot is not None:
+        rhs[:, 0] += fz.g_bot(t_new)
+    if fz.source_tool is not None:
+        rhs[:, 1:n1 - 1] += dt * fz.source_tool(x1[1:-1], t_mid)
+    if fz.g_val is not None:
+        rhs[:, n1 - 1] = fz.g_val(t_new)
+    if fz.g_flux is not None:
+        rhs[:, n1] = fz.g_flux(t_new)
+    if fz.source_part is not None:
+        rhs[:, n1 + 1:n - 1] += dt * fz.source_part(x2[1:-1], t_mid)
+    if fz.g_top is not None:
+        rhs[:, n - 1] += fz.g_top(t_new)
+
+
+def _advance_alpha(alpha, t_part_c, p: CureKineticsParams, dt, substeps):
     """Sub-stepped RK4 on the cure ODE with temperature frozen at the start
-    of the conduction step. Monotone: every stage rate is nonnegative."""
-    t_k = celsius_to_kelvin(np.asarray(t_part_c))
-    a = alpha.copy()
+    of the conduction step, so the Arrhenius factor and the critical degree
+    of cure are computed once per step. Each stage rate repeats the guarded
+    `cure_rate` operation for operation. Monotone: every stage rate is
+    nonnegative."""
+    t_k = np.maximum(celsius_to_kelvin(t_part_c), 180.0)
+    arrhenius = p.pre_exp * np.exp(-p.delta_e / (p.gas_constant * t_k))
+    alpha_crit = p.alpha_c0 + p.alpha_ct * t_k
+
+    def rate(a):
+        a = np.minimum(np.maximum(a, ALPHA_EPS), 1.0 - ALPHA_EPS)
+        diffusion = 1.0 + np.exp(p.diff_c * (a - alpha_crit))
+        return arrhenius / diffusion * a ** p.m * (1.0 - a) ** p.n
+
+    a = alpha
     h = dt / substeps
     for _ in range(substeps):
-        k1 = cure_rate(a, t_k, kinetics)
-        k2 = cure_rate(np.minimum(a + 0.5 * h * k1, 1.0), t_k, kinetics)
-        k3 = cure_rate(np.minimum(a + 0.5 * h * k2, 1.0), t_k, kinetics)
-        k4 = cure_rate(np.minimum(a + h * k3, 1.0), t_k, kinetics)
+        k1 = rate(a)
+        k2 = rate(np.minimum(a + 0.5 * h * k1, 1.0))
+        k3 = rate(np.minimum(a + 0.5 * h * k2, 1.0))
+        k4 = rate(np.minimum(a + h * k3, 1.0))
         a = np.minimum(a + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), 1.0)
     return a
 
@@ -335,12 +416,17 @@ def import_solution_csv(path, design: DesignPoint) -> FieldSolution:
     )
 
 
+# run statistics `solve_batch` puts into FieldSolution.meta
+SOLVER_STATS = ("steps", "wall_s", "factor_s", "alpha_min", "alpha_max")
+
+
 def run_manifest(sol: FieldSolution, props: MaterialSet) -> dict:
     return {
         "design": {k: float(v) for k, v in
                    zip(("h_top", "h_bot", "r1", "ht1", "hd1", "r2", "ht2",
                         "hd2", "l_tool", "l_part"), sol.design.as_array())},
         "grid": sol.meta.get("grid", {}),
+        "solver": {k: sol.meta[k] for k in SOLVER_STATS if k in sol.meta},
         "bc_scale": sol.bc_scale,
         "property_hash": props.content_hash(),
         "property_source": props.source,

@@ -35,6 +35,10 @@ class TrainerError(RuntimeError):
     pass
 
 
+class NonFiniteGradient(TrainerError):
+    """An optimizer step met a NaN or infinite gradient."""
+
+
 @dataclass(frozen=True)
 class TrainPlan:
     """Optimization schedule. batch_size is collocation points per gradient
@@ -104,7 +108,7 @@ def adam_step(params: list, grads: list, state: AdamState, rate: float):
         raise ValueError("parameter/gradient/state trees differ in length")
     for g in grads:
         if not np.all(np.isfinite(g)):
-            raise TrainerError("non-finite gradient in optimizer step")
+            raise NonFiniteGradient("non-finite gradient in optimizer step")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
@@ -256,7 +260,14 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
             grads = []
             for name in names:
                 grads.extend(nets[name].gradient_arrays())
-            adam_step(arrays, grads, adam, lr_at(adam.step, plan))
+            try:
+                adam_step(arrays, grads, adam, lr_at(adam.step, plan))
+            except NonFiniteGradient:
+                history.diverged = True
+                break
+        if history.diverged:
+            _restore_triplet(triplet, last_good)
+            break
 
         bd = full_breakdown(epoch, bc_scale)
         record = EpochRecord(
@@ -268,7 +279,9 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
         if log is not None:
             log(record)
 
-        if record.total > plan.divergence_factor * stage_start_total:
+        # NaN compares False, so a non-finite total is caught explicitly
+        if not np.isfinite(record.total) \
+                or record.total > plan.divergence_factor * stage_start_total:
             history.diverged = True
             _restore_triplet(triplet, last_good)
             break
@@ -337,12 +350,18 @@ def save_checkpoint(path, checkpoint: dict) -> None:
     payload = dict(checkpoint["arrays"])
     payload["__meta__"] = np.frombuffer(
         json.dumps(checkpoint["meta"]).encode(), dtype=np.uint8)
+    savez_atomic(path, **payload)
+
+
+def savez_atomic(path, **arrays) -> None:
+    """`np.savez` to a temp file in the target directory, then rename it
+    over `path`: a reader sees the old file or the whole new one."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            np.savez(f, **payload)
+            np.savez(f, **arrays)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -4,6 +4,7 @@ subcommand round trips, and reproducibility of CLI outputs."""
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,53 @@ def test_reference_cache_round_trip_and_stale_warning(tmp_path):
     assert not np.array_equal(a.t_part, c.t_part)
 
 
+def test_evaluate_recovers_from_truncated_cache_entry(tmp_path):
+    cache = tmp_path / "cache"
+    triplet = init_triplet(OperatorConfig(q=6, hidden_width=6,
+                                          hidden_layers=1, n_subdomains=2),
+                           SPACE, seed=0)
+    first = evaluate(triplet, [DESIGN], PROPS, grid=GRID, cache_dir=cache)
+    (entry,) = cache.glob("ref_*.npz")
+    with np.load(entry) as data:
+        assert sorted(data.files) == ["alpha", "stamp", "t_part", "t_tool",
+                                      "times"]
+    entry.write_bytes(entry.read_bytes()[:200])
+    with pytest.warns(RuntimeWarning, match="unreadable"):
+        again = evaluate(triplet, [DESIGN], PROPS, grid=GRID,
+                         cache_dir=cache)
+    assert again == first
+    # the entry was rewritten whole and hits again without a warning
+    assert list(cache.glob("*.tmp")) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = reference_solution(DESIGN, PROPS, GRID, cache_dir=cache)
+    assert sol.meta == {}  # solver statistics are not cached
+    assert np.array_equal(sol.t_part,
+                          solve(DESIGN, PROPS, GRID).t_part)
+
+
+def test_reference_batches_bounded_by_field_bytes(monkeypatch):
+    import cureonet.evaluate as ev
+    designs = sample(SPACE, 3, seed=4)
+    together = ev.reference_solutions(designs, PROPS, GRID)
+    calls = []
+    real_solve_batch = ev.solve_batch
+
+    def counting(batch, *args, **kw):
+        calls.append(len(batch))
+        return real_solve_batch(batch, *args, **kw)
+
+    monkeypatch.setattr(ev, "solve_batch", counting)
+    monkeypatch.setattr(ev, "MAX_BATCH_FIELD_BYTES", 1)
+    alone = ev.reference_solutions(designs, PROPS, GRID, n_times=20)
+    assert calls == [1, 1, 1]
+    for a, t in zip(alone, together):
+        assert len(a.times) == 20
+        assert np.allclose(a.t_part, t.t_part[np.searchsorted(t.times,
+                                                              a.times)],
+                           rtol=1e-10, atol=0.0)
+
+
 def test_evaluate_requires_designs():
     triplet = init_triplet(OperatorConfig(q=6, hidden_width=6,
                                           hidden_layers=1, n_subdomains=2),
@@ -87,12 +135,12 @@ def test_evaluate_perfect_when_reference_injected(tmp_path, monkeypatch):
                                           hidden_layers=1, n_subdomains=2),
                            SPACE, seed=0)
     ref_holder = {}
-    real_reference = ev.reference_solution
+    real_references = ev.reference_solutions
 
-    def capture_ref(design, props, grid, **kw):
-        sol = real_reference(design, props, grid, **kw)
-        ref_holder["sol"] = sol
-        return sol
+    def capture_refs(designs, props, grid, **kw):
+        sols = real_references(designs, props, grid, **kw)
+        ref_holder["sol"] = sols[0]
+        return sols
 
     def fake_predict(tr, design, times, n_tool, n_part):
         sol = ref_holder["sol"]
@@ -101,7 +149,7 @@ def test_evaluate_perfect_when_reference_injected(tmp_path, monkeypatch):
                              t_part=sol.t_part[rows],
                              alpha=sol.alpha[rows], design=design)
 
-    monkeypatch.setattr(ev, "reference_solution", capture_ref)
+    monkeypatch.setattr(ev, "reference_solutions", capture_refs)
     monkeypatch.setattr(ev, "predict_field", fake_predict)
     metrics = ev.evaluate(triplet, [DESIGN], PROPS, grid=GRID, n_times=20)
     for m in metrics.values():

@@ -1,17 +1,20 @@
 """Reference-solver tests: equilibrium preservation, manufactured-solution
-convergence orders, interface continuity, kinetics coupling, probing, and
-CSV round trips."""
+convergence orders, interface continuity, kinetics coupling, batching over
+designs, probing, and CSV round trips."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cureonet.design import DesignPoint, DesignSpace
+from cureonet.design import VARIABLE_NAMES, DesignPoint, DesignSpace, sample
 from cureonet.process import DomainError, load_material_set
 from cureonet.solver import (FieldSolution, Grid1D, MmsForcing, SolverError,
                              exotherm, export_solution_csv,
-                             import_solution_csv, probe, run_manifest, solve)
+                             import_solution_csv, probe, run_manifest, solve,
+                             solve_batch)
 
 PROPS = load_material_set()
 PROPS_NO_HEAT = dataclasses.replace(
@@ -217,6 +220,73 @@ def test_solver_aborts_on_degenerate_inputs():
     grid = Grid1D(n_tool=11, n_part=11, dt=10.0, t_end=100.0)
     with pytest.raises(SolverError):
         solve(bad, PROPS, grid)
+
+
+@pytest.mark.parametrize("store_every", [1, 7])
+def test_batch_matches_each_design_solved_alone(store_every):
+    designs = sample(DesignSpace.named("small"), 4, seed=3)
+    grid = Grid1D(n_tool=21, n_part=21, dt=20.0)
+    batch = solve_batch(designs, PROPS, grid, store_every=store_every)
+    assert len({len(sol.times) for sol in batch}) > 1  # ragged cycle ends
+    for design, got in zip(designs, batch):
+        alone = solve(design, PROPS, grid, store_every=store_every)
+        assert got.design == design
+        assert np.array_equal(got.times, alone.times)
+        for f in ("t_tool", "t_part", "alpha"):
+            want = getattr(alone, f)
+            err = np.max(np.abs(getattr(got, f) - want))
+            assert err <= 1e-10 * np.max(np.abs(want)), f
+        # each design stops at its own cycle end, not the batch's last one
+        assert abs(got.times[-1] - design.cycle().duration_s) \
+            <= 0.5 * grid.dt
+
+
+def test_batch_names_the_degenerate_design():
+    bad = dataclasses.replace(DESIGN, h_top=float("inf"))
+    grid = Grid1D(n_tool=11, n_part=11, dt=10.0, t_end=100.0)
+    with pytest.raises(SolverError, match="design 2"):
+        solve_batch([DESIGN, DESIGN, bad, DESIGN], PROPS, grid)
+
+
+def test_solve_batch_rejects_bad_arguments():
+    grid = Grid1D(n_tool=11, n_part=11, dt=10.0, t_end=100.0)
+    with pytest.raises(ValueError):
+        solve_batch([], PROPS, grid)
+    with pytest.raises(ValueError):
+        solve(DESIGN, PROPS, grid, store_every=0)
+    with pytest.raises(ValueError):
+        solve(DESIGN, PROPS, grid, kinetics_substeps=0)
+
+
+def test_solver_stats_in_meta_and_manifest():
+    grid = Grid1D(n_tool=11, n_part=11, dt=60.0)
+    sol = solve(DESIGN, PROPS, grid)
+    steps = round(DESIGN.cycle().duration_s / grid.dt)
+    assert sol.meta["steps"] == steps == len(sol.times) - 1
+    assert sol.meta["wall_s"] >= sol.meta["factor_s"] > 0.0
+    assert sol.meta["alpha_min"] == 0.05
+    assert sol.meta["alpha_max"] == sol.alpha.max() > 0.05
+    stats = run_manifest(sol, PROPS)["solver"]
+    assert stats == {k: sol.meta[k] for k in
+                     ("steps", "wall_s", "factor_s", "alpha_min",
+                      "alpha_max")}
+
+
+_UNIT = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[_UNIT] * len(VARIABLE_NAMES)), min_size=1,
+                max_size=3))
+def test_alpha_monotone_and_bounded_for_random_designs(points):
+    ranges = DesignSpace.named("small").ranges
+    designs = [DesignPoint.from_array(
+        [ranges[v][0] + u * (ranges[v][1] - ranges[v][0])
+         for v, u in zip(VARIABLE_NAMES, p)]) for p in points]
+    for sol in solve_batch(designs, PROPS, Grid1D(n_tool=11, n_part=11,
+                                                   dt=60.0)):
+        assert np.all(np.diff(sol.alpha, axis=0) >= 0.0)
+        assert sol.alpha.min() >= 0.05 and sol.alpha.max() <= 1.0
 
 
 def test_grid_validation():

@@ -283,3 +283,51 @@ def test_history_csv_schema(tmp_path):
                           "lr_cure", "total"]
     assert "ic_t" in header and "ct_flux" in header
     assert len(lines) == 1 + len(history.records)
+
+
+def test_nonfinite_epoch_total_counts_as_divergence(tmp_path, monkeypatch):
+    import cureonet.trainer as tr
+    real_breakdown = tr.breakdown_from
+    calls = []
+
+    def nan_after_stage_start(components):
+        bd = real_breakdown(components)
+        calls.append(1)
+        # the first call is the stage-start baseline; later ones are NaN
+        return bd if len(calls) == 1 else dataclasses.replace(
+            bd, ode=float("nan"))
+
+    monkeypatch.setattr(tr, "breakdown_from", nan_after_stage_start)
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
+    start = [a.copy() for a in triplet.g_tc.trainable_arrays()]
+    _, history = train(triplet, DESIGNS, quick_plan(), PROPS_NO_HEAT,
+                       seed=5, loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    assert history.diverged
+    assert len(history.records) == 1
+    assert all(np.array_equal(a, b) for a, b in
+               zip(start, triplet.g_tc.trainable_arrays()))
+    assert (tmp_path / "history.csv").exists()
+
+
+def test_nonfinite_gradient_restores_last_good(tmp_path, monkeypatch):
+    import cureonet.trainer as tr
+    real_adam = tr.adam_step
+    calls = []
+
+    def poisoned_second_step(params, grads, state, rate):
+        calls.append(1)
+        if len(calls) == 2:
+            grads = [g * np.nan for g in grads]
+        return real_adam(params, grads, state, rate)
+
+    monkeypatch.setattr(tr, "adam_step", poisoned_second_step)
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
+    start = [a.copy() for a in triplet.g_tc.trainable_arrays()]
+    _, history = train(triplet, DESIGNS, quick_plan(), PROPS_NO_HEAT,
+                       seed=5, loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    assert history.diverged
+    assert history.records == []
+    # the first step moved the weights; the restore undid it
+    assert all(np.array_equal(a, b) for a, b in
+               zip(start, triplet.g_tc.trainable_arrays()))
+    assert (tmp_path / "history.csv").read_text().startswith("epoch,")

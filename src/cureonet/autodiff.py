@@ -9,7 +9,6 @@ network parameters with a single reverse pass.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,16 +182,6 @@ class Var:
             ((self, lambda g: np.broadcast_to(g / n, self.data.shape)),),
         )
 
-    def take_rows(self, idx: Array):
-        idx = np.asarray(idx, dtype=np.intp)
-
-        def pull(g, idx=idx, shape=self.data.shape):
-            out = np.zeros(shape)
-            np.add.at(out, idx, g)
-            return out
-
-        return Var._node(self.data[idx], ((self, pull),))
-
     def reshape(self, *shape):
         old = self.data.shape
         return Var._node(self.data.reshape(*shape),
@@ -207,16 +196,6 @@ class Var:
         return Var._node(
             out,
             ((self, lambda g: g.reshape(outer, n, inner, q).sum(axis=(0, 2))),))
-
-    def index_outer(self, k: int):
-        """Select block k along the leading axis of a stacked tensor."""
-
-        def pull(g, k=k, shape=self.data.shape):
-            out = np.zeros(shape)
-            out[k] = g
-            return out
-
-        return Var._node(self.data[k], ((self, pull),))
 
     def take_outer(self, idx):
         """Gather blocks along the leading axis (duplicates allowed)."""
@@ -257,16 +236,6 @@ def clip(x, lo, hi):
     return np.clip(x, lo, hi)
 
 
-def mean(x):
-    return x.mean() if isinstance(x, Var) else float(np.mean(x))
-
-
-def take_rows(x, idx):
-    if isinstance(x, Var):
-        return x.take_rows(idx)
-    return np.asarray(x)[np.asarray(idx, dtype=np.intp)]
-
-
 def reshape(x, *shape):
     if isinstance(x, Var):
         return x.reshape(*shape)
@@ -282,35 +251,10 @@ def tile_rows(x, outer, inner):
                            (outer, n, inner, q)).reshape(-1, q)
 
 
-def index_outer(x, k):
-    if isinstance(x, Var):
-        return x.index_outer(k)
-    return np.asarray(x)[k]
-
-
 def take_outer(x, idx):
     if isinstance(x, Var):
         return x.take_outer(idx)
     return np.asarray(x)[np.asarray(idx, dtype=np.intp)]
-
-
-def scatter_rows(x, rows, size: int):
-    """Embed a (Pk,) block into a zero vector of length `size` at `rows`
-    (unique indices)."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if isinstance(x, Var):
-        out = np.zeros(size)
-        out[rows] = x.data
-        return Var._node(out, ((x, lambda g: g[rows]),))
-    out = np.zeros(size)
-    out[rows] = x
-    return out
-
-
-def jet_take_rows(jet: "Jet2", idx) -> "Jet2":
-    return Jet2(take_rows(jet.value, idx),
-                {k: take_rows(v, idx) for k, v in jet.d1.items()},
-                {k: take_rows(v, idx) for k, v in jet.d2.items()})
 
 
 def value_of(x) -> Array:
@@ -400,25 +344,6 @@ class MlpParams:
         return out
 
 
-@dataclass
-class ParamGradient:
-    """Gradient tree shape-congruent with an MlpParams."""
-
-    layer_sizes: list[int]
-    weights: list[Array]
-    biases: list[Array]
-
-    def arrays(self) -> list[Array]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(a))) if a.size else 0.0 for a in self.arrays())
-
-
 class TapeMlp:
     """MlpParams wrapped as tape leaves. Var data aliases the source arrays,
     so optimizer updates through the source stay visible here."""
@@ -443,17 +368,6 @@ class TapeMlp:
             out.append(w)
             out.append(b)
         return out
-
-    def zero_grad(self) -> None:
-        for v in self.leaves():
-            v.grad = None
-
-    def gradient(self) -> ParamGradient:
-        gw = [w.grad if w.grad is not None else np.zeros_like(w.data)
-              for w in self.weights]
-        gb = [b.grad if b.grad is not None else np.zeros_like(b.data)
-              for b in self.biases]
-        return ParamGradient(list(self.source.layer_sizes), gw, gb)
 
 
 # -- forward evaluation -------------------------------------------------------
@@ -534,14 +448,6 @@ def jet_mul(a: Jet2, b: Jet2) -> Jet2:
     return Jet2(a.value * b.value, d1, d2)
 
 
-def jet_scale(jet: Jet2, scale, offset=None) -> Jet2:
-    """Affine map of a jet: scale * jet + offset (offset on value only)."""
-    value = jet.value * scale if offset is None else jet.value * scale + offset
-    return Jet2(value,
-                {k: v * scale for k, v in jet.d1.items()},
-                {k: v * scale for k, v in jet.d2.items()})
-
-
 def mlp_forward_jet(net, x: Array, tracked=(), order: int = 2) -> Jet2:
     """Forward pass carrying jets w.r.t. `tracked` input indices.
 
@@ -590,20 +496,3 @@ def mlp_forward_jet(net, x: Array, tracked=(), order: int = 2) -> Jet2:
                    {k: squeeze(t) for k, t in jet.d1.items()},
                    {k: squeeze(t) for k, t in jet.d2.items()})
     return jet
-
-
-def scalar_backward(loss: Var, *trees: TapeMlp):
-    """Reverse-mode gradient of a recorded scalar w.r.t. one or more wrapped
-    parameter trees. A loss disconnected from every requested parameter
-    yields zero gradients and a warning.
-    """
-    if not isinstance(loss, Var):
-        raise TypeError("loss must be a recorded Var")
-    for tree in trees:
-        tree.zero_grad()
-    backward(loss)
-    grads = [tree.gradient() for tree in trees]
-    if trees and all(g.max_abs() == 0.0 for g in grads) and not loss.requires_grad:
-        warnings.warn("loss is not connected to any requested parameter",
-                      RuntimeWarning, stacklevel=2)
-    return grads[0] if len(grads) == 1 else tuple(grads)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import CureCycleSpec, DomainError, SimulationConstants, air_temperature
+from .process import CureCycleSpec, DomainError, air_temperature
 
 N_SENSORS = 100          # air-profile samples fed to the cycle branch net
 T_REF_HEADROOM = 50.0    # degC above the space's max hold-2 temperature
@@ -45,12 +45,6 @@ class DesignPoint:
         return CureCycleSpec(r1=self.r1, r2=self.r2, ht1=self.ht1,
                              ht2=self.ht2, hd1=self.hd1, hd2=self.hd2,
                              t0=t0, cooldown=cooldown)
-
-    def constants(self, t0: float = 20.0,
-                  alpha_init: float = 0.05) -> SimulationConstants:
-        return SimulationConstants(h_top=self.h_top, h_bot=self.h_bot,
-                                   l_tool=self.l_tool, l_part=self.l_part,
-                                   t_init=t0, alpha_init=alpha_init)
 
 
 # Published ranges for the three space sizes (thicknesses converted cm -> m).

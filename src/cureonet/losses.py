@@ -5,24 +5,22 @@ units and then nondimensionalized (normalized time / temperature spans) so
 that the default unit weights are comparably scaled across components. Every
 component is a mean square over all sampled points of all designs.
 
-Two collocation layouts are supported: plain uniform draws (the default),
-and a stratified layout with equal point blocks per temporal subdomain,
-which lets all subdomain decoders evaluate in one batched pass. Training
-uses the stratified layout; loss values are identical in structure (mean
-squares over the sampled points) either way.
+Collocation points are stratified by temporal subdomain and laid out
+segment-major in equal blocks, so each loss decodes all its points in one
+batched pass: block k goes to subdomain k's decoder (initial-condition
+points form one block for the first subdomain; interface points go once to
+each side's decoder).
 """
 
 from __future__ import annotations
 
-import types
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Jet2, clip, scatter_rows, take_rows, tile_rows, value_of
+from .autodiff import Jet2, clip, reshape, tile_rows, value_of
 from .design import encode_batch
-from .operator import (OperatorTriplet, boundary_pair_values, decode_grouped,
-                       decode_stratified, decoder_pair_values, merged_branch)
+from .operator import OperatorTriplet, decode_stratified, merged_branch
 from .process import (MaterialSet, air_temperature, bc_residuals,
                       celsius_to_kelvin, continuity_residuals, cure_rate,
                       pde_residual_part, pde_residual_tool)
@@ -30,9 +28,10 @@ from .process import (MaterialSet, air_temperature, bc_residuals,
 
 @dataclass(frozen=True)
 class CollocationConfig:
-    """Total point counts per category for one collocation draw, spread over
-    the drawn designs. Plain draws honor the counts exactly; stratified
-    draws round up so every (design, subdomain) block has equal size."""
+    """Requested point counts per category for one collocation draw, spread
+    over the drawn designs. Counts round up so that every block has equal
+    size: N_d * n * ceil(ceil(q / n) / N_d) points for n designs and N_d
+    subdomains, and n * ceil(q_ic / n) initial-condition points."""
 
     q_interior: int = 2048
     q_ic: int = 256
@@ -50,9 +49,10 @@ class CollocationConfig:
 @dataclass
 class CollocationSet:
     """Flattened random collocation coordinates for N designs. idx arrays
-    give the design index of each row. layout_* is None for plain uniform
-    draws, else (outer_blocks, rows_per_design_block) describing the
-    segment-major stratified ordering."""
+    give the design index of each row. Rows are block-major: interior, ODE,
+    BC and continuity points form one block per subdomain, interface points
+    one block per internal boundary, and initial-condition points one
+    block; each block holds every design's points in design order."""
 
     designs: list
     bn1: np.ndarray            # (N, 4)
@@ -77,16 +77,11 @@ class CollocationSet:
     if_idx: np.ndarray
     ct_tau: np.ndarray
     ct_idx: np.ndarray
-    layout_int: tuple | None = None
-    layout_ode: tuple | None = None
-    layout_bc: tuple | None = None
-    layout_ct: tuple | None = None
-    layout_if: tuple | None = None
 
 
 def _stratified_draw(rng, n_designs, per_design, boundaries):
     """Segment-major stratified draw: equal blocks per subdomain, uniform
-    tau inside each subdomain, uniform x. Returns (x, tau, idx, layout)."""
+    tau inside each subdomain, uniform x. Returns (x, tau, idx)."""
     n_d = len(boundaries) - 1
     m = -(-per_design // n_d)  # ceil
     total = n_d * n_designs * m
@@ -97,18 +92,11 @@ def _stratified_draw(rng, n_designs, per_design, boundaries):
         block = slice(k * n_designs * m, (k + 1) * n_designs * m)
         tau[block] = rng.uniform(lo, hi, size=n_designs * m)
     idx = np.tile(np.repeat(np.arange(n_designs, dtype=np.intp), m), n_d)
-    return x, tau, idx, (n_d, m)
-
-
-def _spread_counts(total: int, n: int) -> np.ndarray:
-    counts = np.full(n, total // n, dtype=np.intp)
-    counts[: total % n] += 1
-    return counts
+    return x, tau, idx
 
 
 def sample_collocation(triplet: OperatorTriplet, designs,
-                       config: CollocationConfig, seed,
-                       stratified: bool = False) -> CollocationSet:
+                       config: CollocationConfig, seed) -> CollocationSet:
     """Random collocation coordinates, deterministic per seed."""
     if not designs:
         raise ValueError("need at least one design")
@@ -119,31 +107,24 @@ def sample_collocation(triplet: OperatorTriplet, designs,
     boundaries = triplet.g_tc.config.boundaries
 
     def draw(q):
-        if stratified:
-            return _stratified_draw(rng, n, -(-q // n), boundaries)
-        x = rng.uniform(0.0, 1.0, size=q)
-        tau = rng.uniform(0.0, 1.0, size=q)
-        idx = np.repeat(np.arange(n, dtype=np.intp), _spread_counts(q, n))
-        return x, tau, idx, None
+        return _stratified_draw(rng, n, -(-q // n), boundaries)
 
-    int_x, int_tau, int_idx, layout_int = draw(config.q_interior)
-    ode_x, ode_tau, ode_idx, layout_ode = draw(config.q_ode)
-    _bc_x, bc_tau, bc_idx, layout_bc = draw(config.q_bc)
-    _ct_x, ct_tau, ct_idx, layout_ct = draw(config.q_ct)
+    int_x, int_tau, int_idx = draw(config.q_interior)
+    ode_x, ode_tau, ode_idx = draw(config.q_ode)
+    _bc_x, bc_tau, bc_idx = draw(config.q_bc)
+    _ct_x, ct_tau, ct_idx = draw(config.q_ct)
 
-    ic_x = rng.uniform(0.0, 1.0, size=config.q_ic)
-    ic_idx = np.repeat(np.arange(n, dtype=np.intp),
-                       _spread_counts(config.q_ic, n))
+    m_ic = -(-config.q_ic // n)
+    ic_x = rng.uniform(0.0, 1.0, size=n * m_ic)
+    ic_idx = np.repeat(np.arange(n, dtype=np.intp), m_ic)
 
     internal = np.asarray(boundaries[1:-1])
-    layout_if = None
     if internal.size and config.q_if:
         n_b = internal.size
         m_if = max(1, -(-config.q_if // (n_b * n)))
         if_x = rng.uniform(0.0, 1.0, size=n_b * n * m_if)
         if_tau = np.repeat(internal, n * m_if)
         if_idx = np.tile(np.repeat(np.arange(n, dtype=np.intp), m_if), n_b)
-        layout_if = (n_b, m_if)
     else:
         if_x = np.empty(0)
         if_tau = np.empty(0)
@@ -165,9 +146,7 @@ def sample_collocation(triplet: OperatorTriplet, designs,
         ic_x=ic_x, ic_idx=ic_idx,
         bc_tau=bc_tau, bc_idx=bc_idx, ta_bc=ta_bc,
         if_x=if_x, if_tau=if_tau, if_idx=if_idx,
-        ct_tau=ct_tau, ct_idx=ct_idx,
-        layout_int=layout_int, layout_ode=layout_ode,
-        layout_bc=layout_bc, layout_ct=layout_ct, layout_if=layout_if)
+        ct_tau=ct_tau, ct_idx=ct_idx)
 
 
 # -- loss weights and breakdown ------------------------------------------------
@@ -229,23 +208,6 @@ def total_loss(components, weights: LossWeights):
 # -- evaluation helpers --------------------------------------------------------
 
 
-def _scatter_flat(pieces, total: int) -> Jet2:
-    """Reassemble grouped decode pieces into flat (P,) jet slots."""
-    slot_keys_d1 = pieces[0][1].d1.keys()
-    slot_keys_d2 = pieces[0][1].d2.keys()
-
-    def assemble(get):
-        acc = None
-        for rows, jet in pieces:
-            contrib = scatter_rows(get(jet), rows, total)
-            acc = contrib if acc is None else acc + contrib
-        return acc
-
-    return Jet2(assemble(lambda j: j.value),
-                {k: assemble(lambda j, k=k: j.d1[k]) for k in slot_keys_d1},
-                {k: assemble(lambda j, k=k: j.d2[k]) for k in slot_keys_d2})
-
-
 def _get_merged(nets, name, cset, merged_map):
     if merged_map is not None and name in merged_map:
         return merged_map[name]
@@ -255,18 +217,19 @@ def _get_merged(nets, name, cset, merged_map):
     return m
 
 
-def _flat_eval(net, merged, cset, x, tau, idx, layout,
-               tracked=(), order=0) -> Jet2:
-    """Operator jets on flattened points, as flat (P,) slots."""
+def _flat_eval(net, merged, x, tau, blocks=None, tracked=(),
+               order=0) -> Jet2:
+    """Operator jets on block-major points, as flat (P,) slots. Block b
+    holds every design's points in design order and is decoded by decoder
+    blocks[b]; by default block k belongs to subdomain k."""
+    if blocks is None:
+        blocks = np.arange(len(net.segments))
     xy = np.stack([np.asarray(x, dtype=np.float64),
                    np.asarray(tau, dtype=np.float64)], axis=1)
-    if layout is not None:
-        outer, m = layout
-        rows = tile_rows(merged, outer, m)
-        return decode_stratified(net, rows, xy, tracked=tracked, order=order)
-    rows = take_rows(merged, idx)
-    pieces = decode_grouped(net, rows, xy, tracked=tracked, order=order)
-    return _scatter_flat(pieces, xy.shape[0])
+    n = value_of(merged).shape[0]
+    rows = tile_rows(merged, len(blocks), xy.shape[0] // (len(blocks) * n))
+    return decode_stratified(net, rows, xy, blocks, tracked=tracked,
+                             order=order)
 
 
 def _phys_temp_jet(jet: Jet2, scale: float, offset: float,
@@ -301,10 +264,10 @@ def loss_ic(nets: dict, cset: CollocationSet, alpha_init: float = 0.05,
     l_t = 0.0
     for name in ("tt", "tc"):
         jet = _flat_eval(nets[name], _get_merged(nets, name, cset, merged_map),
-                         cset, cset.ic_x, zeros, cset.ic_idx, None)
+                         cset.ic_x, zeros, blocks=[0])
         l_t = l_t + _mean_sq(jet.value, total)
     jet = _flat_eval(nets["alpha"], _get_merged(nets, "alpha", cset, merged_map),
-                     cset, cset.ic_x, zeros, cset.ic_idx, None)
+                     cset.ic_x, zeros, blocks=[0])
     l_a = _mean_sq(jet.value - alpha_init, total)
     return l_t, l_a
 
@@ -316,18 +279,16 @@ def loss_bc(nets: dict, cset: CollocationSet, props: MaterialSet,
     total = cset.bc_tau.size
     tc, tt = nets["tc"].model, nets["tt"].model
     top_jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                         cset, np.ones(total), cset.bc_tau,
-                         cset.bc_idx, cset.layout_bc, tracked=(0,), order=1)
+                         np.ones(total), cset.bc_tau, tracked=(0,), order=1)
     bot_jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                         cset, np.zeros(total), cset.bc_tau,
-                         cset.bc_idx, cset.layout_bc, tracked=(0,), order=1)
-    consts = types.SimpleNamespace(
-        h_top=cset.h_top[cset.bc_idx], h_bot=cset.h_bot[cset.bc_idx],
-        l_part=cset.l_part[cset.bc_idx], l_tool=cset.l_tool[cset.bc_idx])
+                         np.zeros(total), cset.bc_tau, tracked=(0,), order=1)
     top_phys = _phys_temp_jet(top_jet, tc.out_scale, tc.out_offset, horizon)
     bot_phys = _phys_temp_jet(bot_jet, tt.out_scale, tt.out_offset, horizon)
+    idx = cset.bc_idx
     top, bot = bc_residuals(top_phys, bot_phys, cset.ta_bc,
-                            props.part, props.tool, consts)
+                            props.part, props.tool, cset.h_top[idx],
+                            cset.h_bot[idx], cset.l_part[idx],
+                            cset.l_tool[idx])
     return (_mean_sq(top * (1.0 / delta_t), total),
             _mean_sq(bot * (1.0 / delta_t), total))
 
@@ -348,24 +309,19 @@ def loss_physics(nets: dict, cset: CollocationSet, props: MaterialSet,
         total = cset.int_x.size
         pde_scale = horizon / delta_t
         jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                         cset, cset.int_x, cset.int_tau,
-                         cset.int_idx, cset.layout_int,
-                         tracked={0: 2, 1: 1})
+                         cset.int_x, cset.int_tau, tracked={0: 2, 1: 1})
         phys = _phys_temp_jet(jet, tt.out_scale, tt.out_offset, horizon)
         res = pde_residual_tool(phys, props.tool, cset.l_tool[cset.int_idx])
         l_tool = _mean_sq(res * pde_scale, total)
 
         jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                         cset, cset.int_x, cset.int_tau,
-                         cset.int_idx, cset.layout_int,
-                         tracked={0: 2, 1: 1})
+                         cset.int_x, cset.int_tau, tracked={0: 2, 1: 1})
         phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
         if bc_scale > 0.0:
             jet_a = _flat_eval(nets["alpha"],
                                _get_merged(nets, "alpha", cset, merged_map),
-                               cset, cset.int_x, cset.int_tau,
-                               cset.int_idx, cset.layout_int,
-                               tracked=(1,), order=1)
+                               cset.int_x, cset.int_tau, tracked=(1,),
+                               order=1)
             alpha_rate = jet_a.d1[1] * (1.0 / horizon)
         else:
             alpha_rate = 0.0
@@ -377,12 +333,9 @@ def loss_physics(nets: dict, cset: CollocationSet, props: MaterialSet,
         total = cset.ode_x.size
         jet_a = _flat_eval(nets["alpha"],
                            _get_merged(nets, "alpha", cset, merged_map),
-                           cset, cset.ode_x, cset.ode_tau,
-                           cset.ode_idx, cset.layout_ode,
-                           tracked=(1,), order=1)
+                           cset.ode_x, cset.ode_tau, tracked=(1,), order=1)
         jet_t = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                           cset, cset.ode_x, cset.ode_tau,
-                           cset.ode_idx, cset.layout_ode)
+                           cset.ode_x, cset.ode_tau)
         t_kelvin = celsius_to_kelvin(tc.out_offset + tc.out_scale * jet_t.value)
         # predictions roam outside [0,1] early in training; clamp silently
         rate = cure_rate(clip(jet_a.value, 0.0, 1.0), t_kelvin, props.kinetics)
@@ -399,37 +352,16 @@ def loss_interface_temporal(net, cset: CollocationSet, merged=None):
     if merged is None:
         merged = merged_branch(net, cset.bn1, cset.bn2)
     total = cset.if_x.size
-    xy_all = np.stack([cset.if_x, cset.if_tau], axis=1)
-    boundaries = sorted({seg[1] for seg in segments if seg[1] < 1.0})
-
-    def adjacent(b):
-        k_left = next(i for i, s in enumerate(segments) if s[1] == b)
-        k_right = next(i for i, s in enumerate(segments) if s[0] == b)
-        return k_left, k_right
-
-    if cset.layout_if is not None and cset.layout_if[0] == len(boundaries):
-        # boundary-major equal blocks: all boundaries in one batched pass
-        block = total // len(boundaries)
-        blocks_tau = cset.if_tau[::block]
-        k_left = [adjacent(b)[0] for b in blocks_tau]
-        k_right = [adjacent(b)[1] for b in blocks_tau]
-        rows = tile_rows(merged, cset.layout_if[0], cset.layout_if[1])
-        left, right = boundary_pair_values(net, rows, xy_all, k_left, k_right)
-        diff = left - right
-        return (diff * diff).sum() / total
-
-    acc = 0.0
-    for b in boundaries:
-        rows = np.nonzero(cset.if_tau == b)[0]
-        if rows.size == 0:
-            continue
-        k_left, k_right = adjacent(b)
-        m_rows = take_rows(merged, cset.if_idx[rows])
-        left, right = decoder_pair_values(net, m_rows, xy_all[rows],
-                                          k_left, k_right)
-        diff = left - right
-        acc = acc + (diff * diff).sum()
-    return acc / total
+    block = total // (len(segments) - 1)
+    k_left = [next(i for i, s in enumerate(segments) if s[1] == b)
+              for b in cset.if_tau[::block]]
+    k_right = [next(i for i, s in enumerate(segments) if s[0] == b)
+               for b in cset.if_tau[::block]]
+    # both sides in one pass: the points twice, left decoders then right
+    jet = _flat_eval(net, merged, np.tile(cset.if_x, 2),
+                     np.tile(cset.if_tau, 2), blocks=k_left + k_right)
+    diff = np.array([[1.0, -1.0]]) @ reshape(jet.value, (2, total))
+    return (diff * diff).sum() / total
 
 
 def loss_continuity_material(nets: dict, cset: CollocationSet,
@@ -441,11 +373,9 @@ def loss_continuity_material(nets: dict, cset: CollocationSet,
     total = cset.ct_tau.size
     tc, tt = nets["tc"].model, nets["tt"].model
     tool_jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                          cset, np.ones(total), cset.ct_tau,
-                          cset.ct_idx, cset.layout_ct, tracked=(0,), order=1)
+                          np.ones(total), cset.ct_tau, tracked=(0,), order=1)
     part_jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                          cset, np.zeros(total), cset.ct_tau,
-                          cset.ct_idx, cset.layout_ct, tracked=(0,), order=1)
+                          np.zeros(total), cset.ct_tau, tracked=(0,), order=1)
     tool_phys = _phys_temp_jet(tool_jet, tt.out_scale, tt.out_offset, horizon)
     part_phys = _phys_temp_jet(part_jet, tc.out_scale, tc.out_offset, horizon)
     l_tool_pt = cset.l_tool[cset.ct_idx]

@@ -6,9 +6,11 @@ Decoders are nonlinear MLPs by default; a linear read-out mode (inner
 product of merged branch and trunk features plus bias) is kept behind a
 config switch for ablation studies. All decoders of a model share layer
 shapes, so their weights are stored stacked along a leading subdomain axis;
-`decoders` exposes per-subdomain MlpParams views into that storage. When
-collocation points arrive grouped by subdomain in equal blocks, all decoders
-evaluate in one batched pass.
+`decoders` exposes per-subdomain MlpParams views into that storage.
+
+Every evaluation goes through `decode_stratified`: points arrive in equal
+contiguous blocks, and each block names the decoder that evaluates it, so
+all blocks run in one batched pass.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Jet2, MlpParams, TapeMlp, index_outer, jet_linear,
-                       jet_mul, jet_take_rows, jet_tanh, mlp_forward,
-                       mlp_forward_jet, reshape, take_outer, take_rows,
-                       value_of)
+from .autodiff import (Jet2, MlpParams, TapeMlp, jet_linear, jet_mul,
+                       jet_tanh, mlp_forward, mlp_forward_jet, reshape,
+                       take_outer, value_of)
 from .design import (DesignPoint, DesignSpace, SensorizedInput, encode,
                      normalize_query)
 from .solver import FieldSolution
@@ -298,10 +299,6 @@ class TapedDeepONet:
             out.append(b)
         return out
 
-    def zero_grad(self):
-        for v in self.leaves():
-            v.grad = None
-
     def gradient_arrays(self):
         """Gradients aligned with model.trainable_arrays()."""
         out = []
@@ -349,112 +346,51 @@ def _jet_squeeze_last(jet: Jet2, shape=(-1,)) -> Jet2:
 
 
 def decode_stratified(net: TapedDeepONet | DeepONetModel, merged_rows, xy,
-                      tracked=(), order: int = 0) -> Jet2:
-    """Trunk + all decoders in one batched pass.
+                      blocks, tracked=(), order: int = 0) -> Jet2:
+    """Trunk + decoders in one batched pass.
 
-    Requires the segment-major point layout produced by stratified
-    collocation sampling: rows [k*m : (k+1)*m] all lie in subdomain k, with
-    equal block size m. merged_rows is the per-point merged branch embedding
-    (P, q). Returns a Jet2 with flat (P,) slots.
+    The P rows of `xy` split into len(blocks) equal contiguous blocks, and
+    block b is decoded by decoder blocks[b]. merged_rows is the per-point
+    merged branch embedding (P, q), or one (1, q) row shared by all points.
+    Returns a Jet2 with flat (P,) slots.
     """
-    n_d = len(net.segments)
+    blocks = np.asarray(blocks, dtype=np.intp)
+    n_b = blocks.size
     p = xy.shape[0]
-    if p % n_d:
-        raise ValueError("stratified layout requires P divisible by N_d")
-    m = p // n_d
+    if n_b == 0 or p % n_b:
+        raise ValueError("P must split into len(blocks) equal blocks")
+    m = p // n_b
     trunk_jet = mlp_forward_jet(net.trunk, xy, tracked=tracked, order=order)
     joint = jet_mul(Jet2(merged_rows), trunk_jet)
     q = net.model.config.q if isinstance(net, TapedDeepONet) else net.config.q
-    jet3 = Jet2(reshape(joint.value, (n_d, m, q)),
-                {c: reshape(v, (n_d, m, q)) for c, v in joint.d1.items()},
-                {c: reshape(v, (n_d, m, q)) for c, v in joint.d2.items()})
-    pairs = [(w, reshape(b, (n_d, 1, -1)))
-             for w, b in zip(net.dec_w, net.dec_b)]
+    jet3 = Jet2(reshape(joint.value, (n_b, m, q)),
+                {c: reshape(v, (n_b, m, q)) for c, v in joint.d1.items()},
+                {c: reshape(v, (n_b, m, q)) for c, v in joint.d2.items()})
+    dec_w, dec_b = net.dec_w, net.dec_b
+    if not np.array_equal(blocks, np.arange(len(net.segments))):
+        dec_w = [take_outer(w, blocks) for w in dec_w]
+        dec_b = [take_outer(b, blocks) for b in dec_b]
+    pairs = [(w, reshape(b, (n_b, 1, -1))) for w, b in zip(dec_w, dec_b)]
     out = _jet_through_layers(pairs, jet3)
     return _jet_squeeze_last(out)
 
 
-def decode_grouped(net: TapedDeepONet | DeepONetModel, merged_rows, xy,
-                   tracked=(), order: int = 0):
-    """Trunk + subdomain decoders for arbitrary point layouts. Returns a
-    list of (row_indices, Jet2) per occupied subdomain, decoder output
-    squeezed to (Pk,)."""
-    trunk_jet = mlp_forward_jet(net.trunk, xy, tracked=tracked, order=order)
-    joint = jet_mul(Jet2(merged_rows), trunk_jet)
-    seg_idx = subdomain_index(net.segments, xy[:, 1])
-    pieces = []
-    for k in range(len(net.segments)):
-        rows = np.nonzero(seg_idx == k)[0]
-        if rows.size == 0:
-            continue
-        jet_k = jet_take_rows(joint, rows)
-        pairs = [(index_outer(w, k), index_outer(b, k))
-                 for w, b in zip(net.dec_w, net.dec_b)]
-        out = _jet_through_layers(pairs, jet_k)
-        pieces.append((rows, _jet_squeeze_last(out)))
-    return pieces
-
-
-def decoder_pair_values(net: TapedDeepONet | DeepONetModel, merged_rows, xy,
-                        k_left: int, k_right: int):
-    """Outputs of two specific decoders on the same points (values only);
-    used for the temporal interface mismatch at a shared boundary."""
-    trunk_jet = mlp_forward_jet(net.trunk, xy, tracked=(), order=0)
-    joint = merged_rows * trunk_jet.value
-    out = []
-    for k in (k_left, k_right):
-        pairs = [(index_outer(w, k), index_outer(b, k))
-                 for w, b in zip(net.dec_w, net.dec_b)]
-        val = _jet_through_layers(pairs, Jet2(joint)).value
-        out.append(reshape(val, -1))
-    return out[0], out[1]
-
-
-def boundary_pair_values(net: TapedDeepONet | DeepONetModel, merged_rows, xy,
-                         k_left, k_right):
-    """Adjacent-decoder outputs at all internal boundaries in one batched
-    pass (values only). Points must arrive boundary-major in equal blocks:
-    rows [b*m : (b+1)*m] sit on the boundary between segments k_left[b] and
-    k_right[b]. Returns flat (P,) left and right values."""
-    n_b = len(k_left)
-    p = xy.shape[0]
-    if n_b == 0 or p % n_b:
-        raise ValueError("boundary layout requires P divisible by the "
-                         "number of internal boundaries")
-    m = p // n_b
-    trunk_jet = mlp_forward_jet(net.trunk, xy, tracked=(), order=0)
-    joint = reshape(merged_rows * trunk_jet.value, (n_b, m, -1))
-    out = []
-    for ks in (k_left, k_right):
-        pairs = [(take_outer(w, ks), reshape(take_outer(b, ks), (n_b, 1, -1)))
-                 for w, b in zip(net.dec_w, net.dec_b)]
-        val = _jet_through_layers(pairs, Jet2(joint)).value
-        out.append(reshape(val, -1))
-    return out[0], out[1]
-
-
-def predict(model: DeepONetModel, u: SensorizedInput, y) -> float:
-    """Normalized operator output at one query point y = (x, tau)."""
-    x, tau = float(y[0]), float(y[1])
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau outside [0, 1]")
-    merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
-    pieces = decode_grouped(model, merged, np.array([[x, tau]]))
-    (_rows, jet), = pieces
-    return float(value_of(jet.value)[0])
-
-
 def predict_grid(model: DeepONetModel, u: SensorizedInput,
                  xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Normalized outputs on the tensor grid taus x xs, shape (n_t, n_x)."""
+    """Normalized outputs on the tensor grid taus x xs, shape (n_t, n_x).
+    The tau rows of each occupied subdomain decode as one block."""
+    xs = np.asarray(xs, dtype=np.float64)
+    taus = np.asarray(taus, dtype=np.float64)
     merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
-    xx, tt = np.meshgrid(xs, taus)
-    xy = np.stack([xx.ravel(), tt.ravel()], axis=1)
-    merged_rows = take_rows(merged, np.zeros(xy.shape[0], dtype=np.intp))
-    out = np.empty(xy.shape[0])
-    for rows, jet in decode_grouped(model, merged_rows, xy):
-        out[rows] = value_of(jet.value)
-    return out.reshape(len(taus), len(xs))
+    seg = subdomain_index(model.segments, taus)
+    out = np.empty((taus.size, xs.size))
+    for k in np.unique(seg):
+        rows = seg == k
+        xx, tt = np.meshgrid(xs, taus[rows])
+        xy = np.stack([xx.ravel(), tt.ravel()], axis=1)
+        jet = decode_stratified(model, merged, xy, [k])
+        out[rows] = value_of(jet.value).reshape(-1, xs.size)
+    return out
 
 
 def predict_field(triplet: OperatorTriplet, design: DesignPoint,

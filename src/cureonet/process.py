@@ -261,24 +261,6 @@ def air_temperature(cycle: CureCycleSpec, t):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SimulationConstants:
-    """Per-run scalar constants: initial state, surface HTCs, thicknesses."""
-
-    h_top: float           # W/m^2.K
-    h_bot: float           # W/m^2.K
-    l_tool: float          # m
-    l_part: float          # m
-    t_init: float = 20.0   # degC
-    alpha_init: float = 0.05
-
-    def __post_init__(self):
-        if min(self.h_top, self.h_bot, self.l_tool, self.l_part) <= 0:
-            raise ValueError("HTCs and thicknesses must be positive")
-        if not (0.0 <= self.alpha_init < 1.0):
-            raise ValueError("alpha_init must be in [0, 1)")
-
-
 # -- residual functions ------------------------------------------------------
 #
 # Jet convention: index 0 = local spatial coordinate of the jet's material,
@@ -314,23 +296,27 @@ def pde_residual_part(jet: Jet2, alpha_rate, props: MaterialProps,
 
 def bc_residuals(top_jet: Jet2, bot_jet: Jet2, t_air,
                  part: MaterialProps, tool: MaterialProps,
-                 consts: SimulationConstants):
+                 h_top, h_bot, l_part, l_tool):
     """Robin boundary residuals at the part top (x2=1) and tool bottom (x1=0).
 
     top  = dT_c/dx2|1 - (h_top L_c / k_c) (Ta - T_c|1)
     bottom = dT_t/dx1|0 - (h_bot L_t / k_t) (T_t|0 - Ta)
 
-    h_top/h_bot and thicknesses may be arrays for batched evaluation.
+    h_top/h_bot and thicknesses may be arrays for batched evaluation. A zero
+    HTC is the insulated limit.
     """
     if part.k <= 0 or tool.k <= 0:
         raise DomainError("conductivities must be positive")
-    l_part = np.asarray(consts.l_part, dtype=np.float64)
-    l_tool = np.asarray(consts.l_tool, dtype=np.float64)
+    h_top = np.asarray(h_top, dtype=np.float64)
+    h_bot = np.asarray(h_bot, dtype=np.float64)
+    l_part = np.asarray(l_part, dtype=np.float64)
+    l_tool = np.asarray(l_tool, dtype=np.float64)
+    if np.any(h_top < 0) or np.any(h_bot < 0):
+        raise DomainError("HTCs must be non-negative")
     if np.any(l_part <= 0) or np.any(l_tool <= 0):
         raise DomainError("thicknesses must be positive")
-    top = top_jet.d1[0] - (np.asarray(consts.h_top) * l_part / part.k) \
-        * (t_air - top_jet.value)
-    bottom = bot_jet.d1[0] - (np.asarray(consts.h_bot) * l_tool / tool.k) \
+    top = top_jet.d1[0] - (h_top * l_part / part.k) * (t_air - top_jet.value)
+    bottom = bot_jet.d1[0] - (h_bot * l_tool / tool.k) \
         * (bot_jet.value - t_air)
     return top, bottom
 

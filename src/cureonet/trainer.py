@@ -205,6 +205,7 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
+        _check_same_run(ck, seed, plan, weights, loss_config, designs)
         _restore_triplet(triplet, ck)
         _restore_adam(adam_temp, ck, "temp")
         _restore_adam(adam_cure, ck, "cure")
@@ -225,7 +226,7 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
                 len(designs), plan.designs_per_draw, replace=False)
             eval_designs = [designs[i] for i in sorted(pick)]
         cset = sample_collocation(triplet, eval_designs, step_config,
-                                  seed=[seed, 7002, epoch], stratified=True)
+                                  seed=[seed, 7002, epoch])
         nets = taped_triplet(triplet, trainable=())
         comps = compute_components(nets, triplet, cset, props, bc_scale,
                                    phase=PHASE_ALL)
@@ -251,7 +252,7 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
                     len(designs), plan.designs_per_draw, replace=False)
                 draw = [designs[i] for i in sorted(pick)]
             cset = sample_collocation(triplet, draw, step_config,
-                                      seed=rng_key, stratified=True)
+                                      seed=rng_key)
             nets = taped_triplet(triplet, trainable=names)
             comps = compute_components(nets, triplet, cset, props, bc_scale,
                                        phase=phase)
@@ -319,11 +320,7 @@ def _make_checkpoint(triplet, adam_temp, adam_cure, plan, seed, designs,
         "version": CHECKPOINT_VERSION,
         "code_version": code_version,
         "epoch": epoch,
-        "seed": seed,
-        "plan": plan.to_dict(),
-        "weights": weights.as_dict(),
-        "loss_config": {k: getattr(loss_config, k)
-                        for k in loss_config.__dataclass_fields__},
+        **_run_meta(seed, plan, weights, loss_config),
         "adam_steps": {"temp": adam_temp.step, "cure": adam_cure.step},
         "models": {name: model_meta(model)
                    for name, model in triplet.models().items()},
@@ -395,6 +392,47 @@ def triplet_from_checkpoint(ck: dict) -> tuple[OperatorTriplet, list]:
                               cooldown=bool(meta["cooldown"]))
     designs = [DesignPoint.from_array(row) for row in arrays["designs"]]
     return triplet, designs
+
+
+def _run_meta(seed, plan: TrainPlan, weights: LossWeights,
+              loss_config: CollocationConfig) -> dict:
+    """The checkpoint fields that identify a run, besides its designs."""
+    return {"seed": seed, "plan": plan.to_dict(),
+            "weights": weights.as_dict(),
+            "loss_config": {k: getattr(loss_config, k)
+                            for k in loss_config.__dataclass_fields__}}
+
+
+def _check_same_run(ck: dict, seed, plan: TrainPlan, weights: LossWeights,
+                    loss_config: CollocationConfig, designs) -> None:
+    """Refuse to resume a checkpoint into a different run. The plan may
+    only add epochs, and only where that keeps the schedule of the epochs
+    already done."""
+    meta = ck["meta"]
+    ours = _run_meta(seed, plan, weights, loss_config)
+    if meta["seed"] != seed:
+        raise TrainerError(f"resume: seed {seed} differs from the "
+                           f"checkpoint's {meta['seed']}")
+    for group in ("plan", "weights", "loss_config"):
+        for key, value in ours[group].items():
+            if group == "plan" and key == "epochs":
+                continue
+            if meta[group].get(key) != value:
+                raise TrainerError(
+                    f"resume: {group}.{key} {value!r} differs from the "
+                    f"checkpoint's {meta[group].get(key)!r}")
+    done = meta["epoch"] + 1
+    old_plan = TrainPlan.from_dict(meta["plan"])
+    if _epoch_schedule(old_plan)[:done] != _epoch_schedule(plan)[:done]:
+        raise TrainerError(
+            f"resume: plan.epochs {plan.epochs} changes the schedule of the "
+            f"{done} epochs done under the checkpoint's {old_plan.epochs}")
+    ck_designs = ck["arrays"]["designs"]
+    new_designs = np.array([d.as_array() for d in designs])
+    if not np.array_equal(ck_designs, new_designs):
+        raise TrainerError(
+            f"resume: designs differ from the checkpoint's "
+            f"({len(designs)} given, {len(ck_designs)} in the checkpoint)")
 
 
 def _restore_triplet(triplet: OperatorTriplet, ck: dict) -> None:

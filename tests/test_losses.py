@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cureonet.autodiff import Jet2, jet_mul, mlp_forward, mlp_forward_jet
 from cureonet.design import DesignSpace, sample
@@ -42,22 +44,25 @@ def constant_triplet(t_norm=0.0, alpha=0.05):
     return triplet
 
 
-def cset_for(triplet, seed=11, stratified=False):
-    return sample_collocation(triplet, DESIGNS, CCFG, seed=seed,
-                              stratified=stratified)
+def cset_for(triplet, seed=11):
+    return sample_collocation(triplet, DESIGNS, CCFG, seed=seed)
 
 
 # -- sampling -------------------------------------------------------------------
 
 
-def test_collocation_counts_match_config_exactly():
+def test_collocation_counts_round_up_to_equal_blocks():
     triplet = fresh_triplet()
-    cset = cset_for(triplet)
-    assert cset.int_x.size == CCFG.q_interior
-    assert cset.ode_x.size == CCFG.q_ode
-    assert cset.ic_x.size == CCFG.q_ic
-    assert cset.bc_tau.size == CCFG.q_bc
-    assert cset.ct_tau.size == CCFG.q_ct
+    cfg = CollocationConfig(q_interior=61, q_ic=25, q_bc=23, q_if=24,
+                            q_ct=22, q_ode=59)
+    cset = sample_collocation(triplet, DESIGNS, cfg, seed=11)
+    n, n_d = len(DESIGNS), CONFIG.n_subdomains
+    ceil = lambda a, b: -(-a // b)
+    for q, got in ((cfg.q_interior, cset.int_x), (cfg.q_ode, cset.ode_x),
+                   (cfg.q_bc, cset.bc_tau), (cfg.q_ct, cset.ct_tau)):
+        assert got.size == n_d * n * ceil(ceil(q, n), n_d) >= q
+    assert cset.ic_x.size == n * ceil(cfg.q_ic, n)
+    assert cset.if_x.size == (n_d - 1) * n * ceil(cfg.q_if, (n_d - 1) * n)
 
 
 def test_collocation_deterministic_and_reseeded():
@@ -82,23 +87,49 @@ def test_collocation_subdomain_coverage():
                                           hidden_layers=2), SPACE, seed=0)
     big = CollocationConfig(q_interior=2048, q_ic=8, q_bc=8, q_if=8,
                             q_ct=8, q_ode=8)
-    for stratified in (False, True):
-        cset = sample_collocation(triplet, DESIGNS, big, seed=3,
-                                  stratified=stratified)
-        seg = subdomain_index(triplet.g_tc.segments, cset.int_tau)
-        counts = np.bincount(seg, minlength=7)
-        assert np.all(counts >= 2048 // 14), counts
-
-
-def test_stratified_layout_blocks_are_segment_major():
-    triplet = fresh_triplet()
-    cset = cset_for(triplet, stratified=True)
-    n_d, m = cset.layout_int
-    n = len(DESIGNS)
+    cset = sample_collocation(triplet, DESIGNS, big, seed=3)
     seg = subdomain_index(triplet.g_tc.segments, cset.int_tau)
-    assert np.array_equal(seg, np.repeat(np.arange(n_d), n * m))
-    assert np.array_equal(
-        cset.int_idx, np.tile(np.repeat(np.arange(n), m), n_d))
+    counts = np.bincount(seg, minlength=7)
+    assert np.all(counts >= 2048 // 14), counts
+
+
+@settings(max_examples=30)
+@given(inner=st.lists(st.floats(0.001, 0.999), max_size=4, unique=True),
+       n_designs=st.integers(1, 3),
+       counts=st.lists(st.integers(1, 40), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_stratified_layout_blocks_are_segment_major(inner, n_designs, counts,
+                                                    seed):
+    # every category: equal blocks, block k inside subdomain k (interface
+    # points: block b on internal boundary b), designs in order per block
+    bounds = (0.0, *sorted(inner), 1.0)
+    cfg = OperatorConfig(q=2, hidden_width=3, hidden_layers=1,
+                         n_subdomains=len(bounds) - 1, boundaries=bounds)
+    triplet = init_triplet(cfg, SPACE, seed=0)
+    q_int, q_ic, q_bc, q_if, q_ct, q_ode = counts
+    ccfg = CollocationConfig(q_interior=q_int, q_ic=q_ic, q_bc=q_bc,
+                             q_if=q_if, q_ct=q_ct, q_ode=q_ode)
+    cset = sample_collocation(triplet, DESIGNS[:n_designs], ccfg, seed=seed)
+    n, n_d = n_designs, cfg.n_subdomains
+
+    def check_blocks(tau, idx, lo, hi):
+        m = tau.size // (len(lo) * n)
+        assert tau.size == len(lo) * n * m and idx.size == tau.size
+        assert np.array_equal(idx, np.tile(np.repeat(np.arange(n), m),
+                                           len(lo)))
+        blocks = tau.reshape(len(lo), n * m)
+        assert np.all(blocks >= np.asarray(lo)[:, None])
+        assert np.all(blocks <= np.asarray(hi)[:, None])
+
+    for tau, idx in ((cset.int_tau, cset.int_idx),
+                     (cset.ode_tau, cset.ode_idx),
+                     (cset.bc_tau, cset.bc_idx), (cset.ct_tau, cset.ct_idx)):
+        check_blocks(tau, idx, bounds[:-1], bounds[1:])
+    check_blocks(np.zeros_like(cset.ic_x), cset.ic_idx, [0.0], [0.0])
+    if n_d > 1:
+        check_blocks(cset.if_tau, cset.if_idx, bounds[1:-1], bounds[1:-1])
+    else:
+        assert cset.if_x.size == 0
 
 
 def test_collocation_ic_points_at_time_zero():
@@ -142,10 +173,9 @@ def _rel_close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1e-12)
 
 
-@pytest.mark.parametrize("stratified", [False, True])
-def test_loss_ic_matches_recomputation(stratified):
+def test_loss_ic_matches_recomputation():
     triplet = fresh_triplet(seed=4)
-    cset = cset_for(triplet, stratified=stratified)
+    cset = cset_for(triplet)
     nets = taped_triplet(triplet, trainable=())
     l_t, l_a = loss_ic(nets, cset, alpha_init=triplet.alpha_init)
 
@@ -163,10 +193,9 @@ def test_loss_ic_matches_recomputation(stratified):
     assert _rel_close(float(l_a), acc_a / cset.ic_x.size)
 
 
-@pytest.mark.parametrize("stratified", [False, True])
-def test_loss_bc_matches_recomputation(stratified):
+def test_loss_bc_matches_recomputation():
     triplet = fresh_triplet(seed=5)
-    cset = cset_for(triplet, stratified=stratified)
+    cset = cset_for(triplet)
     nets = taped_triplet(triplet, trainable=())
     l_top, l_bot = loss_bc(nets, cset, PROPS, triplet.delta_t,
                            triplet.horizon)
@@ -193,10 +222,9 @@ def test_loss_bc_matches_recomputation(stratified):
     assert _rel_close(float(l_bot), acc_bot / cset.bc_tau.size)
 
 
-@pytest.mark.parametrize("stratified", [False, True])
-def test_loss_physics_matches_recomputation(stratified):
+def test_loss_physics_matches_recomputation():
     triplet = fresh_triplet(seed=6)
-    cset = cset_for(triplet, stratified=stratified)
+    cset = cset_for(triplet)
     nets = taped_triplet(triplet, trainable=())
     bc_scale = 0.7
     l_tool, l_part, l_ode = loss_physics(nets, cset, PROPS, bc_scale,
@@ -235,10 +263,9 @@ def test_loss_physics_matches_recomputation(stratified):
     assert _rel_close(float(l_ode), acc_ode / cset.ode_x.size, 1e-8)
 
 
-@pytest.mark.parametrize("stratified", [False, True])
-def test_loss_continuity_matches_recomputation(stratified):
+def test_loss_continuity_matches_recomputation():
     triplet = fresh_triplet(seed=7)
-    cset = cset_for(triplet, stratified=stratified)
+    cset = cset_for(triplet)
     nets = taped_triplet(triplet, trainable=())
     l_val, l_flux = loss_continuity_material(nets, cset, PROPS,
                                              triplet.delta_t,
@@ -447,7 +474,7 @@ def test_loss_evaluation_deterministic():
 
 def test_gradient_only_flows_to_trainable_models():
     triplet = fresh_triplet(seed=15)
-    cset = cset_for(triplet, stratified=True)
+    cset = cset_for(triplet)
     nets = taped_triplet(triplet, trainable=("tc",))
     comps = compute_components(nets, triplet, cset, PROPS, 1.0,
                                PHASE_TEMPERATURE)

@@ -4,17 +4,24 @@ parameter serialization round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cureonet.autodiff import mlp_forward
 from cureonet.design import DesignSpace, encode, sample
 from cureonet.operator import (DEFAULT_BOUNDARIES_7, DeepONetModel,
                                OperatorConfig, branch_merge, glorot_mlp,
                                init, init_triplet, model_from_state,
-                               model_meta, model_state, predict,
-                               predict_field, predict_grid, subdomain_index)
+                               model_meta, model_state, predict_field,
+                               predict_grid, subdomain_index)
 
 SPACE = DesignSpace.named("small")
 HORIZON = SPACE.max_cycle_duration()
+
+
+def predict(model, u, y):
+    """Normalized output at one point y = (x, tau): a 1 x 1 predict_grid."""
+    return predict_grid(model, u, np.array([y[0]]), np.array([y[1]]))[0, 0]
 
 
 def small_config(**kw):
@@ -73,6 +80,45 @@ def test_subdomain_index_endpoints_and_boundaries():
 def test_subdomain_index_rejects_out_of_range():
     with pytest.raises(ValueError):
         subdomain_index(OperatorConfig().segments(), 1.5)
+
+
+_TAU = st.floats(0.0, 1.0)
+
+
+@given(inner=st.lists(st.floats(0.001, 0.999), max_size=6, unique=True),
+       taus=st.lists(_TAU, min_size=1, max_size=20))
+def test_subdomain_index_finds_the_one_containing_segment(inner, taus):
+    bounds = (0.0, *sorted(inner), 1.0)
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    taus = np.array(taus + list(bounds))   # boundaries and both ends too
+    ks = subdomain_index(segments, taus)
+    for tau, k in zip(taus, ks):
+        lo, hi = segments[k]
+        if tau == 1.0:
+            assert k == len(segments) - 1
+        else:
+            assert lo <= tau < hi
+        assert subdomain_index(segments, float(tau)) == k
+
+
+_GRID_MODEL = init(small_config(n_subdomains=4), seed=12)
+_GRID_U = encode(SPACE.midpoint(), SPACE, HORIZON)
+
+
+@settings(max_examples=40)
+@given(xs=st.lists(_TAU, min_size=1, max_size=4),
+       taus=st.lists(_TAU, max_size=10))
+def test_predict_grid_matches_one_by_one_calls(xs, taus):
+    # unsorted and repeated taus, and every segment occupied
+    segments = _GRID_MODEL.segments
+    taus = np.array(taus + [0.5 * (lo + hi) for lo, hi in segments]
+                    + taus[:2])
+    grid = predict_grid(_GRID_MODEL, _GRID_U, np.array(xs), taus)
+    assert grid.shape == (taus.size, len(xs))
+    for i, tau in enumerate(taus):
+        for j, x in enumerate(xs):
+            assert grid[i, j] == pytest.approx(
+                predict(_GRID_MODEL, _GRID_U, (x, tau)), abs=1e-13)
 
 
 def test_init_deterministic_and_seed_sensitive():

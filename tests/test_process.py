@@ -8,8 +8,7 @@ import sympy as sp
 
 from cureonet.autodiff import Jet2
 from cureonet.process import (CureCycleSpec, CureKineticsParams, DomainError,
-                              MaterialProps, SimulationConstants,
-                              air_temperature, bc_residuals,
+                              MaterialProps, air_temperature, bc_residuals,
                               celsius_to_kelvin, continuity_residuals,
                               cure_rate, load_material_set,
                               pde_residual_part, pde_residual_tool)
@@ -233,24 +232,22 @@ def test_pde_residual_domain_errors():
 
 
 def _consts(h_top=100.0, h_bot=80.0, l_tool=0.03, l_part=0.028):
-    return SimulationConstants(h_top=h_top, h_bot=h_bot, l_tool=l_tool,
-                               l_part=l_part)
+    return dict(h_top=h_top, h_bot=h_bot, l_part=l_part, l_tool=l_tool)
 
 
 def test_bc_residuals_zero_at_equilibrium():
     ta = 77.0
     top = Jet2(np.array([ta]), {0: np.array([0.0])}, {})
     bot = Jet2(np.array([ta]), {0: np.array([0.0])}, {})
-    r_top, r_bot = bc_residuals(top, bot, ta, PART, TOOL, _consts())
+    r_top, r_bot = bc_residuals(top, bot, ta, PART, TOOL, **_consts())
     assert r_top[0] == 0.0 and r_bot[0] == 0.0
 
 
 def test_bc_residuals_insulated_limit_penalizes_gradient_only():
     top = Jet2(np.array([50.0]), {0: np.array([3.0])}, {})
     bot = Jet2(np.array([90.0]), {0: np.array([-1.5])}, {})
-    consts = SimulationConstants(h_top=1e-300, h_bot=1e-300,
-                                 l_tool=0.03, l_part=0.028)
-    r_top, r_bot = bc_residuals(top, bot, 120.0, PART, TOOL, consts)
+    r_top, r_bot = bc_residuals(top, bot, 120.0, PART, TOOL, h_top=1e-300,
+                                h_bot=1e-300, l_part=0.028, l_tool=0.03)
     assert r_top[0] == pytest.approx(3.0)
     assert r_bot[0] == pytest.approx(-1.5)
 
@@ -263,9 +260,19 @@ def test_bc_residuals_match_hand_expansion():
     top = Jet2(tv, {0: tg}, {})
     bot = Jet2(bv, {0: bg}, {})
     c = _consts()
-    r_top, r_bot = bc_residuals(top, bot, ta, PART, TOOL, c)
-    assert np.allclose(r_top, tg - (c.h_top * c.l_part / PART.k) * (ta - tv))
-    assert np.allclose(r_bot, bg - (c.h_bot * c.l_tool / TOOL.k) * (bv - ta))
+    r_top, r_bot = bc_residuals(top, bot, ta, PART, TOOL, **c)
+    assert np.allclose(
+        r_top, tg - (c["h_top"] * c["l_part"] / PART.k) * (ta - tv))
+    assert np.allclose(
+        r_bot, bg - (c["h_bot"] * c["l_tool"] / TOOL.k) * (bv - ta))
+
+
+def test_bc_residuals_reject_negative_htc_and_thickness():
+    jet = Jet2(np.array([50.0]), {0: np.array([0.0])}, {})
+    for bad in (dict(h_top=-1.0), dict(h_bot=-1.0), dict(l_part=0.0),
+                dict(l_tool=-0.01)):
+        with pytest.raises(DomainError):
+            bc_residuals(jet, jet, 60.0, PART, TOOL, **_consts(**bad))
 
 
 def test_continuity_residuals_zero_for_matched_linear_field():

@@ -275,7 +275,7 @@ def test_solver_stats_in_meta_and_manifest():
 _UNIT = st.floats(0.0, 1.0, allow_nan=False)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=10)
 @given(st.lists(st.tuples(*[_UNIT] * len(VARIABLE_NAMES)), min_size=1,
                 max_size=3))
 def test_alpha_monotone_and_bounded_for_random_designs(points):

@@ -179,6 +179,36 @@ def test_resume_matches_uninterrupted_trajectory(tmp_path):
             assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("change, field", [
+    (dict(seed=6), "seed"),
+    (dict(designs=sample(SPACE, 2, seed=2)), "designs"),
+    (dict(plan=quick_plan(epochs=4, lr0=2e-3)), "plan.lr0"),
+], ids=["seed", "designs", "plan"])
+def test_resume_rejects_a_different_run(tmp_path, change, field):
+    args = dict(designs=DESIGNS, plan=quick_plan(epochs=4), seed=5)
+    train(init_triplet(SMALL_CONFIG, SPACE, seed=0), args["designs"],
+          quick_plan(epochs=2), PROPS_NO_HEAT, seed=5,
+          loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    args.update(change)
+    with pytest.raises(TrainerError, match=f"resume: {field} "):
+        train(init_triplet(SMALL_CONFIG, SPACE, seed=0), args["designs"],
+              args["plan"], PROPS_NO_HEAT, seed=args["seed"],
+              loss_config=SMALL_COLLOC,
+              resume_from=tmp_path / "checkpoint.npz")
+
+
+def test_resume_rejects_epochs_that_reshape_the_done_schedule(tmp_path):
+    plan = quick_plan(epochs=2, curriculum=True, curriculum_stages=2)
+    train(init_triplet(SMALL_CONFIG, SPACE, seed=0), DESIGNS, plan,
+          PROPS_NO_HEAT, seed=5, loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    # 2 stages over 4 epochs move the stage boundary past the epochs done
+    with pytest.raises(TrainerError, match="plan.epochs"):
+        train(init_triplet(SMALL_CONFIG, SPACE, seed=0), DESIGNS,
+              dataclasses.replace(plan, epochs=4), PROPS_NO_HEAT, seed=5,
+              loss_config=SMALL_COLLOC,
+              resume_from=tmp_path / "checkpoint.npz")
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     triplet = init_triplet(SMALL_CONFIG, SPACE, seed=3)
     plan = quick_plan(epochs=2)
@@ -239,7 +269,7 @@ def test_linear_subproblem_total_loss_drops_by_10x():
     designs = sample(SPACE, 1, seed=1)
     triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
     cset = sample_collocation(triplet, designs, SMALL_COLLOC,
-                              seed=[7, 7002, 0], stratified=True)
+                              seed=[7, 7002, 0])
     nets = taped_triplet(triplet, trainable=())
     init_bd = breakdown_from(compute_components(nets, triplet, cset,
                                                 PROPS_NO_HEAT, 1.0,

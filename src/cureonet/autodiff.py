@@ -2,14 +2,18 @@
 with order-2 forward jets for first/second derivatives w.r.t. selected
 network inputs.
 
-The jet propagation is itself built from taped primitives, so a scalar loss
-assembled from any jet slot (value, d1, d2) can be differentiated w.r.t.
-network parameters with a single reverse pass.
+A jet stacks its value and derivative slots on one leading axis (Taylor-mode
+propagation in the forward-Laplacian layout), and `dense` moves all slots
+through one layer as a single taped node with a hand-derived
+vector-Jacobian product. A scalar loss assembled from any slot can
+therefore be differentiated w.r.t. network parameters with one reverse
+pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,23 +191,12 @@ class Var:
         return Var._node(self.data.reshape(*shape),
                          ((self, lambda g: g.reshape(old)),))
 
-    def tile_rows(self, outer: int, inner: int):
-        """Rows replicated as (outer, n, inner) blocks flattened to 2-D:
-        output row (o, i, j) equals row i. Cheap reduction on backward."""
-        n, q = self.data.shape
-        out = np.broadcast_to(self.data[None, :, None, :],
-                              (outer, n, inner, q)).reshape(-1, q)
-        return Var._node(
-            out,
-            ((self, lambda g: g.reshape(outer, n, inner, q).sum(axis=(0, 2))),))
+    def __getitem__(self, idx):
+        """Basic indexing (integers and slices)."""
 
-    def take_outer(self, idx):
-        """Gather blocks along the leading axis (duplicates allowed)."""
-        idx = np.asarray(idx, dtype=np.intp)
-
-        def pull(g, idx=idx, shape=self.data.shape):
+        def pull(g, shape=self.data.shape):
             out = np.zeros(shape)
-            np.add.at(out, idx, g)
+            out[idx] = g
             return out
 
         return Var._node(self.data[idx], ((self, pull),))
@@ -234,27 +227,6 @@ def clip(x, lo, hi):
             & ((x.data <= hi) if hi is not None else True)
         return Var._node(y, ((x, lambda g: g * mask),))
     return np.clip(x, lo, hi)
-
-
-def reshape(x, *shape):
-    if isinstance(x, Var):
-        return x.reshape(*shape)
-    return np.asarray(x).reshape(*shape)
-
-
-def tile_rows(x, outer, inner):
-    if isinstance(x, Var):
-        return x.tile_rows(outer, inner)
-    x = np.asarray(x)
-    n, q = x.shape
-    return np.broadcast_to(x[None, :, None, :],
-                           (outer, n, inner, q)).reshape(-1, q)
-
-
-def take_outer(x, idx):
-    if isinstance(x, Var):
-        return x.take_outer(idx)
-    return np.asarray(x)[np.asarray(idx, dtype=np.intp)]
 
 
 def value_of(x) -> Array:
@@ -389,110 +361,178 @@ def mlp_forward(params: MlpParams, x: Array) -> Array:
     return h[0] if single else h
 
 
-@dataclass
-class Jet2:
-    """Value plus first/second directional derivatives of a network output
-    w.r.t. tracked input coordinates (pure seconds only; no cross terms).
+class _Slots(Mapping):
+    """Read view of one derivative order of a Jet2: input index -> slot."""
 
-    Slots are numpy arrays or Vars; d1/d2 are keyed by tracked input index.
-    A coordinate absent from d1/d2 has derivative identically zero.
+    __slots__ = ("_data", "_slot")
+
+    def __init__(self, data, keys, first):
+        self._data = data
+        self._slot = {k: first + i for i, k in enumerate(keys)}
+
+    def __getitem__(self, k):
+        return self._data[self._slot[k]]
+
+    def __iter__(self):
+        return iter(self._slot)
+
+    def __len__(self):
+        return len(self._slot)
+
+
+class Jet2:
+    """Value and derivatives of a network output w.r.t. selected inputs,
+    stacked on the leading axis of one array or Var `data`:
+
+        slot 0                 the value
+        slot 1 + i             first derivative w.r.t. input d1[i]
+        slot 1 + len(d1) + j   pure second derivative w.r.t. input d2[j]
+
+    d2 is a subset of d1; cross derivatives are not carried. Slots read as
+    `value`, `d1[k]` and `d2[k]` with k an input index (a read of a Var
+    slot is taped). An input absent from d1/d2 has derivative identically
+    zero.
     """
 
-    value: object
-    d1: dict = field(default_factory=dict)
-    d2: dict = field(default_factory=dict)
+    __slots__ = ("data", "d1", "d2")
 
-    def tracked(self):
-        return tuple(sorted(self.d1.keys()))
+    def __init__(self, data, d1=(), d2=()):
+        d1, d2 = tuple(d1), tuple(d2)
+        n = 1 + len(d1) + len(d2)
+        if value_of(data).shape[:1] != (n,) or not set(d2) <= set(d1) \
+                or 1 + len(set(d1)) + len(set(d2)) != n:
+            raise ValueError(f"data of shape {value_of(data).shape} does not "
+                             f"hold the slots of d1={d1}, d2={d2}")
+        self.data = data
+        self.d1 = _Slots(data, d1, 1)
+        self.d2 = _Slots(data, d2, 1 + len(d1))
+
+    @property
+    def value(self):
+        return self.data[0]
 
 
-def jet_tanh(jet: Jet2) -> Jet2:
-    y = tanh(jet.value)
+def _shared_pulls(vjp, pulls):
+    """Pulls of one node whose recorded parents all start from the same
+    cotangent vjp(g): the first pull computes it and the last drops it."""
+    pulls = [(p, fn) for p, fn in pulls
+             if isinstance(p, Var) and p.requires_grad]
+    memo = []
+
+    def wrap(fn, last):
+        def pull(g):
+            if not memo:
+                memo.append(vjp(g))
+            gz = memo[0]
+            if last:
+                memo.clear()
+            return fn(gz)
+        return pull
+
+    return tuple((p, wrap(fn, i == len(pulls) - 1))
+                 for i, (p, fn) in enumerate(pulls))
+
+
+def _tanh_jet(z, n1, src):
+    """tanh on stacked pre-activation slots: (z, z_k, z_kk) ->
+    (y, s z_k, s z_kk - 2 y s z_k^2), y = tanh z, s = 1 - y^2. `src` names
+    the first-derivative slot of each of the trailing second-derivative
+    slots. Returns the slots and their vector-Jacobian product."""
+    y = np.tanh(z[0])
     s = 1.0 - y * y
-    d1 = {k: s * v for k, v in jet.d1.items()}
-    d2 = {k: s * jet.d2[k] - 2.0 * y * s * jet.d1[k] * jet.d1[k]
-          for k in jet.d2}
-    return Jet2(y, d1, d2)
+    ys2 = 2.0 * y * s
+    zk = z[src]
+    out = np.empty_like(z)
+    out[0] = y
+    out[1:] = s * z[1:]
+    if src:
+        out[1 + n1:] -= ys2 * zk * zk
+
+    def vjp(g):
+        gz = s * g
+        gz[0] -= ys2 * (g[1:] * z[1:]).sum(axis=0)
+        if src:
+            gkk = g[1 + n1:]
+            gz[src] -= 2.0 * ys2 * zk * gkk
+            gz[0] -= 2.0 * s * (1.0 - 3.0 * y * y) \
+                * (gkk * zk * zk).sum(axis=0)
+        return gz
+
+    return out, vjp
 
 
-def jet_linear(jet: Jet2, w, b) -> Jet2:
-    return Jet2(jet.value @ w + b,
-                {k: v @ w for k, v in jet.d1.items()},
-                {k: v @ w for k, v in jet.d2.items()})
+def dense(jet: Jet2, w, b, act: bool, blocks=None) -> Jet2:
+    """One dense layer, tanh(x @ w + b) if `act` else x @ w + b, on every
+    slot of `jet` as one taped node.
+
+    `w` is (a, b) with bias (b,) against (S, ..., a) slots, or stacked per
+    block as (..., a, b) with bias (..., b) against (S, ..., m, a) slots.
+    With `blocks`, the layer uses w[blocks] and b[blocks] of stacked weights
+    (repeated blocks accumulate their gradients). One matmul covers all
+    slots and the bias enters the value slot only. Without derivative slots
+    a tanh layer is plain tanh.
+    """
+    h, wd, bd = value_of(jet.data), value_of(w), value_of(b)
+    shapes = wd.shape, bd.shape
+    if blocks is not None:
+        wd, bd = wd[blocks], bd[blocks]
+    bias = bd[..., None, :] if bd.ndim > 1 else bd
+    z = h @ wd
+    z[0] += bias
+    if not act:
+        out, vjp = z, (lambda g: g)
+    elif z.shape[0] == 1:
+        out = np.tanh(z)
+        vjp = lambda g: g * (1.0 - out * out)
+    else:
+        first = list(jet.d1)
+        out, vjp = _tanh_jet(z, len(first),
+                             [1 + first.index(k) for k in jet.d2])
+    if not any(isinstance(p, Var) for p in (jet.data, w, b)):
+        return Jet2(out, jet.d1, jet.d2)
+
+    def scatter(g, shape):
+        if blocks is None:
+            return g
+        full = np.zeros(shape)
+        np.add.at(full, blocks, g)
+        return full
+
+    parents = _shared_pulls(vjp, (
+        (jet.data, lambda gz: _unbroadcast(gz @ wd.swapaxes(-1, -2),
+                                           h.shape)),
+        (w, lambda gz: scatter(_unbroadcast(h.swapaxes(-1, -2) @ gz,
+                                            wd.shape), shapes[0])),
+        (b, lambda gz: scatter(_unbroadcast(gz[0], bias.shape)
+                               .reshape(bd.shape), shapes[1]))))
+    return Jet2(Var(out, parents, bool(parents)), jet.d1, jet.d2)
 
 
-def jet_mul(a: Jet2, b: Jet2) -> Jet2:
-    """Elementwise product of two jets over the union of tracked coords."""
-    keys1 = set(a.d1) | set(b.d1)
-    d1 = {}
-    for k in keys1:
-        terms = []
-        if k in a.d1:
-            terms.append(a.d1[k] * b.value)
-        if k in b.d1:
-            terms.append(a.value * b.d1[k])
-        d1[k] = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-    keys2 = set(a.d2) | set(b.d2)
-    d2 = {}
-    for k in keys2:
-        acc = None
-        if k in a.d2:
-            acc = a.d2[k] * b.value
-        if k in a.d1 and k in b.d1:
-            t = 2.0 * a.d1[k] * b.d1[k]
-            acc = t if acc is None else acc + t
-        if k in b.d2:
-            t = a.value * b.d2[k]
-            acc = t if acc is None else acc + t
-        d2[k] = acc
-    return Jet2(a.value * b.value, d1, d2)
+def dense_layers(jet: Jet2, weights, biases, blocks=None) -> Jet2:
+    """`dense` through every layer: tanh on all but the last, which is
+    affine."""
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        jet = dense(jet, w, b, act=i < last, blocks=blocks)
+    return jet
 
 
-def mlp_forward_jet(net, x: Array, tracked=(), order: int = 2) -> Jet2:
-    """Forward pass carrying jets w.r.t. `tracked` input indices.
-
-    `tracked` is a tuple of input indices (all at `order`) or a mapping
-    {index: order} for mixed orders, e.g. {0: 2, 1: 1} for a second spatial
-    and first temporal derivative. `net` is either an MlpParams (pure numpy,
-    no tape) or a TapeMlp (every operation recorded so parameter gradients
-    of functions of any slot can be pulled back). Input is a constant (in,)
-    or (batch, in) array.
+def mlp_forward_jet(net, x: Array, d1=(), d2=()) -> Jet2:
+    """Forward pass of a constant (batch, in) input carrying first
+    derivatives w.r.t. the inputs in d1 and pure second derivatives w.r.t.
+    those in d2 (a subset of d1); e.g. d1=(0, 1), d2=(0,) for d/dx, d/dt
+    and d2/dx2. `net` is an MlpParams (plain numpy) or a TapeMlp (each layer
+    one taped node, so parameter gradients of any slot can be pulled back).
+    Returns a Jet2 with (batch, out) slots.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    v = x[None, :] if single else x
     n_in = net.layer_sizes[0]
-    if v.shape[1] != n_in:
-        raise ValueError(f"input width {v.shape[1]} != expected {n_in}")
-    orders = dict(tracked) if isinstance(tracked, dict) \
-        else {k: order for k in tracked}
-    if any(k < 0 or k >= n_in for k in orders):
-        raise ValueError(f"tracked indices {tracked} outside input width {n_in}")
-    if any(o not in (0, 1, 2) for o in orders.values()) \
-            or order not in (0, 1, 2):
-        raise ValueError("derivative order must be 0, 1 or 2")
-
-    d1 = {}
-    d2 = {}
-    for k, k_order in orders.items():
-        if k_order >= 1:
-            seed = np.zeros((1, n_in))
-            seed[0, k] = 1.0
-            d1[k] = seed
-        if k_order >= 2:
-            d2[k] = np.zeros((1, n_in))
-    jet = Jet2(v, d1, d2)
-
-    last = net.n_layers - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        jet = jet_linear(jet, w, b)
-        if i < last:
-            jet = jet_tanh(jet)
-
-    if single:
-        squeeze = (lambda t: Var._node(t.data[0], ((t, lambda g: g[None, :]),))
-                   if isinstance(t, Var) else t[0])
-        jet = Jet2(squeeze(jet.value),
-                   {k: squeeze(t) for k, t in jet.d1.items()},
-                   {k: squeeze(t) for k, t in jet.d2.items()})
-    return jet
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise ValueError(f"input of shape {x.shape} is not (batch, {n_in})")
+    if any(not 0 <= k < n_in for k in d1):
+        raise ValueError(f"derivative inputs {d1} outside input width {n_in}")
+    data = np.zeros((1 + len(d1) + len(d2),) + x.shape)
+    data[0] = x
+    for i, k in enumerate(d1):
+        data[1 + i, :, k] = 1.0
+    return dense_layers(Jet2(data, d1, d2), net.weights, net.biases)

@@ -171,10 +171,6 @@ def normalize_temperature(t_c, t0: float, t_hi: float):
     return (t_c - t0) / (t_hi - t0)
 
 
-def denormalize_temperature(y, t0: float, t_hi: float):
-    return t0 + y * (t_hi - t0)
-
-
 def encode(d: DesignPoint, space: DesignSpace, horizon: float,
            t0: float = 20.0, cooldown: bool = False) -> SensorizedInput:
     """Encode a design point against its space and the shared time horizon."""

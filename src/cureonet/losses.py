@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Jet2, clip, reshape, tile_rows, value_of
+from .autodiff import Jet2, clip, value_of
 from .design import encode_batch
 from .operator import OperatorTriplet, decode_stratified, merged_branch
 from .process import (MaterialSet, air_temperature, bc_residuals,
@@ -217,33 +217,30 @@ def _get_merged(nets, name, cset, merged_map):
     return m
 
 
-def _flat_eval(net, merged, x, tau, blocks=None, tracked=(),
-               order=0) -> Jet2:
-    """Operator jets on block-major points, as flat (P,) slots. Block b
-    holds every design's points in design order and is decoded by decoder
-    blocks[b]; by default block k belongs to subdomain k."""
+def _flat_eval(net, merged, x, tau, blocks=None, d1=(), d2=()) -> Jet2:
+    """Operator jets on block-major points, as flat (P,) slots (or (r, P)
+    for an (r, n_b) `blocks`). Block b holds every design's points in
+    design order and is decoded by decoder blocks[..., b]; by default block
+    k belongs to subdomain k."""
     if blocks is None:
-        blocks = np.arange(len(net.segments))
+        blocks = np.arange(net.model.config.n_subdomains)
     xy = np.stack([np.asarray(x, dtype=np.float64),
                    np.asarray(tau, dtype=np.float64)], axis=1)
-    n = value_of(merged).shape[0]
-    rows = tile_rows(merged, len(blocks), xy.shape[0] // (len(blocks) * n))
-    return decode_stratified(net, rows, xy, blocks, tracked=tracked,
-                             order=order)
+    return decode_stratified(net, merged, xy, blocks, d1, d2)
 
 
 def _phys_temp_jet(jet: Jet2, scale: float, offset: float,
                    horizon: float) -> Jet2:
-    """Network jet (normalized output, tau time) -> physical jet (degC, s)."""
-    d1 = {}
-    if 0 in jet.d1:
-        d1[0] = scale * jet.d1[0]
-    if 1 in jet.d1:
-        d1[1] = (scale / horizon) * jet.d1[1]
-    d2 = {}
-    if 0 in jet.d2:
-        d2[0] = scale * jet.d2[0]
-    return Jet2(offset + scale * jet.value, d1, d2)
+    """Network jet (normalized output, tau time) -> physical jet (degC, s):
+    every slot scales by `scale`, and by 1/horizon per time derivative; the
+    value slot gains `offset`."""
+    scales = [scale] + [scale / horizon if k == 1 else scale
+                        for k in jet.d1] \
+        + [scale / horizon ** 2 if k == 1 else scale for k in jet.d2]
+    offsets = np.zeros((len(scales), 1))
+    offsets[0] = offset
+    return Jet2(jet.data * np.reshape(scales, (-1, 1)) + offsets,
+                jet.d1, jet.d2)
 
 
 def _mean_sq(r, total: int):
@@ -279,9 +276,9 @@ def loss_bc(nets: dict, cset: CollocationSet, props: MaterialSet,
     total = cset.bc_tau.size
     tc, tt = nets["tc"].model, nets["tt"].model
     top_jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                         np.ones(total), cset.bc_tau, tracked=(0,), order=1)
+                         np.ones(total), cset.bc_tau, d1=(0,))
     bot_jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                         np.zeros(total), cset.bc_tau, tracked=(0,), order=1)
+                         np.zeros(total), cset.bc_tau, d1=(0,))
     top_phys = _phys_temp_jet(top_jet, tc.out_scale, tc.out_offset, horizon)
     bot_phys = _phys_temp_jet(bot_jet, tt.out_scale, tt.out_offset, horizon)
     idx = cset.bc_idx
@@ -309,19 +306,18 @@ def loss_physics(nets: dict, cset: CollocationSet, props: MaterialSet,
         total = cset.int_x.size
         pde_scale = horizon / delta_t
         jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                         cset.int_x, cset.int_tau, tracked={0: 2, 1: 1})
+                         cset.int_x, cset.int_tau, d1=(0, 1), d2=(0,))
         phys = _phys_temp_jet(jet, tt.out_scale, tt.out_offset, horizon)
         res = pde_residual_tool(phys, props.tool, cset.l_tool[cset.int_idx])
         l_tool = _mean_sq(res * pde_scale, total)
 
         jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                         cset.int_x, cset.int_tau, tracked={0: 2, 1: 1})
+                         cset.int_x, cset.int_tau, d1=(0, 1), d2=(0,))
         phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
         if bc_scale > 0.0:
             jet_a = _flat_eval(nets["alpha"],
                                _get_merged(nets, "alpha", cset, merged_map),
-                               cset.int_x, cset.int_tau, tracked=(1,),
-                               order=1)
+                               cset.int_x, cset.int_tau, d1=(1,))
             alpha_rate = jet_a.d1[1] * (1.0 / horizon)
         else:
             alpha_rate = 0.0
@@ -333,7 +329,7 @@ def loss_physics(nets: dict, cset: CollocationSet, props: MaterialSet,
         total = cset.ode_x.size
         jet_a = _flat_eval(nets["alpha"],
                            _get_merged(nets, "alpha", cset, merged_map),
-                           cset.ode_x, cset.ode_tau, tracked=(1,), order=1)
+                           cset.ode_x, cset.ode_tau, d1=(1,))
         jet_t = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
                            cset.ode_x, cset.ode_tau)
         t_kelvin = celsius_to_kelvin(tc.out_offset + tc.out_scale * jet_t.value)
@@ -346,22 +342,17 @@ def loss_physics(nets: dict, cset: CollocationSet, props: MaterialSet,
 def loss_interface_temporal(net, cset: CollocationSet, merged=None):
     """Mismatch of adjacent decoders at shared subdomain boundaries
     (normalized output units). Zero by construction for one subdomain."""
-    segments = net.segments
-    if len(segments) == 1 or cset.if_x.size == 0:
+    n_d = net.model.config.n_subdomains
+    if n_d == 1 or cset.if_x.size == 0:
         return 0.0
     if merged is None:
         merged = merged_branch(net, cset.bn1, cset.bn2)
-    total = cset.if_x.size
-    block = total // (len(segments) - 1)
-    k_left = [next(i for i, s in enumerate(segments) if s[1] == b)
-              for b in cset.if_tau[::block]]
-    k_right = [next(i for i, s in enumerate(segments) if s[0] == b)
-               for b in cset.if_tau[::block]]
-    # both sides in one pass: the points twice, left decoders then right
-    jet = _flat_eval(net, merged, np.tile(cset.if_x, 2),
-                     np.tile(cset.if_tau, 2), blocks=k_left + k_right)
-    diff = np.array([[1.0, -1.0]]) @ reshape(jet.value, (2, total))
-    return (diff * diff).sum() / total
+    # block b sits on internal boundary b + 1: decode it on both sides
+    right = np.arange(1, n_d)
+    jet = _flat_eval(net, merged, cset.if_x, cset.if_tau,
+                     blocks=[right - 1, right])
+    diff = jet.data[0, 0] - jet.data[0, 1]
+    return (diff * diff).sum() / cset.if_x.size
 
 
 def loss_continuity_material(nets: dict, cset: CollocationSet,
@@ -373,9 +364,9 @@ def loss_continuity_material(nets: dict, cset: CollocationSet,
     total = cset.ct_tau.size
     tc, tt = nets["tc"].model, nets["tt"].model
     tool_jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                          np.ones(total), cset.ct_tau, tracked=(0,), order=1)
+                          np.ones(total), cset.ct_tau, d1=(0,))
     part_jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                          np.zeros(total), cset.ct_tau, tracked=(0,), order=1)
+                          np.zeros(total), cset.ct_tau, d1=(0,))
     tool_phys = _phys_temp_jet(tool_jet, tt.out_scale, tt.out_offset, horizon)
     part_phys = _phys_temp_jet(part_jet, tc.out_scale, tc.out_offset, horizon)
     l_tool_pt = cset.l_tool[cset.ct_idx]

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Jet2, MlpParams, TapeMlp, jet_linear, jet_mul,
-                       jet_tanh, mlp_forward, mlp_forward_jet, reshape,
-                       take_outer, value_of)
+from .autodiff import (Jet2, MlpParams, TapeMlp, dense_layers,
+                       mlp_forward_jet, value_of)
 from .design import (DesignPoint, DesignSpace, SensorizedInput, encode,
                      normalize_query)
 from .solver import FieldSolution
@@ -103,7 +102,8 @@ class OperatorConfig:
 @dataclass
 class DeepONetModel:
     """Parameters of one operator plus its output denormalization
-    (physical = out_offset + out_scale * network output)."""
+    (physical = out_offset + out_scale * network output). Decoder k serves
+    the k-th segment of config.segments()."""
 
     bn1: MlpParams
     bn2: MlpParams
@@ -112,14 +112,11 @@ class DeepONetModel:
     config: OperatorConfig
     out_offset: float = 0.0
     out_scale: float = 1.0
-    segments: list = field(default_factory=list)
     dec_w: list = field(default_factory=list)   # stacked (N_d, a, b) per layer
     dec_b: list = field(default_factory=list)   # stacked (N_d, b) per layer
 
     def __post_init__(self):
-        if not self.segments:
-            self.segments = self.config.segments()
-        if len(self.decoders) != len(self.segments):
+        if len(self.decoders) != self.config.n_subdomains:
             raise ValueError("need exactly one decoder per subdomain")
         sizes = self.decoders[0].layer_sizes
         for dec in self.decoders:
@@ -148,8 +145,7 @@ class DeepONetModel:
         return DeepONetModel(self.bn1.copy(), self.bn2.copy(),
                              self.trunk.copy(),
                              [d.copy() for d in self.decoders],
-                             self.config, self.out_offset, self.out_scale,
-                             list(self.segments))
+                             self.config, self.out_offset, self.out_scale)
 
     def trainable_arrays(self) -> list[np.ndarray]:
         out = []
@@ -283,10 +279,6 @@ class TapedDeepONet:
             self.dec_w = model.dec_w
             self.dec_b = model.dec_b
 
-    @property
-    def segments(self):
-        return self.model.segments
-
     def leaves(self):
         """Tape leaves in the same order as model.trainable_arrays()."""
         if not self.trainable:
@@ -318,61 +310,37 @@ def taped_triplet(triplet: OperatorTriplet,
 
 def merged_branch(net: TapedDeepONet | DeepONetModel, bn1_in, bn2_in):
     """Branch embeddings merged by Hadamard product; rows index designs."""
-    b1 = _net_forward(net.bn1, bn1_in)
-    b2 = _net_forward(net.bn2, bn2_in)
-    return branch_merge(b1, b2)
+    return branch_merge(mlp_forward_jet(net.bn1, bn1_in).value,
+                        mlp_forward_jet(net.bn2, bn2_in).value)
 
 
-def _net_forward(net, x):
-    if isinstance(net, MlpParams):
-        return mlp_forward(net, x)
-    jet = mlp_forward_jet(net, x, tracked=(), order=0)
-    return jet.value
+def decode_stratified(net: TapedDeepONet | DeepONetModel, merged, xy,
+                      blocks, d1=(), d2=()) -> Jet2:
+    """Trunk + decoders in one batched pass, carrying the derivative slots
+    d1/d2 of mlp_forward_jet.
 
-
-def _jet_through_layers(pairs, jet: Jet2) -> Jet2:
-    last = len(pairs) - 1
-    for i, (w, b) in enumerate(pairs):
-        jet = jet_linear(jet, w, b)
-        if i < last:
-            jet = jet_tanh(jet)
-    return jet
-
-
-def _jet_squeeze_last(jet: Jet2, shape=(-1,)) -> Jet2:
-    return Jet2(reshape(jet.value, *shape),
-                {c: reshape(v, *shape) for c, v in jet.d1.items()},
-                {c: reshape(v, *shape) for c, v in jet.d2.items()})
-
-
-def decode_stratified(net: TapedDeepONet | DeepONetModel, merged_rows, xy,
-                      blocks, tracked=(), order: int = 0) -> Jet2:
-    """Trunk + decoders in one batched pass.
-
-    The P rows of `xy` split into len(blocks) equal contiguous blocks, and
-    block b is decoded by decoder blocks[b]. merged_rows is the per-point
-    merged branch embedding (P, q), or one (1, q) row shared by all points.
-    Returns a Jet2 with flat (P,) slots.
+    The P rows of `xy` split into blocks.shape[-1] equal contiguous blocks,
+    and block b is decoded by decoder blocks[..., b]. A (n_b,) `blocks`
+    gives (P,) slots; an (r, n_b) one decodes the same trunk features with
+    r decoder sets and gives (r, P) slots. `merged` holds the merged branch
+    embeddings of n designs, (n, q), and every block holds each design's
+    points in design order, equally many per design.
     """
     blocks = np.asarray(blocks, dtype=np.intp)
-    n_b = blocks.size
+    *lead, n_b = blocks.shape
+    n, q = value_of(merged).shape
     p = xy.shape[0]
-    if n_b == 0 or p % n_b:
-        raise ValueError("P must split into len(blocks) equal blocks")
-    m = p // n_b
-    trunk_jet = mlp_forward_jet(net.trunk, xy, tracked=tracked, order=order)
-    joint = jet_mul(Jet2(merged_rows), trunk_jet)
-    q = net.model.config.q if isinstance(net, TapedDeepONet) else net.config.q
-    jet3 = Jet2(reshape(joint.value, (n_b, m, q)),
-                {c: reshape(v, (n_b, m, q)) for c, v in joint.d1.items()},
-                {c: reshape(v, (n_b, m, q)) for c, v in joint.d2.items()})
-    dec_w, dec_b = net.dec_w, net.dec_b
-    if not np.array_equal(blocks, np.arange(len(net.segments))):
-        dec_w = [take_outer(w, blocks) for w in dec_w]
-        dec_b = [take_outer(b, blocks) for b in dec_b]
-    pairs = [(w, reshape(b, (n_b, 1, -1))) for w, b in zip(dec_w, dec_b)]
-    out = _jet_through_layers(pairs, jet3)
-    return _jet_squeeze_last(out)
+    if n_b == 0 or p % (n_b * n):
+        raise ValueError("P must split into equal blocks with equally many "
+                         "points per design")
+    trunk = mlp_forward_jet(net.trunk, xy, d1, d2).data
+    per_design = trunk.reshape(-1, n_b, n, p // (n_b * n), q)
+    joint = (merged[:, None] * per_design).reshape(
+        -1, *(1,) * len(lead), n_b, p // n_b, q)
+    if np.array_equal(blocks, np.arange(value_of(net.dec_w[0]).shape[0])):
+        blocks = None    # every decoder once, in order: no gather
+    out = dense_layers(Jet2(joint, d1, d2), net.dec_w, net.dec_b, blocks)
+    return Jet2(out.data.reshape(-1, *lead, p), d1, d2)
 
 
 def predict_grid(model: DeepONetModel, u: SensorizedInput,
@@ -382,14 +350,14 @@ def predict_grid(model: DeepONetModel, u: SensorizedInput,
     xs = np.asarray(xs, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
     merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
-    seg = subdomain_index(model.segments, taus)
+    seg = subdomain_index(model.config.segments(), taus)
     out = np.empty((taus.size, xs.size))
     for k in np.unique(seg):
         rows = seg == k
         xx, tt = np.meshgrid(xs, taus[rows])
         xy = np.stack([xx.ravel(), tt.ravel()], axis=1)
         jet = decode_stratified(model, merged, xy, [k])
-        out[rows] = value_of(jet.value).reshape(-1, xs.size)
+        out[rows] = jet.value.reshape(-1, xs.size)
     return out
 
 
@@ -442,12 +410,15 @@ def model_state(model: DeepONetModel, prefix: str) -> dict:
 def model_meta(model: DeepONetModel) -> dict:
     return {"config": model.config.to_dict(),
             "out_offset": model.out_offset,
-            "out_scale": model.out_scale,
-            "segments": [list(s) for s in model.segments]}
+            "out_scale": model.out_scale}
 
 
 def model_from_state(meta: dict, arrays: dict, prefix: str) -> DeepONetModel:
     config = OperatorConfig.from_dict(meta["config"])
+    stored = [tuple(s) for s in meta.get("segments", config.segments())]
+    if stored != config.segments():
+        raise ValueError(f"{prefix}: stored segments {stored} differ from "
+                         f"the config's partition {config.segments()}")
 
     def rebuild(sizes, net_name):
         n = len(sizes) - 1
@@ -467,5 +438,4 @@ def model_from_state(meta: dict, arrays: dict, prefix: str) -> DeepONetModel:
         decoders.append(MlpParams(list(dec_sizes), ws, bs))
     return DeepONetModel(bn1, bn2, trunk, decoders, config,
                          out_offset=float(meta["out_offset"]),
-                         out_scale=float(meta["out_scale"]),
-                         segments=[tuple(s) for s in meta["segments"]])
+                         out_scale=float(meta["out_scale"]))

@@ -4,8 +4,9 @@ in per-material local coordinates (x1, x2 in [0,1]).
 
 Unit discipline: kinetics run in kelvin, everything user-facing is in
 Celsius; the conversion lives here. Residual functions are generic over
-plain numpy values and tape Vars (see autodiff), and use the Jet2 index
-convention 0 = local spatial coordinate, 1 = physical time in seconds.
+plain numpy values and tape Vars (see autodiff). They read a Jet2 only as
+`jet.value`, `jet.d1[k]` and `jet.d2[k]`, with input index k = 0 for the
+local spatial coordinate and k = 1 for physical time in seconds.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class DomainError(ValueError):
 
 def celsius_to_kelvin(t_c):
     return t_c + KELVIN_OFFSET
-
-
-def kelvin_to_celsius(t_k):
-    return t_k - KELVIN_OFFSET
 
 
 # -- kinetics and materials ----------------------------------------------------
@@ -263,9 +260,9 @@ def air_temperature(cycle: CureCycleSpec, t):
 
 # -- residual functions ------------------------------------------------------
 #
-# Jet convention: index 0 = local spatial coordinate of the jet's material,
-# index 1 = physical time in seconds. All residuals vanish identically on
-# exact solutions of the governing equations.
+# Jet convention: d1/d2 input 0 = local spatial coordinate of the jet's
+# material, input 1 = physical time in seconds. All residuals vanish
+# identically on exact solutions of the governing equations.
 
 
 def pde_residual_tool(jet: Jet2, props: MaterialProps, l_tool):

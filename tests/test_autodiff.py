@@ -4,9 +4,12 @@ through first/second derivative slots)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cureonet.autodiff import (Jet2, MlpParams, TapeMlp, Var, backward,
-                               jet_mul, mlp_forward, mlp_forward_jet, tanh)
+                               dense_layers, mlp_forward, mlp_forward_jet,
+                               tanh)
 
 
 def random_mlp(layer_sizes, seed, scale=0.6):
@@ -63,12 +66,12 @@ def test_single_tanh_neuron_jet_closed_form():
     p = MlpParams([1, 1, 1], [np.array([[w]]), np.array([[1.0]])],
                   [np.array([b]), np.array([0.0])])
     x = 0.45
-    jet = mlp_forward_jet(p, np.array([x]), tracked=(0,))
+    jet = mlp_forward_jet(p, np.array([[x]]), d1=(0,), d2=(0,))
     u = np.tanh(w * x + b)
     sech2 = 1.0 - u * u
-    assert abs(jet.value[0] - u) < 1e-15
-    assert abs(jet.d1[0][0] - w * sech2) < 1e-14
-    assert abs(jet.d2[0][0] - (-2.0 * w * w * u * sech2)) < 1e-13
+    assert abs(jet.value[0, 0] - u) < 1e-15
+    assert abs(jet.d1[0][0, 0] - w * sech2) < 1e-14
+    assert abs(jet.d2[0][0, 0] - (-2.0 * w * w * u * sech2)) < 1e-13
 
 
 def test_linear_network_has_zero_second_derivative():
@@ -76,7 +79,7 @@ def test_linear_network_has_zero_second_derivative():
     w = rng.normal(size=(2, 3))
     b = rng.normal(size=3)
     p = MlpParams([2, 3], [w], [b])
-    jet = mlp_forward_jet(p, rng.normal(size=(5, 2)), tracked=(0, 1))
+    jet = mlp_forward_jet(p, rng.normal(size=(5, 2)), d1=(0, 1), d2=(0, 1))
     for k in (0, 1):
         assert np.allclose(jet.d1[k], np.broadcast_to(w[k], (5, 3)))
         assert np.all(jet.d2[k] == 0.0)
@@ -91,25 +94,25 @@ def test_default_net_jets_match_central_differences(seed):
     def f(x, t):
         return mlp_forward(p, np.array([x, t]))[0]
 
-    jet = mlp_forward_jet(p, x0, tracked=(0, 1))
+    jet = mlp_forward_jet(p, x0[None], d1=(0, 1), d2=(0, 1))
     for k, step in ((0, np.array([h, 0])), (1, np.array([0, h]))):
         d1_fd = (f(*(x0 + step)) - f(*(x0 - step))) / (2 * h)
         d2_fd = (f(*(x0 + step)) - 2 * f(*x0) + f(*(x0 - step))) / h ** 2
-        assert abs(jet.d1[k][0] - d1_fd) < 1e-5 * max(1.0, abs(d1_fd))
-        assert abs(jet.d2[k][0] - d2_fd) < 1e-5 * max(1.0, abs(d2_fd))
+        assert abs(jet.d1[k][0, 0] - d1_fd) < 1e-5 * max(1.0, abs(d1_fd))
+        assert abs(jet.d2[k][0, 0] - d2_fd) < 1e-5 * max(1.0, abs(d2_fd))
 
 
 def test_jet_value_matches_forward_bitwise():
     p = random_mlp([3, 20, 20, 2], seed=5)
     x = np.random.default_rng(6).normal(size=(7, 3))
-    jet = mlp_forward_jet(p, x, tracked=(0, 2))
+    jet = mlp_forward_jet(p, x, d1=(0, 2), d2=(0, 2))
     assert np.array_equal(jet.value, mlp_forward(p, x))
 
 
 def test_empty_tracked_set_behaves_like_forward():
     p = random_mlp([2, 8, 1], seed=7)
-    x = np.array([0.1, 0.2])
-    jet = mlp_forward_jet(p, x, tracked=())
+    x = np.array([[0.1, 0.2]])
+    jet = mlp_forward_jet(p, x)
     assert jet.d1 == {} and jet.d2 == {}
     assert np.array_equal(jet.value, mlp_forward(p, x))
 
@@ -119,8 +122,8 @@ def test_jet_linearity_of_sum():
     pf = random_mlp([2, 10, 1], seed=8)
     pg = random_mlp([2, 10, 1], seed=9)
     x = np.array([[0.3, -0.5]])
-    jf = mlp_forward_jet(pf, x, tracked=(0, 1))
-    jg = mlp_forward_jet(pg, x, tracked=(0, 1))
+    jf = mlp_forward_jet(pf, x, d1=(0, 1), d2=(0, 1))
+    jg = mlp_forward_jet(pg, x, d1=(0, 1), d2=(0, 1))
 
     both = MlpParams(
         [2, 20, 1],
@@ -128,7 +131,7 @@ def test_jet_linearity_of_sum():
          np.vstack([pf.weights[1], pg.weights[1]])],
         [np.hstack([pf.biases[0], pg.biases[0]]),
          pf.biases[1] + pg.biases[1]])
-    js = mlp_forward_jet(both, x, tracked=(0, 1))
+    js = mlp_forward_jet(both, x, d1=(0, 1), d2=(0, 1))
     assert np.allclose(js.value, jf.value + jg.value, atol=1e-14)
     for k in (0, 1):
         assert np.allclose(js.d1[k], jf.d1[k] + jg.d1[k], atol=1e-13)
@@ -149,7 +152,7 @@ def test_backward_quadratic_form_gradient():
     p = MlpParams([3, 2], [w], [np.zeros(2)])
     x = rng.normal(size=(1, 3))
     tape = TapeMlp(p)
-    jet = mlp_forward_jet(tape, x, tracked=())
+    jet = mlp_forward_jet(tape, x)
     backward((jet.value * jet.value).sum())
     expect = 2.0 * x.T @ (x @ w)
     assert np.allclose(tape.weights[0].grad, expect, atol=1e-12)
@@ -161,11 +164,11 @@ def test_gradient_of_second_derivative_loss_matches_fd(seed):
     x = np.random.default_rng(seed).uniform(-1, 1, size=(6, 2))
 
     def loss_value(params):
-        jet = mlp_forward_jet(params, x, tracked=(0,))
+        jet = mlp_forward_jet(params, x, d1=(0,), d2=(0,))
         return float(np.mean(jet.d2[0] ** 2))
 
     tape = TapeMlp(p)
-    jet = mlp_forward_jet(tape, x, tracked=(0,))
+    jet = mlp_forward_jet(tape, x, d1=(0,), d2=(0,))
     backward((jet.d2[0] * jet.d2[0]).mean())
 
     rng = np.random.default_rng(seed + 100)
@@ -193,18 +196,62 @@ def test_gradient_of_second_derivative_loss_matches_fd(seed):
     assert checked == 40
 
 
-def test_jet_mul_product_rule():
-    rng = np.random.default_rng(30)
-    a = Jet2(rng.normal(size=(4, 3)), {0: rng.normal(size=(4, 3))},
-             {0: rng.normal(size=(4, 3))})
-    b = Jet2(rng.normal(size=(4, 3)), {0: rng.normal(size=(4, 3))},
-             {0: rng.normal(size=(4, 3))})
-    c = jet_mul(a, b)
-    assert np.allclose(c.value, a.value * b.value)
-    assert np.allclose(c.d1[0], a.d1[0] * b.value + a.value * b.d1[0])
-    assert np.allclose(
-        c.d2[0],
-        a.d2[0] * b.value + 2 * a.d1[0] * b.d1[0] + a.value * b.d2[0])
+@settings(max_examples=30)
+@given(d1=st.lists(st.integers(0, 2), unique=True, max_size=3),
+       data=st.data(),
+       layout=st.sampled_from(["2-D", "stacked", "gathered"]),
+       seed=st.integers(0, 2 ** 16))
+def test_dense_layers_match_forward_and_central_differences(d1, data, layout,
+                                                            seed):
+    # one tanh layer and one affine layer on a jet with random slots, for
+    # 2-D weights, stacked per-block weights, and per-block weights gathered
+    # by (possibly repeated) decoder indices
+    d2 = data.draw(st.lists(st.sampled_from(d1), unique=True)) if d1 else []
+    rng = np.random.default_rng(seed)
+    sizes, n_d, m = [3, 4, 2], 3, 3
+    n_slots = 1 + len(d1) + len(d2)
+    stack = () if layout == "2-D" else (n_d,)
+    ws = [rng.normal(0.0, 0.6, stack + (a, b))
+          for a, b in zip(sizes[:-1], sizes[1:])]
+    bs = [rng.normal(0.0, 0.3, stack + (b,)) for b in sizes[1:]]
+    blocks = rng.integers(0, n_d, size=4) if layout == "gathered" else None
+    rows = (5,) if layout == "2-D" else (n_d if blocks is None else 4, m)
+    x = rng.normal(size=(n_slots,) + rows + (sizes[0],))
+
+    def forward(x, ws, bs):
+        return dense_layers(Jet2(x, d1, d2), ws, bs, blocks).data
+
+    out = forward(x, ws, bs)
+    if layout == "2-D":
+        expect = mlp_forward(MlpParams(sizes, ws, bs), x[0])
+        assert np.array_equal(out[0], expect)
+    else:
+        decoders = range(n_d) if blocks is None else blocks
+        for i, k in enumerate(decoders):
+            net = MlpParams(sizes, [w[k] for w in ws], [b[k] for b in bs])
+            assert np.array_equal(out[0, i], mlp_forward(net, x[0, i]))
+
+    cot = rng.normal(size=out.shape)
+    arrays = [x] + ws + bs
+    leaves = [Var(a, requires_grad=True) for a in arrays]
+    n_w = len(ws)
+    taped = forward(leaves[0], leaves[1:1 + n_w], leaves[1 + n_w:])
+    backward((taped * cot).sum())
+    for arr, leaf in zip(arrays, leaves):
+        for _ in range(4):
+            pos = tuple(rng.integers(0, n) for n in arr.shape)
+            old = arr[pos]
+            arr[pos] = old + 1e-6
+            up = np.sum(forward(*_split(arrays, n_w)) * cot)
+            arr[pos] = old - 1e-6
+            down = np.sum(forward(*_split(arrays, n_w)) * cot)
+            arr[pos] = old
+            fd = (up - down) / 2e-6
+            assert abs(leaf.grad[pos] - fd) < 1e-6 * max(1.0, abs(fd))
+
+
+def _split(arrays, n_w):
+    return arrays[0], arrays[1:1 + n_w], arrays[1 + n_w:]
 
 
 def test_var_tanh_matches_numpy_and_backward():

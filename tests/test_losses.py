@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cureonet.autodiff import Jet2, jet_mul, mlp_forward, mlp_forward_jet
+from cureonet.autodiff import (Jet2, dense_layers, mlp_forward,
+                               mlp_forward_jet)
 from cureonet.design import DesignSpace, sample
 from cureonet.losses import (CollocationConfig, LossBreakdown, LossWeights,
                              PHASE_ALL, PHASE_CURE, PHASE_TEMPERATURE,
@@ -88,7 +89,7 @@ def test_collocation_subdomain_coverage():
     big = CollocationConfig(q_interior=2048, q_ic=8, q_bc=8, q_if=8,
                             q_ct=8, q_ode=8)
     cset = sample_collocation(triplet, DESIGNS, big, seed=3)
-    seg = subdomain_index(triplet.g_tc.segments, cset.int_tau)
+    seg = subdomain_index(triplet.g_tc.config.segments(), cset.int_tau)
     counts = np.bincount(seg, minlength=7)
     assert np.all(counts >= 2048 // 14), counts
 
@@ -152,21 +153,13 @@ def _point_jet(model, bn1_in, bn2_in, x, tau, tracked):
     """Independent per-point composition with order-2 jets."""
     b1 = mlp_forward(model.bn1, bn1_in)
     b2 = mlp_forward(model.bn2, bn2_in)
-    merged = Jet2((b1 * b2)[None, :])
     trunk = mlp_forward_jet(model.trunk, np.array([[x, tau]]),
-                            tracked=tracked, order=2)
-    joint = jet_mul(merged, trunk)
-    k = subdomain_index(model.segments, tau)
+                            d1=tracked, d2=tracked)
+    joint = Jet2((b1 * b2) * trunk.data, tracked, tracked)
+    k = subdomain_index(model.config.segments(), tau)
     dec = model.decoders[k]
-    jet = joint
-    from cureonet.autodiff import jet_linear, jet_tanh
-    for i, (w, b) in enumerate(zip(dec.weights, dec.biases)):
-        jet = jet_linear(jet, w, b)
-        if i < dec.n_layers - 1:
-            jet = jet_tanh(jet)
-    take = lambda v: float(np.asarray(v).ravel()[0])
-    return Jet2(take(jet.value), {c: take(v) for c, v in jet.d1.items()},
-                {c: take(v) for c, v in jet.d2.items()})
+    jet = dense_layers(joint, dec.weights, dec.biases)
+    return Jet2(jet.data.ravel(), tracked, tracked)
 
 
 def _rel_close(a, b, tol=1e-9):
@@ -300,7 +293,7 @@ def test_loss_interface_matches_recomputation():
         b = mlp_forward(model.bn1, cset.bn1[d]) \
             * mlp_forward(model.bn2, cset.bn2[d])
         t = mlp_forward(model.trunk, np.array([x, tau]))
-        k_right = subdomain_index(model.segments, tau)
+        k_right = subdomain_index(model.config.segments(), tau)
         k_left = k_right - 1
         left = mlp_forward(model.decoders[k_left], b * t)[0]
         right = mlp_forward(model.decoders[k_right], b * t)[0]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cureonet.autodiff import mlp_forward
 from cureonet.design import DesignSpace, encode, sample
-from cureonet.operator import (DEFAULT_BOUNDARIES_7, DeepONetModel,
-                               OperatorConfig, branch_merge, glorot_mlp,
+from cureonet.operator import (DEFAULT_BOUNDARIES_7, OperatorConfig,
+                               branch_merge, glorot_mlp,
                                init, init_triplet, model_from_state,
                                model_meta, model_state, predict_field,
                                predict_grid, subdomain_index)
@@ -110,7 +110,7 @@ _GRID_U = encode(SPACE.midpoint(), SPACE, HORIZON)
        taus=st.lists(_TAU, max_size=10))
 def test_predict_grid_matches_one_by_one_calls(xs, taus):
     # unsorted and repeated taus, and every segment occupied
-    segments = _GRID_MODEL.segments
+    segments = _GRID_MODEL.config.segments()
     taus = np.array(taus + [0.5 * (lo + hi) for lo, hi in segments]
                     + taus[:2])
     grid = predict_grid(_GRID_MODEL, _GRID_U, np.array(xs), taus)
@@ -166,7 +166,7 @@ def test_predict_matches_straight_line_composition():
         b1 = mlp_forward(model.bn1, u.bn1)
         b2 = mlp_forward(model.bn2, u.bn2)
         t = mlp_forward(model.trunk, np.array([x, tau]))
-        k = subdomain_index(model.segments, tau)
+        k = subdomain_index(model.config.segments(), tau)
         expect = mlp_forward(model.decoders[k], b1 * b2 * t)[0]
         assert predict(model, u, (x, tau)) == pytest.approx(expect,
                                                             abs=1e-12)
@@ -195,23 +195,6 @@ def test_predict_rejects_bad_tau():
     u = encode(SPACE.midpoint(), SPACE, HORIZON)
     with pytest.raises(ValueError):
         predict(model, u, (0.5, 1.2))
-
-
-def test_permuting_decoders_with_segments_leaves_predict_invariant():
-    cfg = small_config()
-    model = init(cfg, seed=9)
-    perm = [2, 0, 1]
-    permuted = DeepONetModel(
-        model.bn1, model.bn2, model.trunk,
-        [model.decoders[k].copy() for k in perm], cfg,
-        out_offset=model.out_offset, out_scale=model.out_scale,
-        segments=[model.segments[k] for k in perm])
-    u = encode(SPACE.midpoint(), SPACE, HORIZON)
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        y = (float(rng.uniform()), float(rng.uniform()))
-        assert predict(model, u, y) == pytest.approx(predict(permuted, u, y),
-                                                     abs=1e-14)
 
 
 def test_predict_grid_matches_pointwise_predict():
@@ -263,16 +246,32 @@ def test_triplet_requires_shared_partition():
         OperatorTriplet(g1, g2, g3, SPACE, HORIZON)
 
 
-def test_model_state_round_trip_bit_exact():
-    model = init(small_config(), seed=21, out_offset=20.0, out_scale=213.0)
+@pytest.mark.parametrize("config", [
+    small_config(), small_config(decoder="linear"),
+    small_config(n_subdomains=1)], ids=["nonlinear", "linear", "one-domain"])
+def test_model_state_round_trip_bit_exact(config):
+    model = init(config, seed=21, out_offset=20.0, out_scale=213.0)
     state = model_state(model, "tc")
     meta = model_meta(model)
     back = model_from_state(meta, state, "tc")
     assert back.out_offset == model.out_offset
     assert back.out_scale == model.out_scale
-    assert back.segments == model.segments
+    assert back.config == model.config
     for a, b in zip(model.trainable_arrays(), back.trainable_arrays()):
         assert np.array_equal(a, b)
+
+
+def test_model_from_state_refuses_other_stored_segments():
+    model = init(small_config(), seed=22)
+    state = model_state(model, "tc")
+    meta = model_meta(model)
+    assert "segments" not in meta
+    segments = model.config.segments()
+    meta["segments"] = [list(s) for s in segments]  # as older files stored
+    assert model_from_state(meta, state, "tc").config == model.config
+    meta["segments"] = [list(s) for s in segments[::-1]]
+    with pytest.raises(ValueError, match="segments"):
+        model_from_state(meta, state, "tc")
 
 
 def test_linear_decoder_mode_is_inner_product_readout():
@@ -283,7 +282,7 @@ def test_linear_decoder_mode_is_inner_product_readout():
     x, tau = 0.4, 0.2
     b = mlp_forward(model.bn1, u.bn1) * mlp_forward(model.bn2, u.bn2)
     t = mlp_forward(model.trunk, np.array([x, tau]))
-    k = subdomain_index(model.segments, tau)
+    k = subdomain_index(model.config.segments(), tau)
     w = model.decoders[k].weights[0][:, 0]
     b0 = model.decoders[k].biases[0][0]
     assert predict(model, u, (x, tau)) == pytest.approx(

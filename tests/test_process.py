@@ -171,15 +171,27 @@ def test_property_file_round_trip(tmp_path):
 # -- residuals -----------------------------------------------------------------
 
 
+def pde_jet(value, d_t, d_xx):
+    """Jet with the slots the PDE residuals read: d/dt (input 1) and
+    d2/dx2 (input 0; its first derivative is unused and set to zero)."""
+    value = np.asarray(value, dtype=np.float64)
+    return Jet2(np.stack([value, np.zeros_like(value), d_t, d_xx]),
+                d1=(0, 1), d2=(0,))
+
+
+def grad_jet(value, d_x):
+    """Jet with a value and d/dx (input 0), as the boundary residuals read."""
+    return Jet2(np.stack([value, d_x]), d1=(0,))
+
+
 def test_tool_residual_zero_on_constant_field():
-    jet = Jet2(np.array([40.0]), {1: np.array([0.0]), 0: np.array([0.0])},
-               {0: np.array([0.0])})
+    jet = pde_jet([40.0], [0.0], [0.0])
     assert pde_residual_tool(jet, TOOL, 0.03)[0] == 0.0
 
 
 def test_tool_residual_steady_parabola():
     # T = x^2 with a_t / L_t^2 = 1 gives residual -2
-    jet = Jet2(np.array([0.25]), {1: np.array([0.0])}, {0: np.array([2.0])})
+    jet = pde_jet([0.25], [0.0], [2.0])
     tool = MaterialProps(k=1.0, rho=1.0, cp=1.0)
     res = pde_residual_tool(jet, tool, 1.0)
     assert res[0] == pytest.approx(-2.0)
@@ -195,36 +207,36 @@ def test_residuals_vanish_on_manufactured_field():
     rng = np.random.default_rng(1)
     xs = rng.uniform(0, 1, 20)
     ts = rng.uniform(0, 2, 20)
-    jet = Jet2(np.sin(np.pi * xs) * np.exp(-ts),
-               {1: d_t(xs, ts)}, {0: d_xx(xs, ts)})
+    jet = pde_jet(np.sin(np.pi * xs) * np.exp(-ts), d_t(xs, ts),
+                  d_xx(xs, ts))
     res = pde_residual_tool(jet, tool, 1.0)
     assert np.max(np.abs(res)) < 1e-12
     # part form with a prescribed cure-rate source
     part = MaterialProps(k=1.0 / float(sp.pi) ** 2, rho=1.0, cp=1.0,
                          v_r=1.0, rho_r=1.0, h_r=1.0)
     rate = np.cos(xs * ts)
-    jet2 = Jet2(jet.value, {1: d_t(xs, ts) + part.heat_gen_coeff * rate},
-                {0: d_xx(xs, ts)})
+    jet2 = pde_jet(jet.value, d_t(xs, ts) + part.heat_gen_coeff * rate,
+                   d_xx(xs, ts))
     res2 = pde_residual_part(jet2, rate, part, 1.0, bc_scale=1.0)
     assert np.max(np.abs(res2)) < 1e-12
 
 
 def test_part_residual_with_zero_scale_matches_tool_form():
     rng = np.random.default_rng(2)
-    jet = Jet2(rng.normal(size=5), {1: rng.normal(size=5)},
-               {0: rng.normal(size=5)})
+    jet = pde_jet(rng.normal(size=5), rng.normal(size=5),
+                  rng.normal(size=5))
     a = pde_residual_part(jet, rng.normal(size=5), PART, 0.028, bc_scale=0.0)
     b = pde_residual_tool(jet, PART, 0.028)
     assert np.array_equal(a, b)
 
 
 def test_part_residual_constant_field_zero_rate():
-    jet = Jet2(np.array([80.0]), {1: np.array([0.0])}, {0: np.array([0.0])})
+    jet = pde_jet([80.0], [0.0], [0.0])
     assert pde_residual_part(jet, 0.0, PART, 0.03)[0] == 0.0
 
 
 def test_pde_residual_domain_errors():
-    jet = Jet2(np.array([1.0]), {1: np.array([0.0])}, {0: np.array([0.0])})
+    jet = pde_jet([1.0], [0.0], [0.0])
     with pytest.raises(DomainError):
         pde_residual_tool(jet, TOOL, -0.01)
     with pytest.raises(DomainError):
@@ -237,15 +249,15 @@ def _consts(h_top=100.0, h_bot=80.0, l_tool=0.03, l_part=0.028):
 
 def test_bc_residuals_zero_at_equilibrium():
     ta = 77.0
-    top = Jet2(np.array([ta]), {0: np.array([0.0])}, {})
-    bot = Jet2(np.array([ta]), {0: np.array([0.0])}, {})
+    top = grad_jet(np.array([ta]), np.array([0.0]))
+    bot = grad_jet(np.array([ta]), np.array([0.0]))
     r_top, r_bot = bc_residuals(top, bot, ta, PART, TOOL, **_consts())
     assert r_top[0] == 0.0 and r_bot[0] == 0.0
 
 
 def test_bc_residuals_insulated_limit_penalizes_gradient_only():
-    top = Jet2(np.array([50.0]), {0: np.array([3.0])}, {})
-    bot = Jet2(np.array([90.0]), {0: np.array([-1.5])}, {})
+    top = grad_jet(np.array([50.0]), np.array([3.0]))
+    bot = grad_jet(np.array([90.0]), np.array([-1.5]))
     r_top, r_bot = bc_residuals(top, bot, 120.0, PART, TOOL, h_top=1e-300,
                                 h_bot=1e-300, l_part=0.028, l_tool=0.03)
     assert r_top[0] == pytest.approx(3.0)
@@ -257,8 +269,8 @@ def test_bc_residuals_match_hand_expansion():
     tv, tg = rng.normal(size=4), rng.normal(size=4)
     bv, bg = rng.normal(size=4), rng.normal(size=4)
     ta = rng.normal(size=4)
-    top = Jet2(tv, {0: tg}, {})
-    bot = Jet2(bv, {0: bg}, {})
+    top = grad_jet(tv, tg)
+    bot = grad_jet(bv, bg)
     c = _consts()
     r_top, r_bot = bc_residuals(top, bot, ta, PART, TOOL, **c)
     assert np.allclose(
@@ -268,7 +280,7 @@ def test_bc_residuals_match_hand_expansion():
 
 
 def test_bc_residuals_reject_negative_htc_and_thickness():
-    jet = Jet2(np.array([50.0]), {0: np.array([0.0])}, {})
+    jet = grad_jet(np.array([50.0]), np.array([0.0]))
     for bad in (dict(h_top=-1.0), dict(h_bot=-1.0), dict(l_part=0.0),
                 dict(l_tool=-0.01)):
         with pytest.raises(DomainError):
@@ -282,16 +294,16 @@ def test_continuity_residuals_zero_for_matched_linear_field():
     g_tool = 5.0  # degC per meter in the tool
     g_part = g_tool * TOOL.k / PART.k
     t_iface = 100.0
-    tool = Jet2(np.array([t_iface]), {0: np.array([g_tool * l_t])}, {})
-    part = Jet2(np.array([t_iface]), {0: np.array([g_part * l_c])}, {})
+    tool = grad_jet(np.array([t_iface]), np.array([g_tool * l_t]))
+    part = grad_jet(np.array([t_iface]), np.array([g_part * l_c]))
     val, flux = continuity_residuals(tool, part, TOOL, PART, l_t, l_c)
     assert abs(val[0]) < 1e-12
     assert abs(flux[0]) < 1e-12
 
 
 def test_continuity_residuals_unit_jump():
-    tool = Jet2(np.array([101.0]), {0: np.array([0.0])}, {})
-    part = Jet2(np.array([100.0]), {0: np.array([0.0])}, {})
+    tool = grad_jet(np.array([101.0]), np.array([0.0]))
+    part = grad_jet(np.array([100.0]), np.array([0.0]))
     val, _flux = continuity_residuals(tool, part, TOOL, PART, 0.03, 0.028)
     assert val[0] == pytest.approx(1.0)
 
@@ -300,8 +312,8 @@ def test_continuity_residuals_match_hand_expansion():
     rng = np.random.default_rng(4)
     tv, tg = rng.normal(size=3), rng.normal(size=3)
     pv, pg = rng.normal(size=3), rng.normal(size=3)
-    tool = Jet2(tv, {0: tg}, {})
-    part = Jet2(pv, {0: pg}, {})
+    tool = grad_jet(tv, tg)
+    part = grad_jet(pv, pg)
     val, flux = continuity_residuals(tool, part, TOOL, PART, 0.03, 0.028)
     assert np.allclose(val, tv - pv)
     assert np.allclose(flux, TOOL.k / 0.03 * tg - PART.k / 0.028 * pg)

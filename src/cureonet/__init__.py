@@ -3,8 +3,7 @@ with a finite-difference reference solver for validation and test data."""
 
 __version__ = "0.1.0"
 
-from .autodiff import (Jet2, MlpParams, TapeMlp, backward, mlp_forward,
-                       mlp_forward_jet)
+from .autodiff import Jet2, MlpParams, backward, mlp_forward_jet
 from .design import (DesignPoint, DesignSpace, SensorizedInput, encode,
                      normalize_query, sample)
 from .process import (CureCycleSpec, CureKineticsParams, MaterialProps,
@@ -14,8 +13,7 @@ from .solver import (FieldSolution, Grid1D, exotherm, probe, solve,
                      solve_batch)
 
 __all__ = [
-    "Jet2", "MlpParams", "TapeMlp", "backward", "mlp_forward",
-    "mlp_forward_jet",
+    "Jet2", "MlpParams", "backward", "mlp_forward_jet",
     "DesignPoint", "DesignSpace", "SensorizedInput", "encode",
     "normalize_query", "sample",
     "CureCycleSpec", "CureKineticsParams", "MaterialProps", "MaterialSet",

@@ -59,9 +59,6 @@ class Var:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -149,41 +146,12 @@ class Var:
             ((self, lambda g: g * exponent * self.data ** (exponent - 1.0)),),
         )
 
-    def __matmul__(self, other):
-        if isinstance(other, Var):
-            return Var._node(
-                self.data @ other.data,
-                ((self, lambda g: _unbroadcast(g @ other.data.swapaxes(-1, -2),
-                                               self.data.shape)),
-                 (other, lambda g: _unbroadcast(self.data.swapaxes(-1, -2) @ g,
-                                                other.data.shape))),
-            )
-        other = np.asarray(other, dtype=np.float64)
-        return Var._node(
-            self.data @ other,
-            ((self, lambda g: _unbroadcast(g @ other.swapaxes(-1, -2),
-                                           self.data.shape)),))
-
-    def __rmatmul__(self, other):
-        other = np.asarray(other, dtype=np.float64)
-        return Var._node(
-            other @ self.data,
-            ((self, lambda g: _unbroadcast(other.swapaxes(-1, -2) @ g,
-                                           self.data.shape)),))
-
     # -- reductions and shaping ---------------------------------------------
 
     def sum(self):
         return Var._node(
             np.sum(self.data),
             ((self, lambda g: np.broadcast_to(g, self.data.shape)),),
-        )
-
-    def mean(self):
-        n = self.data.size
-        return Var._node(
-            np.mean(self.data),
-            ((self, lambda g: np.broadcast_to(g / n, self.data.shape)),),
         )
 
     def reshape(self, *shape):
@@ -203,13 +171,6 @@ class Var:
 
 
 # -- dispatchers usable on both Var and ndarray -----------------------------
-
-
-def tanh(x):
-    if isinstance(x, Var):
-        y = np.tanh(x.data)
-        return Var._node(y, ((x, lambda g: g * (1.0 - y * y)),))
-    return np.tanh(x)
 
 
 def exp(x):
@@ -274,14 +235,17 @@ def backward(root: Var) -> None:
 class MlpParams:
     """Weights of a dense MLP: tanh on hidden layers, identity output.
 
-    weights[i] has shape (layer_sizes[i], layer_sizes[i+1]); biases[i] has
-    shape (layer_sizes[i+1],). Default architecture elsewhere in the package
-    is 5 hidden layers of 50 neurons.
+    weights[i] has shape (..., layer_sizes[i], layer_sizes[i+1]) and
+    biases[i] shape (..., layer_sizes[i+1]), where the leading axes, the
+    stack shape, are the same on every array: empty for one network,
+    (N_d,) for N_d networks of equal shape stored stacked. The arrays may
+    be numpy arrays or tape leaves (Var). Default architecture elsewhere in
+    the package is 5 hidden layers of 50 neurons.
     """
 
     layer_sizes: list[int]
-    weights: list[Array]
-    biases: list[Array]
+    weights: list
+    biases: list
 
     def __post_init__(self):
         sizes = list(self.layer_sizes)
@@ -289,52 +253,27 @@ class MlpParams:
             raise ValueError(f"bad layer sizes {sizes}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("weights/biases do not match layer count")
+        stack = self.stack_shape
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-                raise ValueError(f"layer {i} shape mismatch: {w.shape}, {b.shape}")
+            w, b = value_of(w), value_of(b)
+            if w.shape != stack + (sizes[i], sizes[i + 1]) \
+                    or b.shape != stack + (sizes[i + 1],):
+                raise ValueError(f"layer {i} shape mismatch: {w.shape}, "
+                                 f"{b.shape} for stack shape {stack}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i} contains non-finite entries")
 
     @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+    def stack_shape(self) -> tuple:
+        return value_of(self.weights[0]).shape[:-2]
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    def copy(self) -> "MlpParams":
+    def map(self, fn) -> "MlpParams":
+        """The same network with `fn` applied to every weight and bias."""
         return MlpParams(list(self.layer_sizes),
-                         [w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
+                         [fn(w) for w in self.weights],
+                         [fn(b) for b in self.biases])
 
-    def arrays(self) -> list[Array]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
-class TapeMlp:
-    """MlpParams wrapped as tape leaves. Var data aliases the source arrays,
-    so optimizer updates through the source stay visible here."""
-
-    def __init__(self, params: MlpParams, trainable: bool = True):
-        self.source = params
-        self.trainable = trainable
-        self.weights = [Var(w, requires_grad=trainable) for w in params.weights]
-        self.biases = [Var(b, requires_grad=trainable) for b in params.biases]
-
-    @property
-    def layer_sizes(self):
-        return self.source.layer_sizes
-
-    @property
-    def n_layers(self):
-        return len(self.weights)
-
-    def leaves(self) -> list[Var]:
+    def arrays(self) -> list:
         out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
@@ -343,22 +282,6 @@ class TapeMlp:
 
 
 # -- forward evaluation -------------------------------------------------------
-
-
-def mlp_forward(params: MlpParams, x: Array) -> Array:
-    """Plain numpy forward pass; accepts (in,) or (batch, in)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.shape[1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"input width {h.shape[1]} != expected {params.layer_sizes[0]}")
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.tanh(h)
-    return h[0] if single else h
 
 
 class _Slots(Mapping):
@@ -521,9 +444,9 @@ def mlp_forward_jet(net, x: Array, d1=(), d2=()) -> Jet2:
     """Forward pass of a constant (batch, in) input carrying first
     derivatives w.r.t. the inputs in d1 and pure second derivatives w.r.t.
     those in d2 (a subset of d1); e.g. d1=(0, 1), d2=(0,) for d/dx, d/dt
-    and d2/dx2. `net` is an MlpParams (plain numpy) or a TapeMlp (each layer
-    one taped node, so parameter gradients of any slot can be pulled back).
-    Returns a Jet2 with (batch, out) slots.
+    and d2/dx2. `net` is an MlpParams of numpy arrays or of tape leaves
+    (then each layer is one taped node, so parameter gradients of any slot
+    can be pulled back). Returns a Jet2 with (batch, out) slots.
     """
     x = np.asarray(x, dtype=np.float64)
     n_in = net.layer_sizes[0]

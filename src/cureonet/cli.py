@@ -14,8 +14,7 @@ import numpy as np
 
 from .design import (DesignPoint, DesignSpace, VARIABLE_NAMES, load_designs,
                      sample, save_designs)
-from .evaluate import (AblationSetup, ablation_run, evaluate,
-                       export_plot_data, midpoint_trace_rel_l2)
+from .evaluate import AblationSetup, ablation_run, evaluate, export_plot_data
 from .losses import CollocationConfig, LossWeights
 from .operator import OperatorConfig, init_triplet, predict_field
 from .process import load_material_set

@@ -240,9 +240,7 @@ def exotherm_window_max_error(triplet: OperatorTriplet, design: DesignPoint,
     times = np.linspace(lo, hi, n_times)
     pred = predict_field(triplet, design, times, n_tool=grid.n_tool,
                          n_part=grid.n_part)
-    ref_window = np.stack([
-        [probe(ref, x, t, "part_temperature") for x in pred.x_part]
-        for t in times])
+    ref_window = probe(ref, pred.x_part, times[:, None], "part_temperature")
     return float(np.max(np.abs(pred.t_part - ref_window)))
 
 

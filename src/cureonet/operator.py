@@ -4,9 +4,9 @@ instances predict part temperature, tool temperature, and degree of cure.
 
 Decoders are nonlinear MLPs by default; a linear read-out mode (inner
 product of merged branch and trunk features plus bias) is kept behind a
-config switch for ablation studies. All decoders of a model share layer
-shapes, so their weights are stored stacked along a leading subdomain axis;
-`decoders` exposes per-subdomain MlpParams views into that storage.
+config switch for ablation studies. An operator is four MlpParams subnets
+named by NETS; all decoders share layer shapes, so `dec` is one MlpParams
+whose arrays carry a leading subdomain axis, (N_d, a, b) per weight.
 
 Every evaluation goes through `decode_stratified`: points arrive in equal
 contiguous blocks, and each block names the decoder that evaluates it, so
@@ -15,18 +15,21 @@ all blocks run in one batched pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import (Jet2, MlpParams, TapeMlp, dense_layers,
-                       mlp_forward_jet, value_of)
+from .autodiff import (Jet2, MlpParams, Var, dense_layers, mlp_forward_jet,
+                       value_of)
 from .design import (DesignPoint, DesignSpace, SensorizedInput, encode,
                      normalize_query)
 from .solver import FieldSolution
 
 # smaller subdomains concentrated where the cure transition tends to sit
 DEFAULT_BOUNDARIES_7 = (0.0, 0.25, 0.40, 0.48, 0.56, 0.64, 0.80, 1.0)
+
+# the subnets of one operator, in parameter and checkpoint order
+NETS = ("bn1", "bn2", "trunk", "dec")
 
 
 @dataclass(frozen=True)
@@ -64,22 +67,13 @@ class OperatorConfig:
             raise ValueError("boundaries must be strictly increasing")
         object.__setattr__(self, "boundaries", bounds)
 
-    def hidden(self) -> list[int]:
-        return [self.hidden_width] * self.hidden_layers
-
-    def branch1_sizes(self) -> list[int]:
-        return [self.bn1_width] + self.hidden() + [self.q]
-
-    def branch2_sizes(self) -> list[int]:
-        return [self.bn2_width] + self.hidden() + [self.q]
-
-    def trunk_sizes(self) -> list[int]:
-        return [2] + self.hidden() + [self.q]
-
-    def decoder_sizes(self) -> list[int]:
-        if self.decoder == "linear":
-            return [self.q, 1]
-        return [self.q] + self.hidden() + [1]
+    def net_sizes(self) -> dict[str, list[int]]:
+        """Layer sizes of each subnet in NETS (one decoder for `dec`)."""
+        hidden = [self.hidden_width] * self.hidden_layers
+        dec = [self.q] + (hidden if self.decoder == "nonlinear" else []) + [1]
+        return {"bn1": [self.bn1_width] + hidden + [self.q],
+                "bn2": [self.bn2_width] + hidden + [self.q],
+                "trunk": [2] + hidden + [self.q], "dec": dec}
 
     def segments(self) -> list[tuple[float, float]]:
         return list(zip(self.boundaries[:-1], self.boundaries[1:]))
@@ -102,59 +96,34 @@ class OperatorConfig:
 @dataclass
 class DeepONetModel:
     """Parameters of one operator plus its output denormalization
-    (physical = out_offset + out_scale * network output). Decoder k serves
-    the k-th segment of config.segments()."""
+    (physical = out_offset + out_scale * network output). The subnets are
+    the MlpParams named by NETS; `dec` stacks the decoders, and decoder k
+    serves the k-th segment of config.segments()."""
 
     bn1: MlpParams
     bn2: MlpParams
     trunk: MlpParams
-    decoders: list[MlpParams]
+    dec: MlpParams
     config: OperatorConfig
     out_offset: float = 0.0
     out_scale: float = 1.0
-    dec_w: list = field(default_factory=list)   # stacked (N_d, a, b) per layer
-    dec_b: list = field(default_factory=list)   # stacked (N_d, b) per layer
 
     def __post_init__(self):
-        if len(self.decoders) != self.config.n_subdomains:
-            raise ValueError("need exactly one decoder per subdomain")
-        sizes = self.decoders[0].layer_sizes
-        for dec in self.decoders:
-            if dec.layer_sizes[0] != self.config.q:
-                raise ValueError("decoder input width must equal q")
-            if dec.layer_sizes != sizes:
-                raise ValueError("decoders must share layer sizes")
-        if not self.dec_w:
-            self._restack()
-
-    def _restack(self):
-        """Stack decoder weights and rebind `decoders` to views so that
-        updates through the stacked arrays stay visible per decoder."""
-        n_layers = self.decoders[0].n_layers
-        self.dec_w = [np.stack([d.weights[i] for d in self.decoders])
-                      for i in range(n_layers)]
-        self.dec_b = [np.stack([d.biases[i] for d in self.decoders])
-                      for i in range(n_layers)]
-        sizes = list(self.decoders[0].layer_sizes)
-        self.decoders = [
-            MlpParams(sizes, [self.dec_w[i][k] for i in range(n_layers)],
-                      [self.dec_b[i][k] for i in range(n_layers)])
-            for k in range(len(self.decoders))]
+        for name in NETS:
+            stack = getattr(self, name).stack_shape
+            want = (self.config.n_subdomains,) if name == "dec" else ()
+            if stack != want:
+                raise ValueError(f"{name}: stack shape {stack}, expected "
+                                 f"{want}")
+        if self.dec.layer_sizes[0] != self.config.q:
+            raise ValueError("decoder input width must equal q")
 
     def copy(self) -> "DeepONetModel":
-        return DeepONetModel(self.bn1.copy(), self.bn2.copy(),
-                             self.trunk.copy(),
-                             [d.copy() for d in self.decoders],
-                             self.config, self.out_offset, self.out_scale)
+        return replace(self, **{name: getattr(self, name).map(np.copy)
+                                for name in NETS})
 
     def trainable_arrays(self) -> list[np.ndarray]:
-        out = []
-        for net in (self.bn1, self.bn2, self.trunk):
-            out.extend(net.arrays())
-        for w, b in zip(self.dec_w, self.dec_b):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for name in NETS for a in getattr(self, name).arrays()]
 
 
 def glorot_mlp(layer_sizes, rng) -> MlpParams:
@@ -169,15 +138,17 @@ def glorot_mlp(layer_sizes, rng) -> MlpParams:
 
 def init(config: OperatorConfig, seed: int,
          out_offset: float = 0.0, out_scale: float = 1.0) -> DeepONetModel:
-    """Deterministic Glorot initialization of one operator."""
+    """Deterministic Glorot initialization of one operator: bn1, bn2, trunk,
+    then each decoder in turn draw from one stream; decoders are stacked."""
     rng = np.random.default_rng(seed)
-    bn1 = glorot_mlp(config.branch1_sizes(), rng)
-    bn2 = glorot_mlp(config.branch2_sizes(), rng)
-    trunk = glorot_mlp(config.trunk_sizes(), rng)
-    decoders = [glorot_mlp(config.decoder_sizes(), rng)
-                for _ in range(config.n_subdomains)]
-    return DeepONetModel(bn1, bn2, trunk, decoders, config,
-                         out_offset=out_offset, out_scale=out_scale)
+    sizes = config.net_sizes()
+    nets = [glorot_mlp(sizes[name], rng) for name in NETS[:-1]]
+    decs = [glorot_mlp(sizes["dec"], rng) for _ in range(config.n_subdomains)]
+    dec = MlpParams(sizes["dec"],
+                    [np.stack(ws) for ws in zip(*(d.weights for d in decs))],
+                    [np.stack(bs) for bs in zip(*(d.biases for d in decs))])
+    return DeepONetModel(*nets, dec, config, out_offset=out_offset,
+                         out_scale=out_scale)
 
 
 @dataclass
@@ -258,38 +229,25 @@ def subdomain_index(segments, tau):
 
 
 class TapedDeepONet:
-    """A DeepONetModel with its subnets wrapped for the tape (trainable) or
-    left as plain numpy parameters (frozen). Decoder weights are wrapped as
-    the stacked tensors so one batched pass covers all subdomains."""
+    """A DeepONetModel prepared for one loss evaluation. A trainable model's
+    four subnets are MlpParams of tape leaves that alias the model's arrays
+    (so optimizer updates stay visible); a frozen model's are its own numpy
+    MlpParams and add nothing to the tape."""
 
     def __init__(self, model: DeepONetModel, trainable: bool):
         self.model = model
         self.trainable = trainable
-        if trainable:
-            from .autodiff import Var
-            self.bn1 = TapeMlp(model.bn1, trainable=True)
-            self.bn2 = TapeMlp(model.bn2, trainable=True)
-            self.trunk = TapeMlp(model.trunk, trainable=True)
-            self.dec_w = [Var(w, requires_grad=True) for w in model.dec_w]
-            self.dec_b = [Var(b, requires_grad=True) for b in model.dec_b]
-        else:
-            self.bn1 = model.bn1
-            self.bn2 = model.bn2
-            self.trunk = model.trunk
-            self.dec_w = model.dec_w
-            self.dec_b = model.dec_b
+        for name in NETS:
+            net = getattr(model, name)
+            if trainable:
+                net = net.map(lambda a: Var(a, requires_grad=True))
+            setattr(self, name, net)
 
     def leaves(self):
         """Tape leaves in the same order as model.trainable_arrays()."""
         if not self.trainable:
             return []
-        out = []
-        for net in (self.bn1, self.bn2, self.trunk):
-            out.extend(net.leaves())
-        for w, b in zip(self.dec_w, self.dec_b):
-            out.append(w)
-            out.append(b)
-        return out
+        return [v for name in NETS for v in getattr(self, name).arrays()]
 
     def gradient_arrays(self):
         """Gradients aligned with model.trainable_arrays()."""
@@ -337,9 +295,10 @@ def decode_stratified(net: TapedDeepONet | DeepONetModel, merged, xy,
     per_design = trunk.reshape(-1, n_b, n, p // (n_b * n), q)
     joint = (merged[:, None] * per_design).reshape(
         -1, *(1,) * len(lead), n_b, p // n_b, q)
-    if np.array_equal(blocks, np.arange(value_of(net.dec_w[0]).shape[0])):
+    if np.array_equal(blocks, np.arange(net.dec.stack_shape[0])):
         blocks = None    # every decoder once, in order: no gather
-    out = dense_layers(Jet2(joint, d1, d2), net.dec_w, net.dec_b, blocks)
+    out = dense_layers(Jet2(joint, d1, d2), net.dec.weights, net.dec.biases,
+                       blocks)
     return Jet2(out.data.reshape(-1, *lead, p), d1, d2)
 
 
@@ -396,14 +355,11 @@ def predict_field(triplet: OperatorTriplet, design: DesignPoint,
 
 def model_state(model: DeepONetModel, prefix: str) -> dict:
     out = {}
-    for net_name in ("bn1", "bn2", "trunk"):
-        net = getattr(model, net_name)
+    for name in NETS:
+        net = getattr(model, name)
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            out[f"{prefix}/{net_name}/w{i}"] = w
-            out[f"{prefix}/{net_name}/b{i}"] = b
-    for i, (w, b) in enumerate(zip(model.dec_w, model.dec_b)):
-        out[f"{prefix}/dec/w{i}"] = w
-        out[f"{prefix}/dec/b{i}"] = b
+            out[f"{prefix}/{name}/w{i}"] = w
+            out[f"{prefix}/{name}/b{i}"] = b
     return out
 
 
@@ -419,23 +375,17 @@ def model_from_state(meta: dict, arrays: dict, prefix: str) -> DeepONetModel:
     if stored != config.segments():
         raise ValueError(f"{prefix}: stored segments {stored} differ from "
                          f"the config's partition {config.segments()}")
-
-    def rebuild(sizes, net_name):
-        n = len(sizes) - 1
-        ws = [arrays[f"{prefix}/{net_name}/w{i}"] for i in range(n)]
-        bs = [arrays[f"{prefix}/{net_name}/b{i}"] for i in range(n)]
-        return MlpParams(list(sizes), ws, bs)
-
-    bn1 = rebuild(config.branch1_sizes(), "bn1")
-    bn2 = rebuild(config.branch2_sizes(), "bn2")
-    trunk = rebuild(config.trunk_sizes(), "trunk")
-    dec_sizes = config.decoder_sizes()
-    n_layers = len(dec_sizes) - 1
-    decoders = []
-    for k in range(config.n_subdomains):
-        ws = [arrays[f"{prefix}/dec/w{i}"][k] for i in range(n_layers)]
-        bs = [arrays[f"{prefix}/dec/b{i}"][k] for i in range(n_layers)]
-        decoders.append(MlpParams(list(dec_sizes), ws, bs))
-    return DeepONetModel(bn1, bn2, trunk, decoders, config,
-                         out_offset=float(meta["out_offset"]),
-                         out_scale=float(meta["out_scale"]))
+    sizes = config.net_sizes()
+    nets = {}
+    try:
+        for name in NETS:
+            where, n = f"{prefix}/{name}", len(sizes[name]) - 1
+            nets[name] = MlpParams(
+                sizes[name], [arrays[f"{where}/w{i}"] for i in range(n)],
+                [arrays[f"{where}/b{i}"] for i in range(n)])
+        where = prefix
+        return DeepONetModel(**nets, config=config,
+                             out_offset=float(meta["out_offset"]),
+                             out_scale=float(meta["out_scale"]))
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None

@@ -343,29 +343,30 @@ _FIELDS = {"tool_temperature": "t_tool", "part_temperature": "t_part",
            "alpha": "alpha"}
 
 
-def probe(sol: FieldSolution, x: float, t, field_name: str):
-    """Bilinear interpolation of a stored field at local coordinate x and
-    time(s) t. Scalar t gives a float; an array gives an array."""
+def probe(sol: FieldSolution, x, t, field_name: str):
+    """Bilinear interpolation of a stored field at local coordinate(s) x and
+    time(s) t, broadcast against each other. Scalars give a float; arrays
+    give an array of the broadcast shape."""
     if field_name not in _FIELDS:
         raise ValueError(f"unknown field {field_name!r}")
     data = getattr(sol, _FIELDS[field_name])
     xs = sol.x_tool if field_name == "tool_temperature" else sol.x_part
-    if not 0.0 <= x <= 1.0:
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                               np.asarray(t, dtype=np.float64))
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise DomainError("probe coordinate outside [0, 1]")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if np.any(t_arr < sol.times[0]) or np.any(t_arr > sol.times[-1]):
+    if not np.all((t >= sol.times[0]) & (t <= sol.times[-1])):
         raise DomainError("probe time outside stored range")
 
-    j = np.searchsorted(xs, x, side="right") - 1
-    j = min(max(j, 0), len(xs) - 2)
+    j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     wx = (x - xs[j]) / (xs[j + 1] - xs[j])
-    col = data[:, j] * (1.0 - wx) + data[:, j + 1] * wx
-
-    i = np.searchsorted(sol.times, t_arr, side="right") - 1
-    i = np.clip(i, 0, len(sol.times) - 2)
-    wt = (t_arr - sol.times[i]) / (sol.times[i + 1] - sol.times[i])
-    out = col[i] * (1.0 - wt) + col[i + 1] * wt
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    i = np.clip(np.searchsorted(sol.times, t, side="right") - 1,
+                0, len(sol.times) - 2)
+    wt = (t - sol.times[i]) / (sol.times[i + 1] - sol.times[i])
+    lo = data[i, j] * (1.0 - wx) + data[i, j + 1] * wx
+    hi = data[i + 1, j] * (1.0 - wx) + data[i + 1, j + 1] * wx
+    out = lo * (1.0 - wt) + hi * wt
+    return float(out) if out.ndim == 0 else out
 
 
 # -- persistence --------------------------------------------------------------
@@ -385,35 +386,6 @@ def export_solution_csv(sol: FieldSolution, path) -> None:
                 writer.writerow([repr(float(t)), repr(float(x)), "part",
                                  repr(float(sol.t_part[i, j])),
                                  repr(float(sol.alpha[i, j]))])
-
-
-def import_solution_csv(path, design: DesignPoint) -> FieldSolution:
-    """Rebuild a FieldSolution from its CSV export."""
-    times, tool_rows, part_rows, alpha_rows = [], {}, {}, {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["time_s", "x_local", "material", "T_C", "alpha"]:
-            raise ValueError(f"unexpected solution CSV header in {path}")
-        for row in reader:
-            t, _x, mat, temp, al = row
-            t = float(t)
-            if t not in tool_rows:
-                times.append(t)
-                tool_rows[t], part_rows[t], alpha_rows[t] = [], [], []
-            if mat == "tool":
-                tool_rows[t].append(float(temp))
-            else:
-                part_rows[t].append(float(temp))
-                alpha_rows[t].append(float(al))
-    times_arr = np.array(times)
-    return FieldSolution(
-        times=times_arr,
-        t_tool=np.array([tool_rows[t] for t in times]),
-        t_part=np.array([part_rows[t] for t in times]),
-        alpha=np.array([alpha_rows[t] for t in times]),
-        design=design,
-    )
 
 
 # run statistics `solve_batch` puts into FieldSolution.meta

@@ -1,0 +1,59 @@
+"""Independent re-implementations the tests check the package against:
+a plain numpy MLP forward pass, one decoder read out of a model's stacked
+decoder arrays, and a CSV reader for exported solutions."""
+
+import csv
+
+import numpy as np
+
+from cureonet.solver import FieldSolution
+
+
+def mlp_forward(params, x):
+    """Plain numpy forward pass of an MlpParams; accepts (in,) or
+    (batch, in)."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    h = x[None, :] if single else x
+    if h.shape[1] != params.layer_sizes[0]:
+        raise ValueError(
+            f"input width {h.shape[1]} != expected {params.layer_sizes[0]}")
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if i < last:
+            h = np.tanh(h)
+    return h[0] if single else h
+
+
+def decoder(model, k):
+    """Decoder k of a DeepONetModel as an MlpParams of views into `dec`."""
+    return model.dec.map(lambda a: a[k])
+
+
+def import_solution_csv(path, design) -> FieldSolution:
+    """Rebuild a FieldSolution from `export_solution_csv`'s file."""
+    times, tool_rows, part_rows, alpha_rows = [], {}, {}, {}
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        if header != ["time_s", "x_local", "material", "T_C", "alpha"]:
+            raise ValueError(f"unexpected solution CSV header in {path}")
+        for row in reader:
+            t, _x, mat, temp, al = row
+            t = float(t)
+            if t not in tool_rows:
+                times.append(t)
+                tool_rows[t], part_rows[t], alpha_rows[t] = [], [], []
+            if mat == "tool":
+                tool_rows[t].append(float(temp))
+            else:
+                part_rows[t].append(float(temp))
+                alpha_rows[t].append(float(al))
+    return FieldSolution(
+        times=np.array(times),
+        t_tool=np.array([tool_rows[t] for t in times]),
+        t_part=np.array([part_rows[t] for t in times]),
+        alpha=np.array([alpha_rows[t] for t in times]),
+        design=design,
+    )

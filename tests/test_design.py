@@ -1,8 +1,12 @@
 """Design-space tests: published ranges, uniform sampling statistics,
 encoding/normalization round trips, and CSV persistence."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cureonet.design import (DesignPoint, DesignSpace, N_SENSORS,
                              VARIABLE_NAMES, encode, load_designs,
@@ -170,3 +174,33 @@ def test_encoding_injective_on_scalar_block():
     designs = sample(space, 50, seed=5)
     encs = [tuple(encode(d, space, horizon).bn1) for d in designs]
     assert len(set(encs)) == len(encs)
+
+
+UNIT = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=50)
+@given(x=UNIT, frac=UNIT, horizon=st.floats(1.0, 1e6, allow_nan=False))
+def test_normalize_query_round_trips(x, frac, horizon):
+    t = frac * horizon
+    x_out, tau = normalize_query(x, t, horizon)
+    assert x_out == x and 0.0 <= tau <= 1.0
+    assert math.isclose(tau * horizon, t, rel_tol=1e-15, abs_tol=0.0)
+
+
+@settings(max_examples=30)
+@given(point=st.lists(UNIT, min_size=len(VARIABLE_NAMES),
+                      max_size=len(VARIABLE_NAMES)),
+       label=st.sampled_from(["small", "medium", "large"]))
+def test_encode_scalar_block_inverts_to_the_design(point, label):
+    space = DesignSpace.named(label)
+    ranges = [space.ranges[v] for v in VARIABLE_NAMES]
+    d = DesignPoint.from_array([lo + u * (hi - lo)
+                                for (lo, hi), u in zip(ranges, point)])
+    bn1 = encode(d, space, space.max_cycle_duration()).bn1
+    assert np.all((bn1 >= 0.0) & (bn1 <= 1.0))
+    names = ("h_top", "h_bot", "l_tool", "l_part")
+    for name, scaled in zip(names, bn1):
+        lo, hi = space.ranges[name]
+        assert math.isclose(lo + scaled * (hi - lo), getattr(d, name),
+                            rel_tol=1e-14, abs_tol=0.0)

@@ -17,8 +17,9 @@ from cureonet.evaluate import (Metrics, evaluate, exotherm_window_max_error,
 from cureonet.losses import CollocationConfig
 from cureonet.operator import OperatorConfig, init_triplet, predict_field
 from cureonet.process import load_material_set
-from cureonet.solver import FieldSolution, Grid1D, import_solution_csv, solve
+from cureonet.solver import FieldSolution, Grid1D, exotherm, probe, solve
 from cureonet.trainer import TrainPlan, train
+from oracles import import_solution_csv
 
 PROPS = load_material_set()
 SPACE = DesignSpace.named("small").narrowed(0.25)
@@ -165,7 +166,16 @@ def test_midpoint_trace_and_window_error_sanity(tmp_path):
     assert rel > 0.0
     err = exotherm_window_max_error(triplet, DESIGN, PROPS, GRID,
                                     cache_dir=tmp_path / "c")
-    assert err > 0.0
+    # oracle: the window probed one scalar point at a time
+    ref = reference_solution(DESIGN, PROPS, GRID, cache_dir=tmp_path / "c")
+    _, t_at, _ = exotherm(ref)
+    times = np.linspace(max(0.0, t_at - 900.0),
+                        min(ref.times[-1], t_at + 900.0), 121)
+    pred = predict_field(triplet, DESIGN, times, n_tool=GRID.n_tool,
+                         n_part=GRID.n_part)
+    window = np.array([[probe(ref, float(x), float(t), "part_temperature")
+                        for x in pred.x_part] for t in times])
+    assert err == float(np.max(np.abs(pred.t_part - window))) > 0.0
 
 
 # -- command-line surface --------------------------------------------------------

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cureonet.autodiff import (Jet2, dense_layers, mlp_forward,
-                               mlp_forward_jet)
+from cureonet.autodiff import Jet2, dense_layers, mlp_forward_jet
 from cureonet.design import DesignSpace, sample
 from cureonet.losses import (CollocationConfig, LossBreakdown, LossWeights,
                              PHASE_ALL, PHASE_CURE, PHASE_TEMPERATURE,
@@ -21,6 +20,7 @@ from cureonet.losses import (CollocationConfig, LossBreakdown, LossWeights,
 from cureonet.operator import (OperatorConfig, init_triplet, subdomain_index,
                                taped_triplet)
 from cureonet.process import celsius_to_kelvin, cure_rate, load_material_set
+from oracles import decoder, mlp_forward
 
 PROPS = load_material_set()
 SPACE = DesignSpace.named("small").narrowed(0.5)
@@ -39,9 +39,8 @@ def constant_triplet(t_norm=0.0, alpha=0.05):
     triplet = fresh_triplet()
     for model, value in ((triplet.g_tc, t_norm), (triplet.g_tt, t_norm),
                          (triplet.g_alpha, alpha)):
-        for dec in model.decoders:
-            dec.weights[-1][...] = 0.0
-            dec.biases[-1][...] = value
+        model.dec.weights[-1][...] = 0.0
+        model.dec.biases[-1][...] = value
     return triplet
 
 
@@ -157,7 +156,7 @@ def _point_jet(model, bn1_in, bn2_in, x, tau, tracked):
                             d1=tracked, d2=tracked)
     joint = Jet2((b1 * b2) * trunk.data, tracked, tracked)
     k = subdomain_index(model.config.segments(), tau)
-    dec = model.decoders[k]
+    dec = decoder(model, k)
     jet = dense_layers(joint, dec.weights, dec.biases)
     return Jet2(jet.data.ravel(), tracked, tracked)
 
@@ -295,8 +294,8 @@ def test_loss_interface_matches_recomputation():
         t = mlp_forward(model.trunk, np.array([x, tau]))
         k_right = subdomain_index(model.config.segments(), tau)
         k_left = k_right - 1
-        left = mlp_forward(model.decoders[k_left], b * t)[0]
-        right = mlp_forward(model.decoders[k_right], b * t)[0]
+        left = mlp_forward(decoder(model, k_left), b * t)[0]
+        right = mlp_forward(decoder(model, k_right), b * t)[0]
         acc += (left - right) ** 2
     assert _rel_close(float(got), acc / cset.if_tau.size)
 
@@ -371,7 +370,7 @@ def test_part_pde_loss_with_zero_bc_scale_ignores_alpha():
                                  triplet.horizon)
     # rewire the cure model: part loss at bc_scale = 0 must not change
     triplet2 = fresh_triplet(seed=10)
-    for w in triplet2.g_alpha.dec_w:
+    for w in triplet2.g_alpha.dec.weights:
         w[...] = 0.123
     nets2 = taped_triplet(triplet2, trainable=())
     _, l_part0b, _ = loss_physics(nets2, cset, PROPS, 0.0, triplet2.delta_t,
@@ -394,9 +393,8 @@ def test_single_subdomain_interface_loss_is_zero():
 def test_duplicated_decoders_have_zero_interface_loss():
     triplet = fresh_triplet(seed=12)
     model = triplet.g_tc
-    for i in range(len(model.dec_w)):
-        model.dec_w[i][...] = model.dec_w[i][0]
-        model.dec_b[i][...] = model.dec_b[i][0]
+    for a in model.dec.arrays():
+        a[...] = a[0]
     cset = cset_for(triplet)
     nets = taped_triplet(triplet, trainable=())
     assert float(loss_interface_temporal(nets["tc"], cset)) == 0.0
@@ -414,8 +412,8 @@ def test_constant_equal_models_have_zero_continuity_loss():
 
 def test_unit_normalized_jump_gives_unit_value_loss():
     triplet = constant_triplet(t_norm=0.0)
-    for dec in triplet.g_tt.decoders:
-        dec.biases[-1][...] = 1.0  # tool reads 1 normalized unit higher
+    # tool reads 1 normalized unit higher
+    triplet.g_tt.dec.biases[-1][...] = 1.0
     cset = cset_for(triplet)
     nets = taped_triplet(triplet, trainable=())
     l_val, _ = loss_continuity_material(nets, cset, PROPS, triplet.delta_t,

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cureonet.autodiff import mlp_forward
 from cureonet.design import DesignSpace, encode, sample
 from cureonet.operator import (DEFAULT_BOUNDARIES_7, OperatorConfig,
                                branch_merge, glorot_mlp,
                                init, init_triplet, model_from_state,
                                model_meta, model_state, predict_field,
                                predict_grid, subdomain_index)
+from oracles import decoder, mlp_forward
 
 SPACE = DesignSpace.named("small")
 HORIZON = SPACE.max_cycle_duration()
@@ -146,9 +146,8 @@ def test_glorot_variance_matches_formula():
 def test_zeroed_final_decoder_layer_predicts_zero():
     cfg = small_config()
     model = init(cfg, seed=0)
-    for dec in model.decoders:
-        dec.weights[-1][...] = 0.0
-        dec.biases[-1][...] = 0.0
+    model.dec.weights[-1][...] = 0.0
+    model.dec.biases[-1][...] = 0.0
     u = encode(SPACE.midpoint(), SPACE, HORIZON)
     for y in ((0.0, 0.0), (0.5, 0.4), (1.0, 1.0)):
         assert predict(model, u, y) == 0.0
@@ -167,7 +166,7 @@ def test_predict_matches_straight_line_composition():
         b2 = mlp_forward(model.bn2, u.bn2)
         t = mlp_forward(model.trunk, np.array([x, tau]))
         k = subdomain_index(model.config.segments(), tau)
-        expect = mlp_forward(model.decoders[k], b1 * b2 * t)[0]
+        expect = mlp_forward(decoder(model, k), b1 * b2 * t)[0]
         assert predict(model, u, (x, tau)) == pytest.approx(expect,
                                                             abs=1e-12)
 
@@ -277,19 +276,14 @@ def test_model_from_state_refuses_other_stored_segments():
 def test_linear_decoder_mode_is_inner_product_readout():
     cfg = small_config(decoder="linear")
     model = init(cfg, seed=2)
-    assert all(d.layer_sizes == [cfg.q, 1] for d in model.decoders)
+    assert model.dec.layer_sizes == [cfg.q, 1]
     u = encode(SPACE.midpoint(), SPACE, HORIZON)
     x, tau = 0.4, 0.2
     b = mlp_forward(model.bn1, u.bn1) * mlp_forward(model.bn2, u.bn2)
     t = mlp_forward(model.trunk, np.array([x, tau]))
     k = subdomain_index(model.config.segments(), tau)
-    w = model.decoders[k].weights[0][:, 0]
-    b0 = model.decoders[k].biases[0][0]
+    w = model.dec.weights[0][k, :, 0]
+    b0 = model.dec.biases[0][k, 0]
     assert predict(model, u, (x, tau)) == pytest.approx(
         float(np.dot(b * t, w) + b0), abs=1e-13)
 
-
-def test_decoder_stack_views_alias_storage():
-    model = init(small_config(), seed=4)
-    model.dec_w[0][1, 2, 3] = 123.0
-    assert model.decoders[1].weights[0][2, 3] == 123.0

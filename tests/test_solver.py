@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from cureonet.design import VARIABLE_NAMES, DesignPoint, DesignSpace, sample
 from cureonet.process import DomainError, load_material_set
 from cureonet.solver import (FieldSolution, Grid1D, MmsForcing, SolverError,
-                             exotherm, export_solution_csv,
-                             import_solution_csv, probe, run_manifest, solve,
-                             solve_batch)
+                             exotherm, export_solution_csv, probe,
+                             run_manifest, solve, solve_batch)
+from oracles import import_solution_csv
 
 PROPS = load_material_set()
 PROPS_NO_HEAT = dataclasses.replace(
@@ -198,6 +198,24 @@ def test_probe_exact_at_nodes_and_midpoints():
         probe(sol, 1.5, 0.0, "tool_temperature")
     with pytest.raises(DomainError):
         probe(sol, 0.5, 11.0, "tool_temperature")
+    # array x (broadcast against t) equals scalar calls bit for bit
+    xs = np.array([0.0, 0.1, 0.25, 0.5, 0.8, 1.0])
+    ts = np.array([0.0, 2.5, 7.0, 10.0])
+    grid = probe(sol, xs, ts[:, None], "tool_temperature")
+    assert grid.shape == (ts.size, xs.size)
+    for i, t in enumerate(ts):
+        row = probe(sol, xs, t, "tool_temperature")
+        for j, x in enumerate(xs):
+            scalar = probe(sol, float(x), float(t), "tool_temperature")
+            assert isinstance(scalar, float)
+            assert grid[i, j] == row[j] == scalar
+    # every coordinate is checked
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+        with pytest.raises(DomainError):
+            probe(sol, np.array(bad), 0.0, "tool_temperature")
+    for bad in ([0.0, 11.0], [-1.0, 5.0], [5.0, np.nan]):
+        with pytest.raises(DomainError):
+            probe(sol, xs, np.array(bad)[:, None], "tool_temperature")
 
 
 def test_probe_against_fine_grid_resolve():
@@ -287,6 +305,26 @@ def test_alpha_monotone_and_bounded_for_random_designs(points):
                                                    dt=60.0)):
         assert np.all(np.diff(sol.alpha, axis=0) >= 0.0)
         assert sol.alpha.min() >= 0.05 and sol.alpha.max() <= 1.0
+
+
+@settings(max_examples=10)
+@given(points=st.lists(st.lists(st.floats(0.0, 1.0), min_size=10,
+                                max_size=10), min_size=1, max_size=3))
+def test_batch_keeps_equilibrium_for_random_designs(points):
+    # air held at t0 and no heat generation: every design must stay at rest
+    # within the one-design equilibrium test's bounds
+    ranges = DesignSpace.named("small").ranges
+    designs = [DesignPoint.from_array(
+        [ranges[v][0] + u * (ranges[v][1] - ranges[v][0])
+         for v, u in zip(VARIABLE_NAMES, p)]) for p in points]
+    grid = Grid1D(n_tool=11, n_part=11, dt=60.0, t_end=600.0)
+    sols = solve_batch(designs, PROPS_NO_HEAT, grid,
+                       air_override=lambda t: 20.0)
+    assert len(sols) == len(designs)
+    for sol in sols:
+        assert np.max(np.abs(sol.t_tool - 20.0)) < 1e-10
+        assert np.max(np.abs(sol.t_part - 20.0)) < 1e-10
+        assert np.max(np.abs(sol.alpha - 0.05)) < 1e-6
 
 
 def test_grid_validation():

@@ -12,7 +12,8 @@ from cureonet.design import DesignSpace, sample
 from cureonet.losses import (CollocationConfig, LossWeights, PHASE_ALL,
                              breakdown_from, compute_components,
                              sample_collocation)
-from cureonet.operator import OperatorConfig, init_triplet, taped_triplet
+from cureonet.operator import (OperatorConfig, init_triplet, model_from_state,
+                               model_state, taped_triplet)
 from cureonet.process import load_material_set
 from cureonet.trainer import (AdamState, TrainPlan, TrainerError,
                               _epoch_schedule, adam_step, history_to_csv,
@@ -28,6 +29,13 @@ SMALL_CONFIG = OperatorConfig(q=10, hidden_width=12, hidden_layers=2,
                               n_subdomains=2)
 SMALL_COLLOC = CollocationConfig(q_interior=128, q_ic=48, q_bc=48, q_if=32,
                                  q_ct=32, q_ode=64)
+# Written by `train(init_triplet(SMALL_CONFIG, SPACE, seed=0), DESIGNS,
+# quick_plan(lr0=0.0, epochs=2), PROPS, seed=0, loss_config=SMALL_COLLOC)`
+# and `save_checkpoint` in the release that still kept per-decoder parameter
+# views beside the stacked decoder arrays; the Adam moments are left out to
+# keep the file small.
+OLD_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
+                              "small_checkpoint.npz")
 
 
 def quick_plan(**kw):
@@ -361,3 +369,49 @@ def test_nonfinite_gradient_restores_last_good(tmp_path, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in
                zip(start, triplet.g_tc.trainable_arrays()))
     assert (tmp_path / "history.csv").read_text().startswith("epoch,")
+
+
+def test_checkpoint_of_the_previous_layout_loads_and_resaves_bit_exact(
+        tmp_path):
+    ck = load_checkpoint(OLD_CHECKPOINT)
+    triplet, designs = triplet_from_checkpoint(ck)
+    assert [d.as_array().tolist() for d in designs] == \
+        [d.as_array().tolist() for d in DESIGNS]
+    # lr0 = 0 kept the initial weights: this pins the rng order of `init`
+    # and the stacking of the decoders
+    fresh = init_triplet(SMALL_CONFIG, SPACE, seed=0)
+    for name, model in triplet.models().items():
+        for a, b in zip(model.trainable_arrays(),
+                        fresh.models()[name].trainable_arrays()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    arrays = {"designs": ck["arrays"]["designs"]}
+    for name, model in triplet.models().items():
+        arrays.update(model_state(model, name))
+    save_checkpoint(tmp_path / "again.npz", {"meta": ck["meta"],
+                                             "arrays": arrays})
+    again = load_checkpoint(tmp_path / "again.npz")["arrays"]
+    assert set(again) == set(ck["arrays"])
+    for key, value in ck["arrays"].items():
+        assert again[key].dtype == value.dtype
+        assert np.array_equal(again[key], value)
+
+
+@pytest.mark.parametrize("layers", ["w0", "all"])
+def test_model_from_state_rejects_a_wrong_decoder_count(layers):
+    ck = load_checkpoint(OLD_CHECKPOINT)
+    arrays = dict(ck["arrays"])
+    for key in [k for k in arrays if k.startswith("tc/dec/")]:
+        if layers == "all" or key == "tc/dec/w0":
+            arrays[key] = np.concatenate([arrays[key], arrays[key][:1]])
+    with pytest.raises(ValueError, match="^tc(/dec)?: ") as err:
+        model_from_state(ck["meta"]["models"]["tc"], arrays, "tc")
+    assert "\n" not in str(err.value)
+
+
+def test_model_from_state_rejects_nonfinite_decoder_weights():
+    ck = load_checkpoint(OLD_CHECKPOINT)
+    arrays = dict(ck["arrays"])
+    arrays["alpha/dec/w1"] = arrays["alpha/dec/w1"].copy()
+    arrays["alpha/dec/w1"][1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="^alpha/dec: .*non-finite"):
+        model_from_state(ck["meta"]["models"]["alpha"], arrays, "alpha")

@@ -14,7 +14,8 @@ import numpy as np
 
 from .design import (DesignPoint, DesignSpace, VARIABLE_NAMES, load_designs,
                      sample, save_designs)
-from .evaluate import AblationSetup, ablation_run, evaluate, export_plot_data
+from .evaluate import (AblationSetup, ablation_run, evaluate, export_plot_data,
+                       reference_solution)
 from .losses import CollocationConfig, LossWeights
 from .operator import OperatorConfig, init_triplet, predict_field
 from .process import load_material_set
@@ -205,13 +206,13 @@ def cmd_export_plot_data(args) -> int:
     cfg = _read_config(args.config)
     triplet, _ = triplet_from_checkpoint(load_checkpoint(args.checkpoint))
     designs, _seed, _label = load_designs(args.designs)
-    design = designs[args.design_index]
-    props = _props_from_config(cfg)
-    grid = _grid_from_config(cfg)
+    ref = reference_solution(designs[args.design_index],
+                             _props_from_config(cfg), _grid_from_config(cfg),
+                             cache_dir=os.path.join(args.out_dir, "ref_cache"),
+                             cooldown=triplet.cooldown)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "plot_data.csv")
-    export_plot_data(triplet, design, props, grid, path,
-                     cache_dir=os.path.join(args.out_dir, "ref_cache"))
+    export_plot_data(triplet, ref, path)
     print(f"wrote {path}")
     return 0
 
@@ -223,25 +224,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "cure design, with a finite-difference reference solver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, seed=False):
         p.add_argument("--out-dir", default="out")
-        p.add_argument("--seed", type=int, default=None)
-        if config:
-            p.add_argument("--config", default=None)
+        p.add_argument("--config", default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("simulate", help="reference solver run to CSV")
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sample", help="draw a design set to CSV")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--space", choices=("small", "medium", "large"),
                    default=None)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("train", help="train the operator triplet")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--resume", default=None,
                    help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("ablate", help="matched-budget ablation study")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--kind", required=True,
                    choices=("decoder", "curriculum", "domain_decomp"))
     p.set_defaults(func=cmd_ablate)

@@ -208,38 +208,31 @@ def evaluate(triplet: OperatorTriplet, test_designs, props: MaterialSet,
     return out
 
 
-def midpoint_trace_rel_l2(triplet: OperatorTriplet, design: DesignPoint,
-                          props: MaterialSet, grid: Grid1D,
-                          n_times: int = 201, cache_dir=None,
+def midpoint_trace_rel_l2(triplet: OperatorTriplet, ref: FieldSolution,
+                          n_times: int = 201,
                           field_name: str = "part_temperature") -> float:
-    """Relative L2 error of the predicted part mid-point trace against the
-    reference solver."""
-    ref = reference_solution(design, props, grid, cache_dir=cache_dir,
-                             cooldown=triplet.cooldown)
+    """Relative L2 error of the predicted mid-point trace of one field
+    against the reference solution `ref`."""
     times = np.linspace(0.0, ref.times[-1], n_times)
     ref_trace = probe(ref, 0.5, times, field_name)
-    pred = predict_field(triplet, design, times, n_tool=3, n_part=3)
-    data = {"part_temperature": pred.t_part, "tool_temperature": pred.t_tool,
-            "alpha": pred.alpha}[field_name]
-    pred_trace = data[:, 1]  # x = 0.5 is the middle of the 3-node grid
+    pred = predict_field(triplet, ref.design, times, n_tool=3, n_part=3)
+    pred_trace = probe(pred, 0.5, times, field_name)
     return float(np.linalg.norm(pred_trace - ref_trace)
                  / max(np.linalg.norm(ref_trace), 1e-30))
 
 
-def exotherm_window_max_error(triplet: OperatorTriplet, design: DesignPoint,
-                              props: MaterialSet, grid: Grid1D,
-                              window_s: float = 900.0, n_times: int = 121,
-                              cache_dir=None) -> float:
+def exotherm_window_max_error(triplet: OperatorTriplet, ref: FieldSolution,
+                              window_s: float = 900.0,
+                              n_times: int = 121) -> float:
     """Max absolute part-temperature error inside a time window around the
-    reference exotherm."""
-    ref = reference_solution(design, props, grid, cache_dir=cache_dir,
-                             cooldown=triplet.cooldown)
+    exotherm of the reference solution `ref`, on `ref`'s nodes."""
     _t_max, t_at, _x = exotherm(ref)
     lo = max(0.0, t_at - window_s)
     hi = min(ref.times[-1], t_at + window_s)
     times = np.linspace(lo, hi, n_times)
-    pred = predict_field(triplet, design, times, n_tool=grid.n_tool,
-                         n_part=grid.n_part)
+    pred = predict_field(triplet, ref.design, times,
+                         n_tool=ref.t_tool.shape[1],
+                         n_part=ref.t_part.shape[1])
     ref_window = probe(ref, pred.x_part, times[:, None], "part_temperature")
     return float(np.max(np.abs(pred.t_part - ref_window)))
 
@@ -260,69 +253,56 @@ class AblationSetup:
     seed: int
     loss_config: CollocationConfig | None = None
     weights: LossWeights = LossWeights()
-    grid: Grid1D | None = None
+    grid: Grid1D = Grid1D()
     cache_dir: str | None = None
     nd_list: tuple = (1, 5, 7)
-
-
-def _train_variant(setup: AblationSetup, config: OperatorConfig,
-                   plan: TrainPlan, seed: int):
-    triplet = init_triplet(config, setup.space, seed=seed)
-    triplet, history = train(triplet, setup.designs, plan, setup.props,
-                             seed=seed, loss_config=setup.loss_config,
-                             weights=setup.weights)
-    return triplet, history
-
-
-def _variant_report(setup: AblationSetup, name: str, triplet,
-                    history) -> dict:
-    grid = setup.grid or Grid1D()
-    rel = float(np.mean([
-        midpoint_trace_rel_l2(triplet, d, setup.props, grid,
-                              cache_dir=setup.cache_dir)
-        for d in setup.test_designs]))
-    return {
-        "name": name,
-        "final_total": history.records[-1].total if history.records else None,
-        "loss_history": [r.total for r in history.records],
-        "midpoint_rel_l2": rel,
-    }
 
 
 def ablation_run(kind: str, setup: AblationSetup, out_dir=None) -> dict:
     """Train matched-budget variants and report paired loss histories and
     metrics. Kinds: decoder (nonlinear vs linear), curriculum (on vs off),
-    domain_decomp (subdomain counts)."""
-    variants = []
+    domain_decomp (subdomain counts). The test designs are solved once and
+    every variant is scored against those references."""
     if kind == "decoder":
-        for name, dec in (("nonlinear", "nonlinear"), ("linear", "linear")):
-            config = dataclasses.replace(setup.config, decoder=dec)
-            triplet, history = _train_variant(setup, config, setup.plan,
-                                              setup.seed)
-            variants.append(_variant_report(setup, name, triplet, history))
+        variants = [(dec, dataclasses.replace(setup.config, decoder=dec),
+                     setup.plan) for dec in ("nonlinear", "linear")]
     elif kind == "curriculum":
-        for name, flag in (("curriculum", True), ("regular", False)):
-            plan = dataclasses.replace(setup.plan, curriculum=flag)
-            triplet, history = _train_variant(setup, setup.config, plan,
-                                              setup.seed)
-            variants.append(_variant_report(setup, name, triplet, history))
+        variants = [(name, setup.config,
+                     dataclasses.replace(setup.plan, curriculum=flag))
+                    for name, flag in (("curriculum", True),
+                                       ("regular", False))]
     elif kind == "domain_decomp":
-        grid = setup.grid or Grid1D()
-        for n_d in setup.nd_list:
-            config = dataclasses.replace(setup.config, n_subdomains=n_d,
-                                         boundaries=None)
-            triplet, history = _train_variant(setup, config, setup.plan,
-                                              setup.seed)
-            rep = _variant_report(setup, f"nd{n_d}", triplet, history)
-            rep["exotherm_window_max_err"] = float(np.mean([
-                exotherm_window_max_error(triplet, d, setup.props, grid,
-                                          cache_dir=setup.cache_dir)
-                for d in setup.test_designs]))
-            variants.append(rep)
+        variants = [(f"nd{n_d}",
+                     dataclasses.replace(setup.config, n_subdomains=n_d,
+                                         boundaries=None), setup.plan)
+                    for n_d in setup.nd_list]
     else:
         raise ValueError(f"unknown ablation kind {kind!r}")
 
-    report = {"kind": kind, "seed": setup.seed, "variants": variants}
+    # no cooldown, matching the variants (init_triplet's default)
+    refs = reference_solutions(setup.test_designs, setup.props, setup.grid,
+                               cache_dir=setup.cache_dir)
+    reports = []
+    for name, config, plan in variants:
+        triplet = init_triplet(config, setup.space, seed=setup.seed)
+        triplet, history = train(triplet, setup.designs, plan, setup.props,
+                                 seed=setup.seed,
+                                 loss_config=setup.loss_config,
+                                 weights=setup.weights)
+        rep = {
+            "name": name,
+            "final_total": (history.records[-1].total if history.records
+                            else None),
+            "loss_history": [r.total for r in history.records],
+            "midpoint_rel_l2": float(np.mean(
+                [midpoint_trace_rel_l2(triplet, ref) for ref in refs])),
+        }
+        if kind == "domain_decomp":
+            rep["exotherm_window_max_err"] = float(np.mean(
+                [exotherm_window_max_error(triplet, ref) for ref in refs]))
+        reports.append(rep)
+
+    report = {"kind": kind, "seed": setup.seed, "variants": reports}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"ablation_{kind}.json"), "w") as f:
@@ -331,17 +311,15 @@ def ablation_run(kind: str, setup: AblationSetup, out_dir=None) -> dict:
     return report
 
 
-def export_plot_data(triplet: OperatorTriplet, design: DesignPoint,
-                     props: MaterialSet, grid: Grid1D, path,
-                     n_times: int = 201, cache_dir=None) -> None:
-    """Mid-point trace comparison CSV: (time_s, T_air_C, T_mid_pred_C,
-    T_mid_ref_C, alpha_mid_pred, alpha_mid_ref)."""
-    ref = reference_solution(design, props, grid, cache_dir=cache_dir,
-                             cooldown=triplet.cooldown)
+def export_plot_data(triplet: OperatorTriplet, ref: FieldSolution, path,
+                     n_times: int = 201) -> None:
+    """Mid-point trace comparison CSV against the reference solution `ref`:
+    (time_s, T_air_C, T_mid_pred_C, T_mid_ref_C, alpha_mid_pred,
+    alpha_mid_ref)."""
     times = np.linspace(0.0, ref.times[-1], n_times)
-    cycle = design.cycle(t0=triplet.t0, cooldown=triplet.cooldown)
+    cycle = ref.design.cycle(t0=triplet.t0, cooldown=triplet.cooldown)
     t_air = air_temperature(cycle, times)
-    pred = predict_field(triplet, design, times, n_tool=3, n_part=3)
+    pred = predict_field(triplet, ref.design, times, n_tool=3, n_part=3)
     t_ref = probe(ref, 0.5, times, "part_temperature")
     a_ref = probe(ref, 0.5, times, "alpha")
     with open(path, "w", newline="") as f:

@@ -157,17 +157,25 @@ def test_evaluate_perfect_when_reference_injected(tmp_path, monkeypatch):
         assert m.rel_l2 == 0.0 and m.mae == 0.0
 
 
-def test_midpoint_trace_and_window_error_sanity(tmp_path):
+@pytest.mark.parametrize("field_name", ["part_temperature",
+                                        "tool_temperature", "alpha"])
+def test_midpoint_trace_and_window_error_sanity(field_name):
     triplet = init_triplet(OperatorConfig(q=6, hidden_width=6,
                                           hidden_layers=1, n_subdomains=2),
                            SPACE, seed=0)
-    rel = midpoint_trace_rel_l2(triplet, DESIGN, PROPS, GRID,
-                                cache_dir=tmp_path / "c")
-    assert rel > 0.0
-    err = exotherm_window_max_error(triplet, DESIGN, PROPS, GRID,
-                                    cache_dir=tmp_path / "c")
+    ref = reference_solution(DESIGN, PROPS, GRID)
+    rel = midpoint_trace_rel_l2(triplet, ref, field_name=field_name)
+    # oracle: the middle column of a 3-node prediction against the probed
+    # reference trace
+    times = np.linspace(0.0, ref.times[-1], 201)
+    pred = predict_field(triplet, DESIGN, times, n_tool=3, n_part=3)
+    pred_trace = {"part_temperature": pred.t_part, "tool_temperature":
+                  pred.t_tool, "alpha": pred.alpha}[field_name][:, 1]
+    ref_trace = probe(ref, 0.5, times, field_name)
+    assert rel == float(np.linalg.norm(pred_trace - ref_trace)
+                        / max(np.linalg.norm(ref_trace), 1e-30)) > 0.0
+    err = exotherm_window_max_error(triplet, ref)
     # oracle: the window probed one scalar point at a time
-    ref = reference_solution(DESIGN, PROPS, GRID, cache_dir=tmp_path / "c")
     _, t_at, _ = exotherm(ref)
     times = np.linspace(max(0.0, t_at - 900.0),
                         min(ref.times[-1], t_at + 900.0), 121)
@@ -176,6 +184,32 @@ def test_midpoint_trace_and_window_error_sanity(tmp_path):
     window = np.array([[probe(ref, float(x), float(t), "part_temperature")
                         for x in pred.x_part] for t in times])
     assert err == float(np.max(np.abs(pred.t_part - window))) > 0.0
+
+
+def test_ablation_solves_each_test_design_once(monkeypatch):
+    import cureonet.evaluate as ev
+    calls = []
+    real_solve_batch = ev.solve_batch
+
+    def counting(batch, *args, **kw):
+        calls.append(list(batch))
+        return real_solve_batch(batch, *args, **kw)
+
+    monkeypatch.setattr(ev, "solve_batch", counting)
+    test_designs = sample(SPACE, 2, seed=9)
+    setup = ev.AblationSetup(
+        space=SPACE, designs=sample(SPACE, 2, seed=1),
+        test_designs=test_designs, props=PROPS,
+        plan=TrainPlan(epochs=1, steps_per_epoch=1, curriculum=False,
+                       batch_size=32),
+        config=OperatorConfig(q=4, hidden_width=4, hidden_layers=1,
+                              n_subdomains=1),
+        seed=0, loss_config=CollocationConfig(
+            q_interior=16, q_ic=4, q_bc=4, q_if=4, q_ct=4, q_ode=8),
+        grid=GRID, cache_dir=None, nd_list=(1, 2, 3))
+    report = ev.ablation_run("domain_decomp", setup)
+    assert [v["name"] for v in report["variants"]] == ["nd1", "nd2", "nd3"]
+    assert calls == [test_designs]
 
 
 # -- command-line surface --------------------------------------------------------
@@ -220,10 +254,17 @@ def test_cli_simulate_writes_expected_header(tmp_path, capsys):
     assert manifest["design"]["h_top"] == 100.0
 
 
-def test_cli_unknown_subcommand_exits_nonzero(capsys):
+def test_cli_unknown_subcommand_exits_nonzero(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code != 0
+    # --seed belongs only to the subcommands that draw random numbers
+    inputs = ["--checkpoint", "missing.npz", "--designs", "missing.csv"]
+    for command in (["simulate"], ["evaluate", *inputs], ["predict", *inputs],
+                    ["export-plot-data", *inputs]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "1", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 def test_cli_error_is_one_line_and_nonzero(tmp_path, capsys):
@@ -284,6 +325,20 @@ def test_cli_train_evaluate_predict_pipeline(tmp_path, capsys):
     assert lines[0] == ("time_s,T_air_C,T_mid_pred_C,T_mid_ref_C,"
                         "alpha_mid_pred,alpha_mid_ref")
     assert len(lines) > 10
+
+
+def test_cli_ablate_writes_each_kind(tmp_path, capsys):
+    cfg = _write(tmp_path / "ablate.json", {**TRAIN_CONFIG, "nd_list": [1, 2]})
+    names = {"decoder": ["nonlinear", "linear"],
+             "curriculum": ["curriculum", "regular"],
+             "domain_decomp": ["nd1", "nd2"]}
+    for kind, expected in names.items():
+        assert main(["ablate", "--kind", kind, "--config", cfg,
+                     "--seed", "5", "--out-dir", str(tmp_path / "ab")]) == 0
+        report = json.loads(
+            (tmp_path / "ab" / f"ablation_{kind}.json").read_text())
+        assert report["kind"] == kind and report["seed"] == 5
+        assert [v["name"] for v in report["variants"]] == expected
 
 
 def test_cli_predict_csv_round_trips_field(tmp_path):

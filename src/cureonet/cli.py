@@ -185,7 +185,7 @@ def cmd_predict(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _read_config(args.config)
     space, props, designs, plan, op_config, weights, loss_config, seed, \
-        _cooldown = _training_setup(cfg, args.seed)
+        cooldown = _training_setup(cfg, args.seed)
     test_designs = sample(space, int(cfg.get("n_test_designs", 2)),
                           seed=int(cfg.get("test_seed", 9)))
     grid = _grid_from_config(cfg)
@@ -194,7 +194,7 @@ def cmd_ablate(args) -> int:
         props=props, plan=plan, config=op_config, seed=seed,
         loss_config=loss_config, weights=weights, grid=grid,
         cache_dir=os.path.join(args.out_dir, "ref_cache"),
-        nd_list=tuple(cfg.get("nd_list", (1, 5, 7))))
+        nd_list=tuple(cfg.get("nd_list", (1, 5, 7))), cooldown=cooldown)
     report = ablation_run(args.kind, setup, out_dir=args.out_dir)
     for v in report["variants"]:
         print(f"{v['name']}: final_total={v['final_total']:.6f} "

@@ -103,15 +103,6 @@ class DesignSpace:
             out[name] = (mid - half, mid + half)
         return DesignSpace(f"{self.label}-narrow{factor:g}", out)
 
-    def contains(self, d: DesignPoint) -> bool:
-        return all(self.ranges[n][0] <= getattr(d, n) <= self.ranges[n][1]
-                   for n in VARIABLE_NAMES)
-
-    def midpoint(self) -> DesignPoint:
-        return DesignPoint.from_array(
-            [0.5 * (self.ranges[n][0] + self.ranges[n][1])
-             for n in VARIABLE_NAMES])
-
     def t_ref(self) -> float:
         """Output-normalization reference temperature (degC)."""
         return self.ranges["ht2"][1] + T_REF_HEADROOM

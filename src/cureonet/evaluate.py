@@ -256,13 +256,15 @@ class AblationSetup:
     grid: Grid1D = Grid1D()
     cache_dir: str | None = None
     nd_list: tuple = (1, 5, 7)
+    cooldown: bool = False
 
 
 def ablation_run(kind: str, setup: AblationSetup, out_dir=None) -> dict:
     """Train matched-budget variants and report paired loss histories and
     metrics. Kinds: decoder (nonlinear vs linear), curriculum (on vs off),
     domain_decomp (subdomain counts). The test designs are solved once and
-    every variant is scored against those references."""
+    every variant is scored against those references; variants and
+    references share the setup's cooldown."""
     if kind == "decoder":
         variants = [(dec, dataclasses.replace(setup.config, decoder=dec),
                      setup.plan) for dec in ("nonlinear", "linear")]
@@ -279,12 +281,13 @@ def ablation_run(kind: str, setup: AblationSetup, out_dir=None) -> dict:
     else:
         raise ValueError(f"unknown ablation kind {kind!r}")
 
-    # no cooldown, matching the variants (init_triplet's default)
     refs = reference_solutions(setup.test_designs, setup.props, setup.grid,
-                               cache_dir=setup.cache_dir)
+                               cache_dir=setup.cache_dir,
+                               cooldown=setup.cooldown)
     reports = []
     for name, config, plan in variants:
-        triplet = init_triplet(config, setup.space, seed=setup.seed)
+        triplet = init_triplet(config, setup.space, seed=setup.seed,
+                               cooldown=setup.cooldown)
         triplet, history = train(triplet, setup.designs, plan, setup.props,
                                  seed=setup.seed,
                                  loss_config=setup.loss_config,

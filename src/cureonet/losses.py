@@ -10,6 +10,12 @@ segment-major in equal blocks, so each loss decodes all its points in one
 batched pass: block k goes to subdomain k's decoder (initial-condition
 points form one block for the first subdomain; interface points go once to
 each side's decoder).
+
+A training phase evaluates only the components it minimizes (PHASE_MODELS
+names the operators it updates): the temperature phase the initial,
+boundary, PDE, continuity and interface losses of the two temperature
+operators, the cure phase the initial, ODE and interface losses of the cure
+operator. Phase "all", the per-epoch breakdown, evaluates all ten.
 """
 
 from __future__ import annotations
@@ -169,52 +175,31 @@ class LossWeights:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Snapshot of all loss components (plain floats)."""
-
-    ic_t: float = 0.0
-    ic_alpha: float = 0.0
-    bc_top: float = 0.0
-    bc_bot: float = 0.0
-    pde_tool: float = 0.0
-    pde_part: float = 0.0
-    ode: float = 0.0
-    if_temporal: float = 0.0
-    ct_value: float = 0.0
-    ct_flux: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def total(self, weights: LossWeights) -> float:
-        return float(total_loss(self.as_dict(), weights))
+COMPONENT_NAMES = tuple(f.name for f in fields(LossWeights))
 
 
-COMPONENT_NAMES = tuple(f.name for f in fields(LossBreakdown))
-
-
-def total_loss(components, weights: LossWeights):
-    """Weighted sum of loss components; keeps the tape if components are
-    recorded Vars."""
-    comps = components.as_dict() if isinstance(components, LossBreakdown) \
-        else components
+def total_loss(components: dict, weights: LossWeights):
+    """Weighted sum of loss components in their dict order; keeps the tape
+    if components are recorded Vars."""
     acc = 0.0
-    for name, value in comps.items():
+    for name, value in components.items():
         acc = acc + getattr(weights, name) * value
     return acc
+
+
+def breakdown_from(components: dict) -> dict:
+    """Plain-float snapshot of loss components, in COMPONENT_NAMES order."""
+    return {name: float(value_of(components[name]))
+            for name in COMPONENT_NAMES if name in components}
 
 
 # -- evaluation helpers --------------------------------------------------------
 
 
-def _get_merged(nets, name, cset, merged_map):
-    if merged_map is not None and name in merged_map:
-        return merged_map[name]
-    m = merged_branch(nets[name], cset.bn1, cset.bn2)
-    if merged_map is not None:
-        merged_map[name] = m
-    return m
+def merged_branches(nets: dict, cset: CollocationSet) -> dict:
+    """Each operator's merged branch embeddings of the set's designs."""
+    return {name: merged_branch(net, cset.bn1, cset.bn2)
+            for name, net in nets.items()}
 
 
 def _flat_eval(net, merged, x, tau, blocks=None, d1=(), d2=()) -> Jet2:
@@ -248,37 +233,33 @@ def _mean_sq(r, total: int):
 
 
 # -- loss components -----------------------------------------------------------
+#
+# `nets` maps {tc, tt, alpha} to taped or frozen operators and `merged` maps
+# the same names to their merged branch embeddings (see merged_branches);
+# single-operator components take one net and its embeddings.
 
 
-def loss_ic(nets: dict, cset: CollocationSet, alpha_init: float = 0.05,
-            merged_map=None):
-    """Initial-condition losses at tau = 0: temperatures against the start
-    temperature (0 in normalized units), cure against alpha_init."""
+def loss_ic(net, merged, cset: CollocationSet, target: float = 0.0):
+    """Initial-condition loss of one operator at tau = 0 against `target`
+    in normalized output units: 0 is the start temperature; the cure
+    operator's target is alpha_init."""
     if cset.ic_x.size == 0:
         raise ValueError("empty initial-condition collocation set")
-    zeros = np.zeros_like(cset.ic_x)
-    total = cset.ic_x.size
-    l_t = 0.0
-    for name in ("tt", "tc"):
-        jet = _flat_eval(nets[name], _get_merged(nets, name, cset, merged_map),
-                         cset.ic_x, zeros, blocks=[0])
-        l_t = l_t + _mean_sq(jet.value, total)
-    jet = _flat_eval(nets["alpha"], _get_merged(nets, "alpha", cset, merged_map),
-                     cset.ic_x, zeros, blocks=[0])
-    l_a = _mean_sq(jet.value - alpha_init, total)
-    return l_t, l_a
+    jet = _flat_eval(net, merged, cset.ic_x, np.zeros_like(cset.ic_x),
+                     blocks=[0])
+    return _mean_sq(jet.value - target, cset.ic_x.size)
 
 
-def loss_bc(nets: dict, cset: CollocationSet, props: MaterialSet,
-            delta_t: float, horizon: float, merged_map=None):
+def loss_bc(nets: dict, merged: dict, cset: CollocationSet,
+            props: MaterialSet, delta_t: float, horizon: float):
     """Robin boundary losses at the part top and tool bottom, in normalized
     temperature units."""
     total = cset.bc_tau.size
     tc, tt = nets["tc"].model, nets["tt"].model
-    top_jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                         np.ones(total), cset.bc_tau, d1=(0,))
-    bot_jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                         np.zeros(total), cset.bc_tau, d1=(0,))
+    top_jet = _flat_eval(nets["tc"], merged["tc"], np.ones(total),
+                         cset.bc_tau, d1=(0,))
+    bot_jet = _flat_eval(nets["tt"], merged["tt"], np.zeros(total),
+                         cset.bc_tau, d1=(0,))
     top_phys = _phys_temp_jet(top_jet, tc.out_scale, tc.out_offset, horizon)
     bot_phys = _phys_temp_jet(bot_jet, tt.out_scale, tt.out_offset, horizon)
     idx = cset.bc_idx
@@ -290,63 +271,56 @@ def loss_bc(nets: dict, cset: CollocationSet, props: MaterialSet,
             _mean_sq(bot * (1.0 / delta_t), total))
 
 
-def loss_physics(nets: dict, cset: CollocationSet, props: MaterialSet,
-                 bc_scale: float, delta_t: float, horizon: float,
-                 want_pde: bool = True, want_ode: bool = True,
-                 merged_map=None):
-    """PDE residual losses (tool and part) and the cure-kinetics ODE loss,
-    in normalized (tau, temperature-span) units. The want_* switches skip
-    components that a training phase does not minimize."""
+def loss_pde(nets: dict, merged: dict, cset: CollocationSet,
+             props: MaterialSet, bc_scale: float, delta_t: float,
+             horizon: float):
+    """PDE residual losses of the tool and the part, in normalized (tau,
+    temperature-span) units. The part's heat generation reads the cure
+    operator's rate, scaled by the curriculum's bc_scale."""
     if not 0.0 <= bc_scale <= 1.0:
         raise ValueError("bc_scale must lie in [0, 1]")
     tc, tt = nets["tc"].model, nets["tt"].model
+    total = cset.int_x.size
+    pde_scale = horizon / delta_t
+    jet = _flat_eval(nets["tt"], merged["tt"], cset.int_x, cset.int_tau,
+                     d1=(0, 1), d2=(0,))
+    phys = _phys_temp_jet(jet, tt.out_scale, tt.out_offset, horizon)
+    res = pde_residual_tool(phys, props.tool, cset.l_tool[cset.int_idx])
+    l_tool = _mean_sq(res * pde_scale, total)
 
-    l_tool = l_part = l_ode = 0.0
-    if want_pde:
-        total = cset.int_x.size
-        pde_scale = horizon / delta_t
-        jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                         cset.int_x, cset.int_tau, d1=(0, 1), d2=(0,))
-        phys = _phys_temp_jet(jet, tt.out_scale, tt.out_offset, horizon)
-        res = pde_residual_tool(phys, props.tool, cset.l_tool[cset.int_idx])
-        l_tool = _mean_sq(res * pde_scale, total)
-
-        jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                         cset.int_x, cset.int_tau, d1=(0, 1), d2=(0,))
-        phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
-        if bc_scale > 0.0:
-            jet_a = _flat_eval(nets["alpha"],
-                               _get_merged(nets, "alpha", cset, merged_map),
-                               cset.int_x, cset.int_tau, d1=(1,))
-            alpha_rate = jet_a.d1[1] * (1.0 / horizon)
-        else:
-            alpha_rate = 0.0
-        res = pde_residual_part(phys, alpha_rate, props.part,
-                                cset.l_part[cset.int_idx], bc_scale)
-        l_part = _mean_sq(res * pde_scale, total)
-
-    if want_ode:
-        total = cset.ode_x.size
-        jet_a = _flat_eval(nets["alpha"],
-                           _get_merged(nets, "alpha", cset, merged_map),
-                           cset.ode_x, cset.ode_tau, d1=(1,))
-        jet_t = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                           cset.ode_x, cset.ode_tau)
-        t_kelvin = celsius_to_kelvin(tc.out_offset + tc.out_scale * jet_t.value)
-        # predictions roam outside [0,1] early in training; clamp silently
-        rate = cure_rate(clip(jet_a.value, 0.0, 1.0), t_kelvin, props.kinetics)
-        l_ode = _mean_sq(jet_a.d1[1] - horizon * rate, total)
-    return l_tool, l_part, l_ode
+    jet = _flat_eval(nets["tc"], merged["tc"], cset.int_x, cset.int_tau,
+                     d1=(0, 1), d2=(0,))
+    phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
+    if bc_scale > 0.0:
+        jet_a = _flat_eval(nets["alpha"], merged["alpha"], cset.int_x,
+                           cset.int_tau, d1=(1,))
+        alpha_rate = jet_a.d1[1] * (1.0 / horizon)
+    else:
+        alpha_rate = 0.0
+    res = pde_residual_part(phys, alpha_rate, props.part,
+                            cset.l_part[cset.int_idx], bc_scale)
+    return l_tool, _mean_sq(res * pde_scale, total)
 
 
-def loss_interface_temporal(net, cset: CollocationSet, merged=None):
+def loss_ode(nets: dict, merged: dict, cset: CollocationSet,
+             props: MaterialSet, horizon: float):
+    """Cure-kinetics ODE loss in tau units, at the part temperature."""
+    tc = nets["tc"].model
+    jet_a = _flat_eval(nets["alpha"], merged["alpha"], cset.ode_x,
+                       cset.ode_tau, d1=(1,))
+    jet_t = _flat_eval(nets["tc"], merged["tc"], cset.ode_x, cset.ode_tau)
+    t_kelvin = celsius_to_kelvin(tc.out_offset + tc.out_scale * jet_t.value)
+    # predictions roam outside [0,1] early in training; clamp silently
+    rate = cure_rate(clip(jet_a.value, 0.0, 1.0), t_kelvin, props.kinetics)
+    return _mean_sq(jet_a.d1[1] - horizon * rate, cset.ode_x.size)
+
+
+def loss_interface_temporal(net, merged, cset: CollocationSet):
     """Mismatch of adjacent decoders at shared subdomain boundaries
     (normalized output units). Zero by construction for one subdomain."""
     n_d = net.model.config.n_subdomains
     if n_d == 1 or cset.if_x.size == 0:
         return 0.0
-    if merged is None:
-        merged = merged_branch(net, cset.bn1, cset.bn2)
     # block b sits on internal boundary b + 1: decode it on both sides
     right = np.arange(1, n_d)
     jet = _flat_eval(net, merged, cset.if_x, cset.if_tau,
@@ -355,18 +329,18 @@ def loss_interface_temporal(net, cset: CollocationSet, merged=None):
     return (diff * diff).sum() / cset.if_x.size
 
 
-def loss_continuity_material(nets: dict, cset: CollocationSet,
+def loss_continuity_material(nets: dict, merged: dict, cset: CollocationSet,
                              props: MaterialSet, delta_t: float,
-                             horizon: float, merged_map=None):
+                             horizon: float):
     """Tool/part interface continuity losses: temperature value jump and
     conductive flux jump, nondimensionalized by the temperature span and the
     part-side conductance."""
     total = cset.ct_tau.size
     tc, tt = nets["tc"].model, nets["tt"].model
-    tool_jet = _flat_eval(nets["tt"], _get_merged(nets, "tt", cset, merged_map),
-                          np.ones(total), cset.ct_tau, d1=(0,))
-    part_jet = _flat_eval(nets["tc"], _get_merged(nets, "tc", cset, merged_map),
-                          np.zeros(total), cset.ct_tau, d1=(0,))
+    tool_jet = _flat_eval(nets["tt"], merged["tt"], np.ones(total),
+                          cset.ct_tau, d1=(0,))
+    part_jet = _flat_eval(nets["tc"], merged["tc"], np.zeros(total),
+                          cset.ct_tau, d1=(0,))
     tool_phys = _phys_temp_jet(tool_jet, tt.out_scale, tt.out_offset, horizon)
     part_phys = _phys_temp_jet(part_jet, tc.out_scale, tc.out_offset, horizon)
     l_tool_pt = cset.l_tool[cset.ct_idx]
@@ -383,49 +357,39 @@ PHASE_TEMPERATURE = "temperature"
 PHASE_CURE = "cure"
 PHASE_ALL = "all"
 
+# the operators each training phase updates, in gradient and Adam order
+PHASE_MODELS = {PHASE_TEMPERATURE: ("tc", "tt"), PHASE_CURE: ("alpha",)}
+
 
 def compute_components(nets: dict, triplet: OperatorTriplet,
                        cset: CollocationSet, props: MaterialSet,
                        bc_scale: float, phase: str = PHASE_ALL) -> dict:
-    """Loss components for one phase. `nets` maps {tc, tt, alpha} to taped
-    or frozen operators; gradient flows only through taped ones. The
-    if_temporal entry sums the temporal-interface losses of the models
-    updated in the phase (all three for phase "all")."""
-    if phase not in (PHASE_TEMPERATURE, PHASE_CURE, PHASE_ALL):
+    """Loss components one phase minimizes, and only those; phase "all"
+    evaluates all ten. `nets` maps {tc, tt, alpha} to taped or frozen
+    operators; gradient flows only through taped ones. The if_temporal
+    entry sums the temporal-interface losses of the phase's operators."""
+    if phase not in (*PHASE_MODELS, PHASE_ALL):
         raise ValueError(f"unknown phase {phase!r}")
-    delta_t = triplet.delta_t
-    horizon = triplet.horizon
-    merged_map: dict = {}
-    l_tool, l_part, l_ode = loss_physics(
-        nets, cset, props, bc_scale, delta_t, horizon,
-        want_pde=phase in (PHASE_TEMPERATURE, PHASE_ALL),
-        want_ode=phase in (PHASE_CURE, PHASE_ALL), merged_map=merged_map)
-    l_ic_t, l_ic_a = loss_ic(nets, cset, alpha_init=triplet.alpha_init,
-                             merged_map=merged_map)
+    delta_t, horizon = triplet.delta_t, triplet.horizon
+    merged = merged_branches(nets, cset)
+
+    def interface(name):
+        return loss_interface_temporal(nets[name], merged[name], cset)
+
     out: dict = {}
-    if phase in (PHASE_TEMPERATURE, PHASE_ALL):
-        out["ic_t"] = l_ic_t
-        out["bc_top"], out["bc_bot"] = loss_bc(nets, cset, props, delta_t,
-                                               horizon, merged_map=merged_map)
-        out["pde_tool"], out["pde_part"] = l_tool, l_part
+    if phase != PHASE_CURE:
+        out["ic_t"] = (loss_ic(nets["tt"], merged["tt"], cset)
+                       + loss_ic(nets["tc"], merged["tc"], cset))
+        out["bc_top"], out["bc_bot"] = loss_bc(nets, merged, cset, props,
+                                               delta_t, horizon)
+        out["pde_tool"], out["pde_part"] = loss_pde(
+            nets, merged, cset, props, bc_scale, delta_t, horizon)
         out["ct_value"], out["ct_flux"] = loss_continuity_material(
-            nets, cset, props, delta_t, horizon, merged_map=merged_map)
-        out["if_temporal"] = (
-            loss_interface_temporal(nets["tc"], cset, merged_map.get("tc"))
-            + loss_interface_temporal(nets["tt"], cset, merged_map.get("tt")))
-    if phase in (PHASE_CURE, PHASE_ALL):
-        out["ic_alpha"] = l_ic_a
-        out["ode"] = l_ode
-        alpha_if = loss_interface_temporal(nets["alpha"], cset,
-                                           merged_map.get("alpha"))
-        out["if_temporal"] = out.get("if_temporal", 0.0) + alpha_if
+            nets, merged, cset, props, delta_t, horizon)
+        out["if_temporal"] = interface("tc") + interface("tt")
+    if phase != PHASE_TEMPERATURE:
+        out["ic_alpha"] = loss_ic(nets["alpha"], merged["alpha"], cset,
+                                  target=triplet.alpha_init)
+        out["ode"] = loss_ode(nets, merged, cset, props, horizon)
+        out["if_temporal"] = out.get("if_temporal", 0.0) + interface("alpha")
     return out
-
-
-def breakdown_from(components: dict) -> LossBreakdown:
-    vals = {}
-    for name in COMPONENT_NAMES:
-        if name in components:
-            v = components[name]
-            vals[name] = float(value_of(v)) if not isinstance(v, float) else v
-    return LossBreakdown(**vals)

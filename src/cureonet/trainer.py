@@ -13,15 +13,15 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__ as code_version
 from .autodiff import backward
 from .design import DesignPoint, DesignSpace
-from .losses import (COMPONENT_NAMES, CollocationConfig, LossWeights,
-                     PHASE_ALL, PHASE_CURE, PHASE_TEMPERATURE,
+from .losses import (COMPONENT_NAMES, PHASE_ALL, PHASE_CURE, PHASE_MODELS,
+                     PHASE_TEMPERATURE, CollocationConfig, LossWeights,
                      breakdown_from, compute_components, sample_collocation,
                      total_loss)
 from .operator import (OperatorTriplet, model_from_state, model_meta,
@@ -69,7 +69,7 @@ class TrainPlan:
     def bc_scales(self) -> list[float]:
         if not self.curriculum:
             return [1.0]
-        return list(np.linspace(0.0, 1.0, self.curriculum_stages))
+        return np.linspace(0.0, 1.0, self.curriculum_stages).tolist()
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -176,7 +176,18 @@ def _epoch_schedule(plan: TrainPlan) -> list:
     return schedule
 
 
-_PHASE_MODELS = {PHASE_TEMPERATURE: ("tc", "tt"), PHASE_CURE: ("alpha",)}
+# checkpoint key tag of each phase's Adam state: adam_temp/m0, ...
+_ADAM_TAGS = {PHASE_TEMPERATURE: "temp", PHASE_CURE: "cure"}
+
+
+def _draw_designs(designs, plan: TrainPlan, key: list) -> list:
+    """The designs one collocation draw covers: all of them, or a sorted
+    random subset of plan.designs_per_draw seeded by `key`."""
+    if len(designs) <= plan.designs_per_draw:
+        return designs
+    pick = np.random.default_rng(key + [5]).choice(
+        len(designs), plan.designs_per_draw, replace=False)
+    return [designs[i] for i in sorted(pick)]
 
 
 def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
@@ -195,11 +206,11 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
     step_config = replace(loss_config, q_interior=plan.batch_size,
                           q_ode=plan.batch_size)
 
-    temp_arrays = (triplet.g_tc.trainable_arrays()
-                   + triplet.g_tt.trainable_arrays())
-    cure_arrays = triplet.g_alpha.trainable_arrays()
-    adam_temp = AdamState.for_arrays(temp_arrays)
-    adam_cure = AdamState.for_arrays(cure_arrays)
+    models = triplet.models()
+    arrays = {phase: [a for name in names
+                      for a in models[name].trainable_arrays()]
+              for phase, names in PHASE_MODELS.items()}
+    adam = {phase: AdamState.for_arrays(a) for phase, a in arrays.items()}
     history = TrainHistory()
     start_epoch = 0
 
@@ -207,26 +218,22 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
         ck = load_checkpoint(resume_from)
         _check_same_run(ck, seed, plan, weights, loss_config, designs)
         _restore_triplet(triplet, ck)
-        _restore_adam(adam_temp, ck, "temp")
-        _restore_adam(adam_cure, ck, "cure")
+        for phase, state in adam.items():
+            _restore_adam(state, ck, _ADAM_TAGS[phase])
         start_epoch = ck["meta"]["epoch"] + 1
         history.records = [EpochRecord(**r) for r in ck["meta"]["history"]]
 
     schedule = _epoch_schedule(plan)
     stage_start_total = None
     last_stage = None
-    last_good = _make_checkpoint(triplet, adam_temp, adam_cure, plan, seed,
-                                 designs, weights, loss_config,
-                                 epoch=start_epoch - 1, history=history)
+    last_good = _make_checkpoint(triplet, adam, plan, seed, designs, weights,
+                                 loss_config, epoch=start_epoch - 1,
+                                 history=history)
 
     def full_breakdown(epoch, bc_scale):
-        eval_designs = designs
-        if len(designs) > plan.designs_per_draw:
-            pick = np.random.default_rng([seed, 7002, epoch, 5]).choice(
-                len(designs), plan.designs_per_draw, replace=False)
-            eval_designs = [designs[i] for i in sorted(pick)]
-        cset = sample_collocation(triplet, eval_designs, step_config,
-                                  seed=[seed, 7002, epoch])
+        key = [seed, 7002, epoch]
+        cset = sample_collocation(triplet, _draw_designs(designs, plan, key),
+                                  step_config, seed=key)
         nets = taped_triplet(triplet, trainable=())
         comps = compute_components(nets, triplet, cset, props, bc_scale,
                                    phase=PHASE_ALL)
@@ -234,35 +241,27 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
 
     for epoch in range(start_epoch, len(schedule)):
         stage, bc_scale, phase = schedule[epoch]
-        names = _PHASE_MODELS[phase]
-        adam = adam_temp if phase == PHASE_TEMPERATURE else adam_cure
-        arrays = temp_arrays if phase == PHASE_TEMPERATURE else cure_arrays
+        names = PHASE_MODELS[phase]
+        state = adam[phase]
 
         if stage != last_stage:
             # divergence baseline: loss before any training in this stage
             stage_start_total = max(
-                full_breakdown(epoch, bc_scale).total(weights), 1e-30)
+                total_loss(full_breakdown(epoch, bc_scale), weights), 1e-30)
             last_stage = stage
 
         for step in range(plan.steps_per_epoch):
-            rng_key = [seed, 7001, epoch, step]
-            draw = designs
-            if len(designs) > plan.designs_per_draw:
-                pick = np.random.default_rng(rng_key + [5]).choice(
-                    len(designs), plan.designs_per_draw, replace=False)
-                draw = [designs[i] for i in sorted(pick)]
-            cset = sample_collocation(triplet, draw, step_config,
-                                      seed=rng_key)
+            key = [seed, 7001, epoch, step]
+            cset = sample_collocation(triplet,
+                                      _draw_designs(designs, plan, key),
+                                      step_config, seed=key)
             nets = taped_triplet(triplet, trainable=names)
             comps = compute_components(nets, triplet, cset, props, bc_scale,
                                        phase=phase)
-            loss = total_loss(comps, weights)
-            backward(loss)
-            grads = []
-            for name in names:
-                grads.extend(nets[name].gradient_arrays())
+            backward(total_loss(comps, weights))
+            grads = [g for name in names for g in nets[name].gradient_arrays()]
             try:
-                adam_step(arrays, grads, adam, lr_at(adam.step, plan))
+                adam_step(arrays[phase], grads, state, lr_at(state.step, plan))
             except NonFiniteGradient:
                 history.diverged = True
                 break
@@ -273,9 +272,9 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
         bd = full_breakdown(epoch, bc_scale)
         record = EpochRecord(
             epoch=epoch, stage=stage, bc_scale=bc_scale, phase=phase,
-            lr_temp=lr_at(adam_temp.step, plan),
-            lr_cure=lr_at(adam_cure.step, plan),
-            total=bd.total(weights), breakdown=bd.as_dict())
+            lr_temp=lr_at(adam[PHASE_TEMPERATURE].step, plan),
+            lr_cure=lr_at(adam[PHASE_CURE].step, plan),
+            total=total_loss(bd, weights), breakdown=bd)
         history.records.append(record)
         if log is not None:
             log(record)
@@ -289,9 +288,9 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
 
         if (epoch + 1) % plan.checkpoint_every == 0 \
                 or epoch == len(schedule) - 1:
-            last_good = _make_checkpoint(triplet, adam_temp, adam_cure, plan,
-                                         seed, designs, weights, loss_config,
-                                         epoch=epoch, history=history)
+            last_good = _make_checkpoint(triplet, adam, plan, seed, designs,
+                                         weights, loss_config, epoch=epoch,
+                                         history=history)
             if out_dir is not None:
                 os.makedirs(out_dir, exist_ok=True)
                 save_checkpoint(os.path.join(out_dir, "checkpoint.npz"),
@@ -306,12 +305,13 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
 # -- checkpointing -------------------------------------------------------------
 
 
-def _make_checkpoint(triplet, adam_temp, adam_cure, plan, seed, designs,
-                     weights, loss_config, epoch, history) -> dict:
+def _make_checkpoint(triplet, adam, plan, seed, designs, weights,
+                     loss_config, epoch, history) -> dict:
     arrays = {}
     for name, model in triplet.models().items():
         arrays.update(model_state(model, name))
-    for tag, st in (("temp", adam_temp), ("cure", adam_cure)):
+    for phase, st in adam.items():
+        tag = _ADAM_TAGS[phase]
         for i, (m, v) in enumerate(zip(st.m, st.v)):
             arrays[f"adam_{tag}/m{i}"] = m.copy()
             arrays[f"adam_{tag}/v{i}"] = v.copy()
@@ -321,7 +321,8 @@ def _make_checkpoint(triplet, adam_temp, adam_cure, plan, seed, designs,
         "code_version": code_version,
         "epoch": epoch,
         **_run_meta(seed, plan, weights, loss_config),
-        "adam_steps": {"temp": adam_temp.step, "cure": adam_cure.step},
+        "adam_steps": {_ADAM_TAGS[phase]: st.step
+                       for phase, st in adam.items()},
         "models": {name: model_meta(model)
                    for name, model in triplet.models().items()},
         "space": {"label": triplet.space.label,
@@ -331,11 +332,7 @@ def _make_checkpoint(triplet, adam_temp, adam_cure, plan, seed, designs,
         "t0": triplet.t0,
         "alpha_init": triplet.alpha_init,
         "cooldown": triplet.cooldown,
-        "history": [
-            {"epoch": r.epoch, "stage": r.stage, "bc_scale": r.bc_scale,
-             "phase": r.phase, "lr_temp": r.lr_temp, "lr_cure": r.lr_cure,
-             "total": r.total, "breakdown": r.breakdown}
-            for r in history.records],
+        "history": [asdict(r) for r in history.records],
     }
     # deep-copy the model arrays so later training does not mutate them
     arrays = {k: np.array(v, copy=True) for k, v in arrays.items()}

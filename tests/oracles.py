@@ -1,12 +1,27 @@
 """Independent re-implementations the tests check the package against:
 a plain numpy MLP forward pass, one decoder read out of a model's stacked
-decoder arrays, and a CSV reader for exported solutions."""
+decoder arrays, a CSV reader for exported solutions, and design-space
+membership and midpoint."""
 
 import csv
 
 import numpy as np
 
+from cureonet.design import VARIABLE_NAMES, DesignPoint
 from cureonet.solver import FieldSolution
+
+
+def contains(space, d) -> bool:
+    """Whether design `d` lies inside the box of `space`."""
+    return all(space.ranges[n][0] <= getattr(d, n) <= space.ranges[n][1]
+               for n in VARIABLE_NAMES)
+
+
+def midpoint(space) -> DesignPoint:
+    """The design at the centre of every range of `space`."""
+    return DesignPoint.from_array(
+        [0.5 * (space.ranges[n][0] + space.ranges[n][1])
+         for n in VARIABLE_NAMES])
 
 
 def mlp_forward(params, x):

@@ -1,34 +1,45 @@
 """Guard against test-only API: every public top-level function or class in
-`src/cureonet` must be named somewhere other than its own definition, in
-the package itself (re-exports in `__init__.py` do not count) or in the
-benchmark harness under `perfbench/`. Anything only the tests call belongs
-in the tests."""
+`src/cureonet`, and every public method of its classes, must be named
+somewhere other than its own definition, in the package itself (re-exports
+in `__init__.py` do not count) or in the benchmark harness under
+`perfbench/`. Anything only the tests call belongs in the tests."""
 
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _names(node) -> set:
-    """Identifiers a syntax tree refers to: names, attributes, and strings
-    that are identifiers (the benchmark wraps module attributes by name)."""
-    out = set()
+def _names(node) -> Counter:
+    """How often a syntax tree refers to each identifier: names, attributes,
+    and strings that are identifiers (the benchmark wraps module attributes
+    by name)."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
                 and sub.value.isidentifier():
-            out.add(sub.value)
+            out[sub.value] += 1
     return out
 
 
 def _public_defs(tree) -> list:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """(qualified name, node) of the public top-level functions and classes
+    and of the public methods of top-level classes."""
+    public = lambda node: isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+        and not node.name.startswith("_")
+    defs = []
+    for node in tree.body:
+        if public(node):
+            defs.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                     if isinstance(sub, ast.FunctionDef) and public(sub)]
+    return defs
 
 
 def unused_public_api(root=ROOT) -> list:
@@ -37,18 +48,16 @@ def unused_public_api(root=ROOT) -> list:
                if p.name != "__init__.py"]
     sources += sorted((root / "perfbench").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sources}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     unused = []
     for path, tree in trees.items():
         if path.parent != package:
             continue
-        for definition in _public_defs(tree):
-            named = any(
-                definition.name in _names(node)
-                for other, other_tree in trees.items()
-                for node in other_tree.body
-                if not (other == path and node is definition))
-            if not named:
-                unused.append(f"{path.stem}.{definition.name}")
+        for qualname, definition in _public_defs(tree):
+            name = definition.name
+            # references inside the definition itself do not count
+            if everywhere[name] == _names(definition)[name]:
+                unused.append(f"{path.stem}.{qualname}")
     return unused
 
 
@@ -62,9 +71,13 @@ def test_the_guard_sees_a_definition_nobody_names(tmp_path):
     (tmp_path / "src" / "cureonet" / "a.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def lonely():\n    return lonely()\n\n\n"
+        "class Box:\n"
+        "    def called(self):\n        return 1\n\n"
+        "    def alone(self):\n        return self.alone()\n\n"
+        "    def _hidden(self):\n        return 2\n\n\n"
         "class _Private:\n    pass\n")
     (tmp_path / "src" / "cureonet" / "b.py").write_text(
-        "from .a import used\n\nVALUE = used()\n")
+        "from .a import Box, used\n\nVALUE = used() + Box().called()\n")
     (tmp_path / "src" / "cureonet" / "__init__.py").write_text(
         "from .a import lonely\n\n__all__ = ['lonely']\n")
-    assert unused_public_api(tmp_path) == ["a.lonely"]
+    assert unused_public_api(tmp_path) == ["a.lonely", "a.Box.alone"]

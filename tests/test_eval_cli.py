@@ -19,11 +19,11 @@ from cureonet.operator import OperatorConfig, init_triplet, predict_field
 from cureonet.process import load_material_set
 from cureonet.solver import FieldSolution, Grid1D, exotherm, probe, solve
 from cureonet.trainer import TrainPlan, train
-from oracles import import_solution_csv
+from oracles import import_solution_csv, midpoint
 
 PROPS = load_material_set()
 SPACE = DesignSpace.named("small").narrowed(0.25)
-DESIGN = SPACE.midpoint()
+DESIGN = midpoint(SPACE)
 GRID = Grid1D(n_tool=11, n_part=11, dt=30.0)
 
 
@@ -339,6 +339,19 @@ def test_cli_ablate_writes_each_kind(tmp_path, capsys):
             (tmp_path / "ab" / f"ablation_{kind}.json").read_text())
         assert report["kind"] == kind and report["seed"] == 5
         assert [v["name"] for v in report["variants"]] == expected
+
+
+def test_cli_ablate_honours_cooldown(tmp_path):
+    # the variants and their references follow the config's cooldown
+    reports = []
+    for cooldown in (False, True):
+        cfg = _write(tmp_path / f"ablate_{cooldown}.json",
+                     {**TRAIN_CONFIG, "cooldown": cooldown})
+        out = tmp_path / f"ab_{cooldown}"
+        assert main(["ablate", "--kind", "decoder", "--config", cfg,
+                     "--out-dir", str(out)]) == 0
+        reports.append((out / "ablation_decoder.json").read_bytes())
+    assert reports[0] != reports[1]
 
 
 def test_cli_predict_csv_round_trips_field(tmp_path):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from cureonet.autodiff import Jet2, dense_layers, mlp_forward_jet
 from cureonet.design import DesignSpace, sample
-from cureonet.losses import (CollocationConfig, LossBreakdown, LossWeights,
-                             PHASE_ALL, PHASE_CURE, PHASE_TEMPERATURE,
-                             breakdown_from, compute_components, loss_bc,
+from cureonet.losses import (CollocationConfig, LossWeights, PHASE_ALL,
+                             PHASE_CURE, PHASE_TEMPERATURE, breakdown_from,
+                             compute_components, loss_bc,
                              loss_continuity_material, loss_ic,
-                             loss_interface_temporal, loss_physics,
-                             sample_collocation, total_loss)
+                             loss_interface_temporal, loss_ode, loss_pde,
+                             merged_branches, sample_collocation, total_loss)
 from cureonet.operator import (OperatorConfig, init_triplet, subdomain_index,
                                taped_triplet)
 from cureonet.process import celsius_to_kelvin, cure_rate, load_material_set
@@ -46,6 +46,20 @@ def constant_triplet(t_norm=0.0, alpha=0.05):
 
 def cset_for(triplet, seed=11):
     return sample_collocation(triplet, DESIGNS, CCFG, seed=seed)
+
+
+def frozen(triplet, cset):
+    """Frozen operators and their merged branch embeddings on `cset`."""
+    nets = taped_triplet(triplet, trainable=())
+    return nets, merged_branches(nets, cset)
+
+
+def ic_losses(nets, merged, cset, alpha_init=0.05):
+    """(temperature, cure) initial-condition losses, summed over the two
+    temperature operators as compute_components does."""
+    l_t = loss_ic(nets["tt"], merged["tt"], cset) \
+        + loss_ic(nets["tc"], merged["tc"], cset)
+    return l_t, loss_ic(nets["alpha"], merged["alpha"], cset, alpha_init)
 
 
 # -- sampling -------------------------------------------------------------------
@@ -168,8 +182,8 @@ def _rel_close(a, b, tol=1e-9):
 def test_loss_ic_matches_recomputation():
     triplet = fresh_triplet(seed=4)
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    l_t, l_a = loss_ic(nets, cset, alpha_init=triplet.alpha_init)
+    nets, merged = frozen(triplet, cset)
+    l_t, l_a = ic_losses(nets, merged, cset, alpha_init=triplet.alpha_init)
 
     acc_t, acc_a = 0.0, 0.0
     for i, x in enumerate(cset.ic_x):
@@ -188,8 +202,8 @@ def test_loss_ic_matches_recomputation():
 def test_loss_bc_matches_recomputation():
     triplet = fresh_triplet(seed=5)
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    l_top, l_bot = loss_bc(nets, cset, PROPS, triplet.delta_t,
+    nets, merged = frozen(triplet, cset)
+    l_top, l_bot = loss_bc(nets, merged, cset, PROPS, triplet.delta_t,
                            triplet.horizon)
     dt = triplet.delta_t
     acc_top = acc_bot = 0.0
@@ -217,10 +231,11 @@ def test_loss_bc_matches_recomputation():
 def test_loss_physics_matches_recomputation():
     triplet = fresh_triplet(seed=6)
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
+    nets, merged = frozen(triplet, cset)
     bc_scale = 0.7
-    l_tool, l_part, l_ode = loss_physics(nets, cset, PROPS, bc_scale,
-                                         triplet.delta_t, triplet.horizon)
+    l_tool, l_part = loss_pde(nets, merged, cset, PROPS, bc_scale,
+                              triplet.delta_t, triplet.horizon)
+    l_ode = loss_ode(nets, merged, cset, PROPS, triplet.horizon)
     dt, hz = triplet.delta_t, triplet.horizon
     a_t = PROPS.tool.diffusivity
     a_c = PROPS.part.diffusivity
@@ -258,8 +273,8 @@ def test_loss_physics_matches_recomputation():
 def test_loss_continuity_matches_recomputation():
     triplet = fresh_triplet(seed=7)
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    l_val, l_flux = loss_continuity_material(nets, cset, PROPS,
+    nets, merged = frozen(triplet, cset)
+    l_val, l_flux = loss_continuity_material(nets, merged, cset, PROPS,
                                              triplet.delta_t,
                                              triplet.horizon)
     dt = triplet.delta_t
@@ -282,8 +297,8 @@ def test_loss_continuity_matches_recomputation():
 def test_loss_interface_matches_recomputation():
     triplet = fresh_triplet(seed=8)
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    got = loss_interface_temporal(nets["tc"], cset)
+    nets, merged = frozen(triplet, cset)
+    got = loss_interface_temporal(nets["tc"], merged["tc"], cset)
     model = triplet.g_tc
     acc = 0.0
     for i, tau in enumerate(cset.if_tau):
@@ -306,8 +321,8 @@ def test_loss_interface_matches_recomputation():
 def test_exact_constant_model_has_zero_ic_loss():
     triplet = constant_triplet()
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    l_t, l_a = loss_ic(nets, cset)
+    nets, merged = frozen(triplet, cset)
+    l_t, l_a = ic_losses(nets, merged, cset)
     assert float(l_t) == 0.0
     assert float(l_a) < 1e-28
 
@@ -316,8 +331,8 @@ def test_constant_offset_ic_loss_is_offset_squared():
     delta = 0.3
     triplet = constant_triplet(t_norm=delta)
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    l_t, _ = loss_ic(nets, cset)
+    nets, merged = frozen(triplet, cset)
+    l_t, _ = ic_losses(nets, merged, cset)
     # both temperature models carry the same offset
     assert float(l_t) == pytest.approx(2 * delta ** 2, rel=1e-12)
 
@@ -326,8 +341,8 @@ def test_equilibrium_model_zero_bc_loss_when_air_at_start_temp():
     triplet = constant_triplet()
     cset = cset_for(triplet)
     cset.ta_bc[...] = 20.0
-    nets = taped_triplet(triplet, trainable=())
-    l_top, l_bot = loss_bc(nets, cset, PROPS, triplet.delta_t,
+    nets, merged = frozen(triplet, cset)
+    l_top, l_bot = loss_bc(nets, merged, cset, PROPS, triplet.delta_t,
                            triplet.horizon)
     assert float(l_top) == 0.0 and float(l_bot) == 0.0
 
@@ -337,8 +352,9 @@ def test_insulated_bc_penalizes_gradient_only():
     cset = cset_for(triplet)
     cset.h_top[...] = 0.0
     cset.h_bot[...] = 0.0
-    nets = taped_triplet(triplet, trainable=())
-    l_top, _ = loss_bc(nets, cset, PROPS, triplet.delta_t, triplet.horizon)
+    nets, merged = frozen(triplet, cset)
+    l_top, _ = loss_bc(nets, merged, cset, PROPS, triplet.delta_t,
+                       triplet.horizon)
     acc = 0.0
     for i, tau in enumerate(cset.bc_tau):
         d = cset.bc_idx[i]
@@ -358,27 +374,27 @@ def test_manufactured_constant_solution_zeroes_all_components():
     comps = compute_components(nets, triplet, cset, PROPS, bc_scale=1.0,
                                phase=PHASE_ALL)
     bd = breakdown_from(comps)
-    for name, value in bd.as_dict().items():
+    for name, value in bd.items():
         assert value < 1e-10, (name, value)
 
 
 def test_part_pde_loss_with_zero_bc_scale_ignores_alpha():
     triplet = fresh_triplet(seed=10)
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    _, l_part0, _ = loss_physics(nets, cset, PROPS, 0.0, triplet.delta_t,
-                                 triplet.horizon)
+    nets, merged = frozen(triplet, cset)
+    _, l_part0 = loss_pde(nets, merged, cset, PROPS, 0.0, triplet.delta_t,
+                          triplet.horizon)
     # rewire the cure model: part loss at bc_scale = 0 must not change
     triplet2 = fresh_triplet(seed=10)
     for w in triplet2.g_alpha.dec.weights:
         w[...] = 0.123
-    nets2 = taped_triplet(triplet2, trainable=())
-    _, l_part0b, _ = loss_physics(nets2, cset, PROPS, 0.0, triplet2.delta_t,
-                                  triplet2.horizon)
+    nets2, merged2 = frozen(triplet2, cset)
+    _, l_part0b = loss_pde(nets2, merged2, cset, PROPS, 0.0,
+                           triplet2.delta_t, triplet2.horizon)
     assert float(l_part0) == float(l_part0b)
     with pytest.raises(ValueError):
-        loss_physics(nets, cset, PROPS, 1.5, triplet.delta_t,
-                     triplet.horizon)
+        loss_pde(nets, merged, cset, PROPS, 1.5, triplet.delta_t,
+                 triplet.horizon)
 
 
 def test_single_subdomain_interface_loss_is_zero():
@@ -386,8 +402,8 @@ def test_single_subdomain_interface_loss_is_zero():
                           n_subdomains=1)
     triplet = init_triplet(cfg1, SPACE, seed=0)
     cset = sample_collocation(triplet, DESIGNS, CCFG, seed=1)
-    nets = taped_triplet(triplet, trainable=())
-    assert loss_interface_temporal(nets["tc"], cset) == 0.0
+    nets, merged = frozen(triplet, cset)
+    assert loss_interface_temporal(nets["tc"], merged["tc"], cset) == 0.0
 
 
 def test_duplicated_decoders_have_zero_interface_loss():
@@ -396,15 +412,16 @@ def test_duplicated_decoders_have_zero_interface_loss():
     for a in model.dec.arrays():
         a[...] = a[0]
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    assert float(loss_interface_temporal(nets["tc"], cset)) == 0.0
+    nets, merged = frozen(triplet, cset)
+    assert float(loss_interface_temporal(nets["tc"], merged["tc"],
+                                         cset)) == 0.0
 
 
 def test_constant_equal_models_have_zero_continuity_loss():
     triplet = constant_triplet(t_norm=0.4)
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    l_val, l_flux = loss_continuity_material(nets, cset, PROPS,
+    nets, merged = frozen(triplet, cset)
+    l_val, l_flux = loss_continuity_material(nets, merged, cset, PROPS,
                                              triplet.delta_t,
                                              triplet.horizon)
     assert float(l_val) == 0.0 and float(l_flux) == 0.0
@@ -415,9 +432,9 @@ def test_unit_normalized_jump_gives_unit_value_loss():
     # tool reads 1 normalized unit higher
     triplet.g_tt.dec.biases[-1][...] = 1.0
     cset = cset_for(triplet)
-    nets = taped_triplet(triplet, trainable=())
-    l_val, _ = loss_continuity_material(nets, cset, PROPS, triplet.delta_t,
-                                        triplet.horizon)
+    nets, merged = frozen(triplet, cset)
+    l_val, _ = loss_continuity_material(nets, merged, cset, PROPS,
+                                        triplet.delta_t, triplet.horizon)
     assert float(l_val) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -425,14 +442,14 @@ def test_unit_normalized_jump_gives_unit_value_loss():
 
 
 def test_total_loss_weighted_sum_and_zero_weights():
-    bd = LossBreakdown(ic_t=1.0, ic_alpha=2.0, bc_top=3.0, bc_bot=4.0,
-                       pde_tool=5.0, pde_part=6.0, ode=7.0,
-                       if_temporal=8.0, ct_value=9.0, ct_flux=10.0)
-    assert bd.total(LossWeights()) == pytest.approx(55.0)
+    bd = dict(ic_t=1.0, ic_alpha=2.0, bc_top=3.0, bc_bot=4.0,
+              pde_tool=5.0, pde_part=6.0, ode=7.0,
+              if_temporal=8.0, ct_value=9.0, ct_flux=10.0)
+    assert total_loss(bd, LossWeights()) == pytest.approx(55.0)
     zero = LossWeights(**{k: 0.0 for k in LossWeights().as_dict()})
-    assert bd.total(zero) == 0.0
+    assert total_loss(bd, zero) == 0.0
     double = LossWeights(ic_t=2.0)
-    assert bd.total(double) == pytest.approx(56.0)
+    assert total_loss(bd, double) == pytest.approx(56.0)
 
 
 def test_phase_component_sets():
@@ -448,6 +465,13 @@ def test_phase_component_sets():
                          "ct_value", "ct_flux", "if_temporal"}
     assert set(cure) == {"ic_alpha", "ode", "if_temporal"}
     assert set(everything) == set(temp) | set(cure)
+    # each phase's values are the full breakdown's, bit for bit
+    for phase_comps in (temp, cure):
+        for name, value in phase_comps.items():
+            if name != "if_temporal":
+                assert value == everything[name], name
+    assert everything["if_temporal"] \
+        == temp["if_temporal"] + cure["if_temporal"]
     with pytest.raises(ValueError):
         compute_components(nets, triplet, cset, PROPS, 1.0, "warmup")
 

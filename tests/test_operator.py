@@ -13,7 +13,7 @@ from cureonet.operator import (DEFAULT_BOUNDARIES_7, OperatorConfig,
                                init, init_triplet, model_from_state,
                                model_meta, model_state, predict_field,
                                predict_grid, subdomain_index)
-from oracles import decoder, mlp_forward
+from oracles import decoder, midpoint, mlp_forward
 
 SPACE = DesignSpace.named("small")
 HORIZON = SPACE.max_cycle_duration()
@@ -102,7 +102,7 @@ def test_subdomain_index_finds_the_one_containing_segment(inner, taus):
 
 
 _GRID_MODEL = init(small_config(n_subdomains=4), seed=12)
-_GRID_U = encode(SPACE.midpoint(), SPACE, HORIZON)
+_GRID_U = encode(midpoint(SPACE), SPACE, HORIZON)
 
 
 @settings(max_examples=40)
@@ -148,7 +148,7 @@ def test_zeroed_final_decoder_layer_predicts_zero():
     model = init(cfg, seed=0)
     model.dec.weights[-1][...] = 0.0
     model.dec.biases[-1][...] = 0.0
-    u = encode(SPACE.midpoint(), SPACE, HORIZON)
+    u = encode(midpoint(SPACE), SPACE, HORIZON)
     for y in ((0.0, 0.0), (0.5, 0.4), (1.0, 1.0)):
         assert predict(model, u, y) == 0.0
 
@@ -156,7 +156,7 @@ def test_zeroed_final_decoder_layer_predicts_zero():
 def test_predict_matches_straight_line_composition():
     cfg = small_config()
     model = init(cfg, seed=3)
-    u = encode(SPACE.midpoint(), SPACE, HORIZON)
+    u = encode(midpoint(SPACE), SPACE, HORIZON)
     rng = np.random.default_rng(4)
     for _ in range(10):
         x = float(rng.uniform())
@@ -175,12 +175,12 @@ def test_predict_factorization_same_branch_vector():
     # two taus in one subdomain share the merged branch vector exactly
     cfg = small_config()
     model = init(cfg, seed=8)
-    u = encode(SPACE.midpoint(), SPACE, HORIZON)
+    u = encode(midpoint(SPACE), SPACE, HORIZON)
     b1 = mlp_forward(model.bn1, u.bn1)
     b2 = mlp_forward(model.bn2, u.bn2)
     merged_a = branch_merge(b1, b2)
     # recompute through a second encode of the same design
-    u2 = encode(SPACE.midpoint(), SPACE, HORIZON)
+    u2 = encode(midpoint(SPACE), SPACE, HORIZON)
     merged_b = branch_merge(mlp_forward(model.bn1, u2.bn1),
                             mlp_forward(model.bn2, u2.bn2))
     assert np.array_equal(merged_a, merged_b)
@@ -191,14 +191,14 @@ def test_predict_factorization_same_branch_vector():
 
 def test_predict_rejects_bad_tau():
     model = init(small_config(), seed=0)
-    u = encode(SPACE.midpoint(), SPACE, HORIZON)
+    u = encode(midpoint(SPACE), SPACE, HORIZON)
     with pytest.raises(ValueError):
         predict(model, u, (0.5, 1.2))
 
 
 def test_predict_grid_matches_pointwise_predict():
     model = init(small_config(), seed=11)
-    u = encode(SPACE.midpoint(), SPACE, HORIZON)
+    u = encode(midpoint(SPACE), SPACE, HORIZON)
     xs = np.array([0.0, 0.5, 1.0])
     taus = np.array([0.1, 0.5, 0.9])
     grid = predict_grid(model, u, xs, taus)
@@ -211,7 +211,7 @@ def test_predict_grid_matches_pointwise_predict():
 def test_predict_field_denormalizes_and_clamps():
     cfg = small_config()
     triplet = init_triplet(cfg, SPACE, seed=1)
-    d = SPACE.midpoint()
+    d = midpoint(SPACE)
     times = np.linspace(0.0, HORIZON, 13)
     sol = predict_field(triplet, d, times, n_tool=5, n_part=7)
     assert sol.t_tool.shape == (13, 5)
@@ -277,7 +277,7 @@ def test_linear_decoder_mode_is_inner_product_readout():
     cfg = small_config(decoder="linear")
     model = init(cfg, seed=2)
     assert model.dec.layer_sizes == [cfg.q, 1]
-    u = encode(SPACE.midpoint(), SPACE, HORIZON)
+    u = encode(midpoint(SPACE), SPACE, HORIZON)
     x, tau = 0.4, 0.2
     b = mlp_forward(model.bn1, u.bn1) * mlp_forward(model.bn2, u.bn2)
     t = mlp_forward(model.trunk, np.array([x, tau]))

@@ -14,7 +14,7 @@ from cureonet.process import DomainError, load_material_set
 from cureonet.solver import (FieldSolution, Grid1D, MmsForcing, SolverError,
                              exotherm, export_solution_csv, probe,
                              run_manifest, solve, solve_batch)
-from oracles import import_solution_csv
+from oracles import import_solution_csv, midpoint
 
 PROPS = load_material_set()
 PROPS_NO_HEAT = dataclasses.replace(
@@ -150,14 +150,14 @@ def test_alpha_monotone_and_bounded():
 def test_small_space_design_reaches_converged_final_cure():
     # self-oracle: converged min final DoC for the small-space midpoint is
     # 0.8252 (recorded from a 3-level grid study); assert with margin
-    design = DesignSpace.named("small").midpoint()
+    design = midpoint(DesignSpace.named("small"))
     sol = solve(design, PROPS, Grid1D(n_tool=81, n_part=81, dt=2.0),
                 store_every=50)
     assert np.min(sol.alpha[-1]) > 0.82
 
 
 def test_exotherm_stable_under_grid_refinement():
-    design = DesignSpace.named("small").midpoint()
+    design = midpoint(DesignSpace.named("small"))
     coarse = solve(design, PROPS, Grid1D(n_tool=41, n_part=41, dt=4.0),
                    store_every=4)
     fine = solve(design, PROPS, Grid1D(n_tool=81, n_part=81, dt=2.0),

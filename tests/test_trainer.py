@@ -2,6 +2,7 @@
 trajectory, phase freezing, curriculum schedule, determinism, resume, and
 the divergence guard."""
 
+import csv
 import dataclasses
 import os
 
@@ -11,7 +12,7 @@ import pytest
 from cureonet.design import DesignSpace, sample
 from cureonet.losses import (CollocationConfig, LossWeights, PHASE_ALL,
                              breakdown_from, compute_components,
-                             sample_collocation)
+                             sample_collocation, total_loss)
 from cureonet.operator import (OperatorConfig, init_triplet, model_from_state,
                                model_state, taped_triplet)
 from cureonet.process import load_material_set
@@ -282,7 +283,7 @@ def test_linear_subproblem_total_loss_drops_by_10x():
     init_bd = breakdown_from(compute_components(nets, triplet, cset,
                                                 PROPS_NO_HEAT, 1.0,
                                                 PHASE_ALL))
-    init_total = init_bd.total(LossWeights())
+    init_total = total_loss(init_bd, LossWeights())
     plan = TrainPlan(epochs=20, steps_per_epoch=10, phase_epochs_temp=5,
                      phase_epochs_cure=5, curriculum=False, batch_size=128,
                      checkpoint_every=100)
@@ -323,6 +324,22 @@ def test_history_csv_schema(tmp_path):
     assert len(lines) == 1 + len(history.records)
 
 
+def test_history_csv_cells_are_numbers(tmp_path):
+    # a curriculum run's bc_scale and loss cells parse as plain numbers
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
+    plan = quick_plan(epochs=2, steps_per_epoch=1, curriculum=True,
+                      curriculum_stages=2)
+    train(triplet, DESIGNS, plan, PROPS_NO_HEAT, seed=5,
+          loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    with open(tmp_path / "history.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["bc_scale"] for row in rows] == ["0.0", "1.0"]
+    for row in rows:
+        for name, cell in row.items():
+            if name != "phase":
+                float(cell)
+
+
 def test_nonfinite_epoch_total_counts_as_divergence(tmp_path, monkeypatch):
     import cureonet.trainer as tr
     real_breakdown = tr.breakdown_from
@@ -332,8 +349,7 @@ def test_nonfinite_epoch_total_counts_as_divergence(tmp_path, monkeypatch):
         bd = real_breakdown(components)
         calls.append(1)
         # the first call is the stage-start baseline; later ones are NaN
-        return bd if len(calls) == 1 else dataclasses.replace(
-            bd, ode=float("nan"))
+        return bd if len(calls) == 1 else {**bd, "ode": float("nan")}
 
     monkeypatch.setattr(tr, "breakdown_from", nan_after_stage_start)
     triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)

@@ -8,6 +8,11 @@ through one layer as a single taped node with a hand-derived
 vector-Jacobian product. A scalar loss assembled from any slot can
 therefore be differentiated w.r.t. network parameters with one reverse
 pass.
+
+`backward` sweeps a graph once and consumes it: each interior node's
+cotangent and vjp closures are released as soon as its pulls have run, so
+training holds about one step's forward tape at a time. Leaves keep their
+gradients and accumulate them across sweeps.
 """
 
 from __future__ import annotations
@@ -198,8 +203,13 @@ def value_of(x) -> Array:
 
 
 def backward(root: Var) -> None:
-    """Reverse-mode sweep from a scalar root. Fills .grad on every tape node
-    reachable from it (gradients accumulate; leaves keep theirs)."""
+    """Reverse-mode sweep from a scalar root. Fills .grad on every leaf
+    reachable from it; leaves keep theirs and accumulate across sweeps.
+
+    The sweep consumes the graph: once a node's pulls have run, its
+    cotangent and its parent links (with the vjp closures and the arrays
+    they hold) are released, so memory falls as the sweep goes. A graph is
+    therefore swept once; reaching a swept node raises ValueError."""
     if root.data.ndim != 0:
         raise ValueError("backward expects a scalar loss node")
     topo: list[Var] = []
@@ -212,6 +222,9 @@ def backward(root: Var) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise ValueError("backward reached a node of an already swept "
+                             "graph; evaluate the expression again")
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:
@@ -219,11 +232,15 @@ def backward(root: Var) -> None:
                 stack.append((parent, False))
 
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        g = node.grad
+    while topo:
+        node = topo.pop()
+        parents = node._parents
+        if not parents:     # a leaf keeps its gradient
+            continue
+        g, node.grad, node._parents = node.grad, None, None
         if g is None:
             continue
-        for parent, pull in node._parents:
+        for parent, pull in parents:
             contrib = pull(g)
             parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
@@ -360,25 +377,29 @@ def _tanh_jet(z, n1, src):
     """tanh on stacked pre-activation slots: (z, z_k, z_kk) ->
     (y, s z_k, s z_kk - 2 y s z_k^2), y = tanh z, s = 1 - y^2. `src` names
     the first-derivative slot of each of the trailing second-derivative
-    slots. Returns the slots and their vector-Jacobian product."""
-    y = np.tanh(z[0])
+    slots. Returns the slots and their vector-Jacobian product, which keeps
+    only `z` (y is written over its value slot, so y is a view) and s."""
+    y = np.tanh(z[0], out=z[0])
     s = 1.0 - y * y
-    ys2 = 2.0 * y * s
-    zk = z[src]
+    second = list(enumerate(src, 1 + n1))   # (slot, its first-derivative slot)
     out = np.empty_like(z)
     out[0] = y
     out[1:] = s * z[1:]
-    if src:
-        out[1 + n1:] -= ys2 * zk * zk
+    if second:
+        ys2 = 2.0 * y * s
+        for j, k in second:
+            out[j] -= ys2 * z[k] * z[k]
 
     def vjp(g):
+        ys2 = 2.0 * y * s
         gz = s * g
         gz[0] -= ys2 * (g[1:] * z[1:]).sum(axis=0)
-        if src:
-            gkk = g[1 + n1:]
-            gz[src] -= 2.0 * ys2 * zk * gkk
+        if second:
+            for j, k in second:
+                gz[k] -= 2.0 * ys2 * z[k] * g[j]
+            # summed slot by slot in .sum(axis=0)'s order, without a copy
             gz[0] -= 2.0 * s * (1.0 - 3.0 * y * y) \
-                * (gkk * zk * zk).sum(axis=0)
+                * sum(g[j] * z[k] * z[k] for j, k in second)
         return gz
 
     return out, vjp

@@ -123,7 +123,7 @@ def _read_cache_entry(path, stamp: str, design: DesignPoint,
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as f, np.load(f) as data:
             if str(data["stamp"]) == stamp:
                 return FieldSolution(
                     times=data["times"], t_tool=data["t_tool"],

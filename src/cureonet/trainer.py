@@ -364,7 +364,7 @@ def savez_atomic(path, **arrays) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    with np.load(path) as data:
+    with open(path, "rb") as f, np.load(f) as data:
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
         meta = json.loads(bytes(data["__meta__"]).decode())
     if meta.get("version") != CHECKPOINT_VERSION:

@@ -1,14 +1,16 @@
-"""Autodiff engine tests: forward trivials, jet closed forms, and
+"""Autodiff engine tests: forward trivials, jet closed forms,
 finite-difference verification of reverse-mode gradients (including paths
-through first/second derivative slots)."""
+through first/second derivative slots), and the memory the tape keeps."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cureonet.autodiff import (Jet2, MlpParams, Var, backward, dense_layers,
-                               mlp_forward_jet)
+from cureonet.autodiff import (Jet2, MlpParams, Var, backward, dense,
+                               dense_layers, mlp_forward_jet)
 from oracles import mlp_forward
 
 
@@ -199,6 +201,47 @@ def test_gradient_of_second_derivative_loss_matches_fd(seed):
         assert abs(fd - ad) / denom < 1e-4
         checked += 1
     assert checked == 40
+
+
+def test_a_swept_graph_refuses_a_second_sweep():
+    tape = taped(random_mlp([2, 6, 1], seed=23))
+    x = np.random.default_rng(23).uniform(-1, 1, size=(5, 2))
+
+    def loss():
+        jet = mlp_forward_jet(tape, x, d1=(0,), d2=(0,))
+        return (jet.d2[0] * jet.value).sum()
+
+    root = loss()
+    backward(root)
+    once = [leaf.grad.copy() for leaf in tape.arrays()]
+    with pytest.raises(ValueError, match="swept"):
+        backward(root)
+    with pytest.raises(ValueError, match="swept"):
+        backward(root * 2.0)
+    # the refused sweeps left the leaves alone; a fresh graph accumulates
+    assert all(np.array_equal(leaf.grad, g)
+               for leaf, g in zip(tape.arrays(), once))
+    backward(loss())
+    assert all(np.array_equal(leaf.grad, g + g)
+               for leaf, g in zip(tape.arrays(), once))
+
+
+def test_tanh_jet_node_keeps_nine_slots():
+    # value, two first and one second derivative slot: the node keeps its
+    # output (4 slots), the pre-activations (4) and s = 1 - y^2 (1)
+    rng = np.random.default_rng(24)
+    slots = Var(rng.normal(size=(4, 1000, 50)), requires_grad=True)
+    w = Var(rng.normal(0.0, 0.2, (50, 50)), requires_grad=True)
+    b = Var(rng.normal(0.0, 0.1, 50), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        jet = dense(Jet2(slots, d1=(0, 1), d2=(1,)), w, b, act=True)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert jet.data.requires_grad
+    assert kept <= 9 * slots.data[0].nbytes + 64 * 1024
 
 
 @settings(max_examples=30)

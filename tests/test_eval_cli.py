@@ -2,6 +2,7 @@
 subcommand round trips, and reproducibility of CLI outputs."""
 
 import dataclasses
+import gc
 import json
 import os
 import warnings
@@ -97,6 +98,18 @@ def test_evaluate_recovers_from_truncated_cache_entry(tmp_path):
     assert sol.meta == {}  # solver statistics are not cached
     assert np.array_equal(sol.t_part,
                           solve(DESIGN, PROPS, GRID).t_part)
+
+
+def test_truncated_cache_entry_leaves_no_open_file(tmp_path):
+    cache = tmp_path / "cache"
+    reference_solution(DESIGN, PROPS, GRID, cache_dir=cache)
+    (entry,) = cache.glob("ref_*.npz")
+    entry.write_bytes(entry.read_bytes()[:200])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        reference_solution(DESIGN, PROPS, GRID, cache_dir=cache)
+        gc.collect()
+    assert [w.category for w in seen] == [RuntimeWarning]
 
 
 def test_reference_batches_bounded_by_field_bytes(monkeypatch):

@@ -4,13 +4,19 @@ the divergence guard."""
 
 import csv
 import dataclasses
+import gc
 import os
+import tracemalloc
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
+from cureonet.autodiff import backward
 from cureonet.design import DesignSpace, sample
 from cureonet.losses import (CollocationConfig, LossWeights, PHASE_ALL,
+                             PHASE_MODELS, PHASE_TEMPERATURE,
                              breakdown_from, compute_components,
                              sample_collocation, total_loss)
 from cureonet.operator import (OperatorConfig, init_triplet, model_from_state,
@@ -246,12 +252,47 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
         load_checkpoint(bad_path)
 
 
+def test_truncated_checkpoint_leaves_no_open_file(tmp_path):
+    path = tmp_path / "checkpoint.npz"
+    np.savez(path, a=np.zeros(1000))
+    path.write_bytes(path.read_bytes()[:200])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(zipfile.BadZipFile):
+            load_checkpoint(path)
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+
+
 def test_checkpoint_write_is_atomic(tmp_path):
     triplet = init_triplet(SMALL_CONFIG, SPACE, seed=3)
     train(triplet, DESIGNS, quick_plan(epochs=1), PROPS_NO_HEAT, seed=9,
           loss_config=SMALL_COLLOC, out_dir=tmp_path)
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_backward_releases_the_tape_of_a_temperature_step():
+    # after the sweep only the parameter gradients remain, and the sweep
+    # frees the forward tape as fast as it allocates cotangents
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
+    cset = sample_collocation(triplet, DESIGNS, SMALL_COLLOC, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nets = taped_triplet(triplet,
+                             trainable=PHASE_MODELS[PHASE_TEMPERATURE])
+        loss = total_loss(compute_components(nets, triplet, cset, PROPS, 1.0,
+                                             phase=PHASE_TEMPERATURE),
+                          LossWeights())
+        forward_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        backward(loss)
+        held, sweep_peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * forward_peak
+    assert sweep_peak <= 1.1 * forward_peak
 
 
 def test_curriculum_stage_zero_equals_zero_heat_generation():

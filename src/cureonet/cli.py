@@ -170,8 +170,9 @@ def cmd_predict(args) -> int:
     designs, _seed, _label = load_designs(args.designs)
     design = designs[args.design_index]
     grid = _grid_from_config(cfg)
-    t_end = design.cycle(cooldown=triplet.cooldown).duration_s
-    times = np.arange(0.0, t_end + grid.dt, grid.dt * 10)
+    t_end = design.cycle(t0=triplet.t0,
+                         cooldown=triplet.cooldown).duration_s
+    times = np.append(np.arange(0.0, t_end, grid.dt * 10), t_end)
     sol = predict_field(triplet, design, times, n_tool=grid.n_tool,
                         n_part=grid.n_part)
     os.makedirs(args.out_dir, exist_ok=True)

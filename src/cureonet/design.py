@@ -188,11 +188,13 @@ def encode_batch(designs, space, horizon, t0=20.0, cooldown=False):
             np.stack([e.bn2 for e in encs]))
 
 
-def normalize_query(x: float, t: float, horizon: float):
-    """Map a (local coord, physical time) query to trunk inputs (x, tau)."""
-    if not 0.0 <= x <= 1.0:
+def normalize_query(x, t, horizon: float):
+    """Map a (local coord, physical time) query to trunk inputs (x, tau).
+    `x` and `t` may be arrays; every entry is range-checked, and NaN is
+    out of range."""
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError("local coordinate outside [0, 1]")
-    if not 0.0 <= t <= horizon:
+    if not np.all((0.0 <= t) & (t <= horizon)):
         raise DomainError("time outside [0, horizon]")
     return x, t / horizon
 

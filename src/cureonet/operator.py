@@ -8,9 +8,11 @@ config switch for ablation studies. An operator is four MlpParams subnets
 named by NETS; all decoders share layer shapes, so `dec` is one MlpParams
 whose arrays carry a leading subdomain axis, (N_d, a, b) per weight.
 
-Every evaluation goes through `decode_stratified`: points arrive in equal
+The losses decode through `decode_stratified`: points arrive in equal
 contiguous blocks, and each block names the decoder that evaluates it, so
-all blocks run in one batched pass.
+all blocks run in one batched pass with derivative slots on the tape. Grid
+prediction needs values only and goes through `predict_grid`'s tape-free
+feature-major path instead, one matmul per layer with the bias folded in.
 """
 
 from __future__ import annotations
@@ -302,21 +304,57 @@ def decode_stratified(net: TapedDeepONet | DeepONetModel, merged, xy,
     return Jet2(out.data.reshape(-1, *lead, p), d1, d2)
 
 
+def _mlp_feature_major(weights, biases, h, spare):
+    """Tape-free MLP forward on feature-major activations. The leading
+    n_in + 1 rows of `h` hold the (features, points) input over a last row
+    of ones, so [W; b]^T carries each layer's bias and a layer is one
+    matmul into the leading rows of the other buffer, then an in-place tanh
+    on hidden layers. `spare` has the shape of `h`; the two swap roles per
+    layer. Returns (buffer holding the output rows and their ones row, the
+    other buffer)."""
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        n_in, n_out = w.shape
+        z = spare[:n_out]
+        np.matmul(np.concatenate([w, b[None]]).T, h[:n_in + 1], out=z)
+        if i < last:
+            np.tanh(z, out=z)
+        spare[n_out] = 1.0
+        h, spare = spare, h
+    return h, spare
+
+
 def predict_grid(model: DeepONetModel, u: SensorizedInput,
                  xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Normalized outputs on the tensor grid taus x xs, shape (n_t, n_x).
-    The tau rows of each occupied subdomain decode as one block."""
+
+    Values only, without the tape: the tau rows of each occupied subdomain
+    go through the trunk as one block, are multiplied by the merged branch,
+    and go through that subdomain's decoder, all feature-major (see
+    `_mlp_feature_major`). The losses' `decode_stratified` computes the
+    same composition point-major."""
     xs = np.asarray(xs, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
-    merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
+    merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])[0]
     seg = subdomain_index(model.config.segments(), taus)
+    occupied, counts = np.unique(seg, return_counts=True)
+    width = max(model.trunk.layer_sizes + model.dec.layer_sizes) + 1
+    room = width * int(counts.max(initial=0)) * xs.size
+    flat = np.empty(room), np.empty(room)
     out = np.empty((taus.size, xs.size))
-    for k in np.unique(seg):
+    for k, n_t in zip(occupied, counts):
         rows = seg == k
-        xx, tt = np.meshgrid(xs, taus[rows])
-        xy = np.stack([xx.ravel(), tt.ravel()], axis=1)
-        jet = decode_stratified(model, merged, xy, [k])
-        out[rows] = jet.value.reshape(-1, xs.size)
+        h, spare = (a[:width * n_t * xs.size].reshape(width, n_t * xs.size)
+                    for a in flat)
+        h[0] = np.tile(xs, n_t)
+        h[1] = np.repeat(taus[rows], xs.size)
+        h[2] = 1.0
+        h, spare = _mlp_feature_major(model.trunk.weights, model.trunk.biases,
+                                      h, spare)
+        h[:merged.size] *= merged[:, None]
+        h, _ = _mlp_feature_major([w[k] for w in model.dec.weights],
+                                  [b[k] for b in model.dec.biases], h, spare)
+        out[rows] = h[0].reshape(n_t, xs.size)
     return out
 
 
@@ -327,8 +365,7 @@ def predict_field(triplet: OperatorTriplet, design: DesignPoint,
     denormalized to physical units. Degree of cure is clamped to [0, 1];
     the clamp count is reported in meta."""
     times = np.asarray(times, dtype=np.float64)
-    taus = np.array([normalize_query(0.0, t, triplet.horizon)[1]
-                     for t in times])
+    taus = normalize_query(0.0, times, triplet.horizon)[1]
     u = encode(design, triplet.space, triplet.horizon, t0=triplet.t0,
                cooldown=triplet.cooldown)
     x1 = np.linspace(0.0, 1.0, n_tool)

@@ -322,9 +322,9 @@ def _advance_alpha(alpha, t_part_c, p: CureKineticsParams, dt, substeps):
     h = dt / substeps
     for _ in range(substeps):
         k1 = rate(a)
-        k2 = rate(np.minimum(a + 0.5 * h * k1, 1.0))
-        k3 = rate(np.minimum(a + 0.5 * h * k2, 1.0))
-        k4 = rate(np.minimum(a + h * k3, 1.0))
+        k2 = rate(a + 0.5 * h * k1)
+        k3 = rate(a + 0.5 * h * k2)
+        k4 = rate(a + h * k3)
         a = np.minimum(a + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), 1.0)
     return a
 

@@ -158,6 +158,15 @@ def test_normalize_query_endpoints():
         normalize_query(1.5, 10.0, 100.0)
 
 
+def test_normalize_query_accepts_time_arrays():
+    times = np.array([0.0, 25.0, 100.0])
+    x, taus = normalize_query(0.0, times, 100.0)
+    assert x == 0.0 and np.array_equal(taus, times / 100.0)
+    for bad in (101.0, -1.0, np.nan):
+        with pytest.raises(DomainError):
+            normalize_query(0.0, np.array([0.0, bad, 50.0]), 100.0)
+
+
 def test_design_csv_round_trip(tmp_path):
     space = DesignSpace.named("medium")
     designs = sample(space, 12, seed=42)

@@ -388,12 +388,40 @@ def test_cli_predict_csv_round_trips_field(tmp_path):
         load_checkpoint(out / "checkpoint.npz"))
     designs, _, _ = load_designs(samp / "designs.csv")
     grid_dt = TRAIN_CONFIG["grid"]["dt"]
-    t_end = designs[0].cycle().duration_s
-    times = np.arange(0.0, t_end + grid_dt, grid_dt * 10)
+    t_end = designs[0].cycle(t0=triplet.t0,
+                             cooldown=triplet.cooldown).duration_s
+    times = np.append(np.arange(0.0, t_end, grid_dt * 10), t_end)
     direct = predict_field(triplet, designs[0], times, n_tool=9, n_part=9)
     back = import_solution_csv(pred / "prediction.csv", designs[0])
     assert np.array_equal(back.t_part, direct.t_part)
     assert np.array_equal(back.alpha, direct.alpha)
+
+
+def test_cli_predict_times_end_at_the_cycle_end(tmp_path):
+    # design 0 of sample seed 0 ends its cycle 46 s short of a 600 s
+    # output stride, so a stride grid running one step past the end
+    # overshoots the cycle
+    cfg = _write(tmp_path / "train.json", TRAIN_CONFIG)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+    samp = tmp_path / "designs"
+    assert main(["sample", "--n", "1", "--seed", "0", "--config", cfg,
+                 "--out-dir", str(samp)]) == 0
+    pred = tmp_path / "pred"
+    assert main(["predict", "--config", cfg,
+                 "--checkpoint", str(out / "checkpoint.npz"),
+                 "--designs", str(samp / "designs.csv"),
+                 "--design-index", "0", "--out-dir", str(pred)]) == 0
+
+    from cureonet.design import load_designs
+    design = load_designs(samp / "designs.csv")[0][0]
+    t_end = design.cycle().duration_s
+    stride = 10 * TRAIN_CONFIG["grid"]["dt"]
+    assert np.arange(0.0, t_end + stride / 10, stride)[-1] > t_end
+    times = import_solution_csv(pred / "prediction.csv", design).times
+    assert times[-1] == t_end
+    assert np.all(times <= t_end)
+    assert np.all(np.diff(times) > 0.0)
 
 
 def test_metrics_as_dict():

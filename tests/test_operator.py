@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from cureonet.design import DesignSpace, encode, sample
 from cureonet.operator import (DEFAULT_BOUNDARIES_7, OperatorConfig,
-                               branch_merge, glorot_mlp,
-                               init, init_triplet, model_from_state,
-                               model_meta, model_state, predict_field,
-                               predict_grid, subdomain_index)
+                               branch_merge, decode_stratified, glorot_mlp,
+                               init, init_triplet, merged_branch,
+                               model_from_state, model_meta, model_state,
+                               predict_field, predict_grid, subdomain_index)
 from oracles import decoder, midpoint, mlp_forward
 
 SPACE = DesignSpace.named("small")
@@ -28,6 +28,23 @@ def small_config(**kw):
     base = dict(q=8, hidden_width=10, hidden_layers=2, n_subdomains=3)
     base.update(kw)
     return OperatorConfig(**base)
+
+
+def perturbed(model, seed):
+    """`model` with seeded noise added to every weight and bias in place;
+    `init` leaves the biases at zero, so a check on an unperturbed model
+    cannot see a dropped or misplaced bias."""
+    rng = np.random.default_rng(seed)
+    for a in model.trainable_arrays():
+        a += rng.normal(scale=0.3, size=a.shape)
+    return model
+
+
+# nonlinear decoders; a one-layer linear decoder, whose first layer is also
+# its output layer; a single subdomain
+PATH_CONFIGS = [small_config(), small_config(decoder="linear"),
+                small_config(n_subdomains=1)]
+PATH_IDS = ["nonlinear", "linear", "nd1"]
 
 
 def test_config_default_boundaries():
@@ -153,9 +170,9 @@ def test_zeroed_final_decoder_layer_predicts_zero():
         assert predict(model, u, y) == 0.0
 
 
-def test_predict_matches_straight_line_composition():
-    cfg = small_config()
-    model = init(cfg, seed=3)
+@pytest.mark.parametrize("cfg", PATH_CONFIGS, ids=PATH_IDS)
+def test_predict_matches_straight_line_composition(cfg):
+    model = perturbed(init(cfg, seed=3), seed=30)
     u = encode(midpoint(SPACE), SPACE, HORIZON)
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -169,6 +186,29 @@ def test_predict_matches_straight_line_composition():
         expect = mlp_forward(decoder(model, k), b1 * b2 * t)[0]
         assert predict(model, u, (x, tau)) == pytest.approx(expect,
                                                             abs=1e-12)
+
+
+@pytest.mark.parametrize("cfg", PATH_CONFIGS, ids=PATH_IDS)
+def test_predict_grid_matches_decode_stratified(cfg):
+    # the grid path and the losses' path share no code: on the same points
+    # they must give the same values
+    rng = np.random.default_rng(21)
+    model = perturbed(init(cfg, seed=13), seed=31)
+    u = encode(midpoint(SPACE), SPACE, HORIZON)
+    xs = rng.uniform(size=5)
+    per_segment = [rng.uniform(lo, hi, size=3) for lo, hi in cfg.segments()]
+    taus = rng.permutation(np.concatenate(per_segment))   # unsorted
+    grid = predict_grid(model, u, xs, taus)
+
+    blocks = rng.permutation(cfg.n_subdomains)
+    block_taus = np.concatenate([per_segment[k] for k in blocks])
+    xx, tt = np.meshgrid(xs, block_taus)
+    xy = np.stack([xx.ravel(), tt.ravel()], axis=1)
+    merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
+    strat = decode_stratified(model, merged, xy, blocks).value
+    row_of = {tau: i for i, tau in enumerate(taus)}
+    expect = grid[[row_of[tau] for tau in block_taus]]
+    assert np.max(np.abs(strat.reshape(expect.shape) - expect)) <= 1e-13
 
 
 def test_predict_factorization_same_branch_vector():

@@ -7,7 +7,9 @@ propagation in the forward-Laplacian layout), and `dense` moves all slots
 through one layer as a single taped node with a hand-derived
 vector-Jacobian product. A scalar loss assembled from any slot can
 therefore be differentiated w.r.t. network parameters with one reverse
-pass.
+pass. A tanh layer's node keeps only its output slots: on a jet the
+activation is taken in place over the layer's matmul result, and its
+vector-Jacobian product reads every Jacobian term from those outputs.
 
 `backward` sweeps a graph once and consumes it: each interior node's
 cotangent and vjp closures are released as soon as its pulls have run, so
@@ -374,32 +376,37 @@ def _shared_pulls(vjp, pulls):
 
 
 def _tanh_jet(z, n1, src):
-    """tanh on stacked pre-activation slots: (z, z_k, z_kk) ->
-    (y, s z_k, s z_kk - 2 y s z_k^2), y = tanh z, s = 1 - y^2. `src` names
-    the first-derivative slot of each of the trailing second-derivative
-    slots. Returns the slots and their vector-Jacobian product, which keeps
-    only `z` (y is written over its value slot, so y is a view) and s."""
+    """tanh on stacked pre-activation slots, in place over `z`:
+    (z, z_k, z_kk) -> (y, s z_k, s z_kk - 2 y s z_k^2), y = tanh z,
+    s = 1 - y^2. `src` names the first-derivative slot of each of the
+    trailing second-derivative slots. Returns the slots (`z` itself) and
+    their vector-Jacobian product, which keeps only those output slots.
+
+    With out_i = s z_i the Jacobian reads from the outputs alone: every
+    derivative slot i adds -2 y out_i to the value's cotangent, and a
+    second-derivative slot j with source k adds -2 out_k^2 to it and
+    -4 y out_k to slot k's; s is recomputed from y = out[0]."""
     y = np.tanh(z[0], out=z[0])
     s = 1.0 - y * y
     second = list(enumerate(src, 1 + n1))   # (slot, its first-derivative slot)
-    out = np.empty_like(z)
-    out[0] = y
-    out[1:] = s * z[1:]
     if second:
+        # second-derivative slots first: they read their sources' z_k
         ys2 = 2.0 * y * s
         for j, k in second:
-            out[j] -= ys2 * z[k] * z[k]
+            z[j] *= s
+            z[j] -= ys2 * z[k] * z[k]
+    z[1:1 + n1] *= s
+    out = z
 
     def vjp(g):
-        ys2 = 2.0 * y * s
-        gz = s * g
-        gz[0] -= ys2 * (g[1:] * z[1:]).sum(axis=0)
+        y = out[0]
+        gz = (1.0 - y * y) * g
+        gz[0] -= 2.0 * y * (g[1:] * out[1:]).sum(axis=0)
         if second:
             for j, k in second:
-                gz[k] -= 2.0 * ys2 * z[k] * g[j]
-            # summed slot by slot in .sum(axis=0)'s order, without a copy
-            gz[0] -= 2.0 * s * (1.0 - 3.0 * y * y) \
-                * sum(g[j] * z[k] * z[k] for j, k in second)
+                gz[k] -= 4.0 * y * out[k] * g[j]
+            # summed slot by slot, without a copy
+            gz[0] -= 2.0 * sum(g[j] * out[k] * out[k] for j, k in second)
         return gz
 
     return out, vjp
@@ -413,8 +420,10 @@ def dense(jet: Jet2, w, b, act: bool, blocks=None) -> Jet2:
     block as (..., a, b) with bias (..., b) against (S, ..., m, a) slots.
     With `blocks`, the layer uses w[blocks] and b[blocks] of stacked weights
     (repeated blocks accumulate their gradients). One matmul covers all
-    slots and the bias enters the value slot only. Without derivative slots
-    a tanh layer is plain tanh.
+    slots and the bias enters the value slot only. Without derivative
+    slots a tanh layer is plain tanh; with them `_tanh_jet` takes it in
+    place over the matmul's result. Either way a taped node keeps its
+    output slots only.
     """
     h, wd, bd = value_of(jet.data), value_of(w), value_of(b)
     shapes = wd.shape, bd.shape

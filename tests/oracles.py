@@ -1,7 +1,8 @@
 """Independent re-implementations the tests check the package against:
-a plain numpy MLP forward pass, one decoder read out of a model's stacked
-decoder arrays, a CSV reader for exported solutions, and design-space
-membership and midpoint."""
+a plain numpy MLP forward pass, the closed-form Jacobian of the tanh-jet
+map, one decoder read out of a model's stacked decoder arrays, a CSV
+reader for exported solutions, and design-space membership and
+midpoint."""
 
 import csv
 
@@ -39,6 +40,31 @@ def mlp_forward(params, x):
         if i < last:
             h = np.tanh(h)
     return h[0] if single else h
+
+
+def tanh_jet_jacobian(z, d1, d2):
+    """Per-element Jacobian of tanh on jet slots, written from the
+    pre-activations: slot 0 maps z -> y = tanh z, the slot of input k in d1
+    maps z_k -> s z_k, and the slot of input k in d2 maps z_kk ->
+    s z_kk - 2 y s z_k^2, with s = 1 - y^2. `z` stacks the slots on axis 0
+    as a Jet2 does; returns J with J[a, b] = d out_a / d z_b, of shape
+    (S, S) + z.shape[1:]."""
+    z = np.asarray(z, dtype=np.float64)
+    y = np.tanh(z[0])
+    s = 1.0 - y ** 2
+    ds = -2.0 * y * s                   # d s / d z
+    dys = s * s + y * ds                # d (y s) / d z
+    jac = np.zeros((len(z),) + z.shape)
+    jac[0, 0] = s
+    for i in range(1, 1 + len(d1)):
+        jac[i, 0] = ds * z[i]
+        jac[i, i] = s
+    for j, k in enumerate(d2, 1 + len(d1)):
+        i = 1 + list(d1).index(k)
+        jac[j, 0] = ds * z[j] - 2.0 * dys * z[i] ** 2
+        jac[j, i] = -4.0 * y * s * z[i]
+        jac[j, j] = s
+    return jac
 
 
 def decoder(model, k):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cureonet.autodiff import (Jet2, MlpParams, Var, backward, dense,
                                dense_layers, mlp_forward_jet)
-from oracles import mlp_forward
+from oracles import mlp_forward, tanh_jet_jacobian
 
 
 def random_mlp(layer_sizes, seed, scale=0.6):
@@ -226,22 +226,25 @@ def test_a_swept_graph_refuses_a_second_sweep():
                for leaf, g in zip(tape.arrays(), once))
 
 
-def test_tanh_jet_node_keeps_nine_slots():
-    # value, two first and one second derivative slot: the node keeps its
-    # output (4 slots), the pre-activations (4) and s = 1 - y^2 (1)
+@pytest.mark.parametrize("d1, d2", [((0, 1), (1,)), ((0,), ()), ((), ())],
+                         ids=["4-slots", "2-slots", "value-only"])
+def test_tanh_jet_node_keeps_only_its_output_slots(d1, d2):
+    # the vjp reads its Jacobian from the outputs, so neither the
+    # pre-activations nor s = 1 - y^2 outlive the call
     rng = np.random.default_rng(24)
-    slots = Var(rng.normal(size=(4, 1000, 50)), requires_grad=True)
+    n_slots = 1 + len(d1) + len(d2)
+    slots = Var(rng.normal(size=(n_slots, 1000, 50)), requires_grad=True)
     w = Var(rng.normal(0.0, 0.2, (50, 50)), requires_grad=True)
     b = Var(rng.normal(0.0, 0.1, 50), requires_grad=True)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        jet = dense(Jet2(slots, d1=(0, 1), d2=(1,)), w, b, act=True)
+        jet = dense(Jet2(slots, d1, d2), w, b, act=True)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert jet.data.requires_grad
-    assert kept <= 9 * slots.data[0].nbytes + 64 * 1024
+    assert kept <= n_slots * slots.data[0].nbytes + 64 * 1024
 
 
 @settings(max_examples=30)
@@ -285,6 +288,17 @@ def test_dense_layers_match_forward_and_central_differences(d1, data, layout,
     n_w = len(ws)
     taped = forward(leaves[0], leaves[1:1 + n_w], leaves[1 + n_w:])
     backward((taped * cot).sum())
+
+    # the input cotangent, pulled back by hand through the closed-form
+    # Jacobian of the tanh layer
+    w0, w1 = ws if blocks is None else [w[blocks] for w in ws]
+    z = dense(Jet2(x, d1, d2), ws[0], bs[0], act=False, blocks=blocks).data
+    g_y = cot @ w1.swapaxes(-1, -2)
+    g_z = np.einsum("ab...,a...->b...", tanh_jet_jacobian(z, d1, d2), g_y)
+    expect = g_z @ w0.swapaxes(-1, -2)
+    assert np.max(np.abs(leaves[0].grad - expect)) \
+        <= 1e-12 * np.max(np.abs(expect))
+
     for arr, leaf in zip(arrays, leaves):
         for _ in range(4):
             pos = tuple(rng.integers(0, n) for n in arr.shape)

@@ -16,7 +16,7 @@ import pytest
 from cureonet.autodiff import backward
 from cureonet.design import DesignSpace, sample
 from cureonet.losses import (CollocationConfig, LossWeights, PHASE_ALL,
-                             PHASE_MODELS, PHASE_TEMPERATURE,
+                             PHASE_CURE, PHASE_MODELS, PHASE_TEMPERATURE,
                              breakdown_from, compute_components,
                              sample_collocation, total_loss)
 from cureonet.operator import (OperatorConfig, init_triplet, model_from_state,
@@ -272,27 +272,58 @@ def test_checkpoint_write_is_atomic(tmp_path):
     assert leftovers == []
 
 
-def test_backward_releases_the_tape_of_a_temperature_step():
-    # after the sweep only the parameter gradients remain, and the sweep
-    # frees the forward tape as fast as it allocates cotangents
+def _array_bytes():
+    """Bytes of numpy array data traced since tracemalloc started."""
+    snap = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(t.size for t in snap.traces)
+
+
+def _owned_node_bytes(root):
+    """Bytes of the interior nodes of `root`'s graph that own their data:
+    what the tape must hold for the reverse sweep."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        if node.data.base is None:
+            total += node.data.nbytes
+        stack.extend(parent for parent, _ in node._parents)
+    return total
+
+
+@pytest.mark.parametrize("phase", [PHASE_TEMPERATURE, PHASE_CURE])
+def test_backward_releases_the_tape_of_a_training_step(phase):
+    # the forward's arrays are little more than its nodes' own data (no
+    # pre-activations or other copies kept for the vjps); after the sweep
+    # only the parameter gradients (and the loss's scalar) remain; and the
+    # sweep frees the forward tape as fast as it allocates cotangents, so
+    # its peak exceeds the forward's by less than the gradients it leaves
     triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
     cset = sample_collocation(triplet, DESIGNS, SMALL_COLLOC, seed=0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        nets = taped_triplet(triplet,
-                             trainable=PHASE_MODELS[PHASE_TEMPERATURE])
+        nets = taped_triplet(triplet, trainable=PHASE_MODELS[phase])
         loss = total_loss(compute_components(nets, triplet, cset, PROPS, 1.0,
-                                             phase=PHASE_TEMPERATURE),
+                                             phase=phase),
                           LossWeights())
         forward_peak = tracemalloc.get_traced_memory()[1] - base
+        forward_arrays = _array_bytes()
+        tape = _owned_node_bytes(loss)
         tracemalloc.reset_peak()
         backward(loss)
         held, sweep_peak = (m - base for m in tracemalloc.get_traced_memory())
+        held_arrays = _array_bytes()
     finally:
         tracemalloc.stop()
-    assert held < 0.1 * forward_peak
-    assert sweep_peak <= 1.1 * forward_peak
+    gradients = sum(g.nbytes for name in PHASE_MODELS[phase]
+                    for g in nets[name].gradient_arrays())
+    assert forward_arrays <= 1.3 * tape
+    assert held_arrays <= gradients + 1024
+    assert sweep_peak <= forward_peak + held
 
 
 def test_curriculum_stage_zero_equals_zero_heat_generation():

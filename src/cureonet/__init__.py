@@ -9,8 +9,7 @@ from .design import (DesignPoint, DesignSpace, SensorizedInput, encode,
 from .process import (CureCycleSpec, CureKineticsParams, MaterialProps,
                       MaterialSet, air_temperature, cure_rate,
                       load_material_set)
-from .solver import (FieldSolution, Grid1D, exotherm, probe, solve,
-                     solve_batch)
+from .solver import FieldSolution, Grid1D, exotherm, probe, solve_batch
 
 __all__ = [
     "Jet2", "MlpParams", "backward", "mlp_forward_jet",
@@ -18,6 +17,6 @@ __all__ = [
     "normalize_query", "sample",
     "CureCycleSpec", "CureKineticsParams", "MaterialProps", "MaterialSet",
     "air_temperature", "cure_rate", "load_material_set",
-    "FieldSolution", "Grid1D", "exotherm", "probe", "solve", "solve_batch",
+    "FieldSolution", "Grid1D", "exotherm", "probe", "solve_batch",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from .evaluate import (AblationSetup, ablation_run, evaluate, export_plot_data,
 from .losses import CollocationConfig, LossWeights
 from .operator import OperatorConfig, init_triplet, predict_field
 from .process import load_material_set
-from .solver import (Grid1D, export_solution_csv, solve, write_manifest)
+from .solver import Grid1D, export_solution_csv, solve_batch, write_manifest
 from .trainer import (TrainPlan, load_checkpoint, train,
                       triplet_from_checkpoint)
 
@@ -78,10 +78,10 @@ def cmd_simulate(args) -> int:
     design = _design_from_config(cfg["design"])
     props = _props_from_config(cfg)
     grid = _grid_from_config(cfg)
-    sol = solve(design, props, grid,
-                bc_scale=float(cfg.get("bc_scale", 1.0)),
-                cooldown=bool(cfg.get("cooldown", False)),
-                store_every=int(cfg.get("store_every", 1)))
+    [sol] = solve_batch([design], props, grid,
+                        bc_scale=float(cfg.get("bc_scale", 1.0)),
+                        cooldown=bool(cfg.get("cooldown", False)),
+                        store_every=int(cfg.get("store_every", 1)))
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "solution.csv")
     export_solution_csv(sol, csv_path)

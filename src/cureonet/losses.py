@@ -208,7 +208,7 @@ def _flat_eval(net, merged, x, tau, blocks=None, d1=(), d2=()) -> Jet2:
     design order and is decoded by decoder blocks[..., b]; by default block
     k belongs to subdomain k."""
     if blocks is None:
-        blocks = np.arange(net.model.config.n_subdomains)
+        blocks = np.arange(net.config.n_subdomains)
     xy = np.stack([np.asarray(x, dtype=np.float64),
                    np.asarray(tau, dtype=np.float64)], axis=1)
     return decode_stratified(net, merged, xy, blocks, d1, d2)
@@ -255,11 +255,11 @@ def loss_bc(nets: dict, merged: dict, cset: CollocationSet,
     """Robin boundary losses at the part top and tool bottom, in normalized
     temperature units."""
     total = cset.bc_tau.size
-    tc, tt = nets["tc"].model, nets["tt"].model
-    top_jet = _flat_eval(nets["tc"], merged["tc"], np.ones(total),
-                         cset.bc_tau, d1=(0,))
-    bot_jet = _flat_eval(nets["tt"], merged["tt"], np.zeros(total),
-                         cset.bc_tau, d1=(0,))
+    tc, tt = nets["tc"], nets["tt"]
+    top_jet = _flat_eval(tc, merged["tc"], np.ones(total), cset.bc_tau,
+                         d1=(0,))
+    bot_jet = _flat_eval(tt, merged["tt"], np.zeros(total), cset.bc_tau,
+                         d1=(0,))
     top_phys = _phys_temp_jet(top_jet, tc.out_scale, tc.out_offset, horizon)
     bot_phys = _phys_temp_jet(bot_jet, tt.out_scale, tt.out_offset, horizon)
     idx = cset.bc_idx
@@ -279,16 +279,16 @@ def loss_pde(nets: dict, merged: dict, cset: CollocationSet,
     operator's rate, scaled by the curriculum's bc_scale."""
     if not 0.0 <= bc_scale <= 1.0:
         raise ValueError("bc_scale must lie in [0, 1]")
-    tc, tt = nets["tc"].model, nets["tt"].model
+    tc, tt = nets["tc"], nets["tt"]
     total = cset.int_x.size
     pde_scale = horizon / delta_t
-    jet = _flat_eval(nets["tt"], merged["tt"], cset.int_x, cset.int_tau,
+    jet = _flat_eval(tt, merged["tt"], cset.int_x, cset.int_tau,
                      d1=(0, 1), d2=(0,))
     phys = _phys_temp_jet(jet, tt.out_scale, tt.out_offset, horizon)
     res = pde_residual_tool(phys, props.tool, cset.l_tool[cset.int_idx])
     l_tool = _mean_sq(res * pde_scale, total)
 
-    jet = _flat_eval(nets["tc"], merged["tc"], cset.int_x, cset.int_tau,
+    jet = _flat_eval(tc, merged["tc"], cset.int_x, cset.int_tau,
                      d1=(0, 1), d2=(0,))
     phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
     if bc_scale > 0.0:
@@ -305,10 +305,10 @@ def loss_pde(nets: dict, merged: dict, cset: CollocationSet,
 def loss_ode(nets: dict, merged: dict, cset: CollocationSet,
              props: MaterialSet, horizon: float):
     """Cure-kinetics ODE loss in tau units, at the part temperature."""
-    tc = nets["tc"].model
+    tc = nets["tc"]
     jet_a = _flat_eval(nets["alpha"], merged["alpha"], cset.ode_x,
                        cset.ode_tau, d1=(1,))
-    jet_t = _flat_eval(nets["tc"], merged["tc"], cset.ode_x, cset.ode_tau)
+    jet_t = _flat_eval(tc, merged["tc"], cset.ode_x, cset.ode_tau)
     t_kelvin = celsius_to_kelvin(tc.out_offset + tc.out_scale * jet_t.value)
     # predictions roam outside [0,1] early in training; clamp silently
     rate = cure_rate(clip(jet_a.value, 0.0, 1.0), t_kelvin, props.kinetics)
@@ -318,7 +318,7 @@ def loss_ode(nets: dict, merged: dict, cset: CollocationSet,
 def loss_interface_temporal(net, merged, cset: CollocationSet):
     """Mismatch of adjacent decoders at shared subdomain boundaries
     (normalized output units). Zero by construction for one subdomain."""
-    n_d = net.model.config.n_subdomains
+    n_d = net.config.n_subdomains
     if n_d == 1 or cset.if_x.size == 0:
         return 0.0
     # block b sits on internal boundary b + 1: decode it on both sides
@@ -336,11 +336,11 @@ def loss_continuity_material(nets: dict, merged: dict, cset: CollocationSet,
     conductive flux jump, nondimensionalized by the temperature span and the
     part-side conductance."""
     total = cset.ct_tau.size
-    tc, tt = nets["tc"].model, nets["tt"].model
-    tool_jet = _flat_eval(nets["tt"], merged["tt"], np.ones(total),
-                          cset.ct_tau, d1=(0,))
-    part_jet = _flat_eval(nets["tc"], merged["tc"], np.zeros(total),
-                          cset.ct_tau, d1=(0,))
+    tc, tt = nets["tc"], nets["tt"]
+    tool_jet = _flat_eval(tt, merged["tt"], np.ones(total), cset.ct_tau,
+                          d1=(0,))
+    part_jet = _flat_eval(tc, merged["tc"], np.zeros(total), cset.ct_tau,
+                          d1=(0,))
     tool_phys = _phys_temp_jet(tool_jet, tt.out_scale, tt.out_offset, horizon)
     part_phys = _phys_temp_jet(part_jet, tc.out_scale, tc.out_offset, horizon)
     l_tool_pt = cset.l_tool[cset.ct_idx]

@@ -99,8 +99,9 @@ class OperatorConfig:
 class DeepONetModel:
     """Parameters of one operator plus its output denormalization
     (physical = out_offset + out_scale * network output). The subnets are
-    the MlpParams named by NETS; `dec` stacks the decoders, and decoder k
-    serves the k-th segment of config.segments()."""
+    the MlpParams named by NETS, of numpy arrays or, in a model
+    `taped_triplet` prepared for training, of tape leaves; `dec` stacks the
+    decoders, and decoder k serves the k-th segment of config.segments()."""
 
     bn1: MlpParams
     bn2: MlpParams
@@ -218,64 +219,36 @@ def branch_merge(b1, b2):
 def subdomain_index(segments, tau):
     """Map tau in [0,1] to its subdomain (left-closed intervals; tau = 1
     belongs to the segment that ends at 1). Accepts scalars or arrays."""
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=np.float64))
-    if np.any(tau_arr < 0.0) or np.any(tau_arr > 1.0):
+    tau = np.asarray(tau, dtype=np.float64)
+    if not np.all((tau >= 0.0) & (tau <= 1.0)):
         raise ValueError("tau outside [0, 1]")
-    out = np.full(tau_arr.shape, -1, dtype=np.intp)
-    for k, (lo, hi) in enumerate(segments):
-        mask = (tau_arr >= lo) & ((tau_arr < hi) | ((hi == 1.0) & (tau_arr <= 1.0)))
-        out[mask & (out < 0)] = k
-    if np.any(out < 0):
-        raise ValueError("segments do not cover [0, 1]")
-    return int(out[0]) if np.asarray(tau).ndim == 0 else out
-
-
-class TapedDeepONet:
-    """A DeepONetModel prepared for one loss evaluation. A trainable model's
-    four subnets are MlpParams of tape leaves that alias the model's arrays
-    (so optimizer updates stay visible); a frozen model's are its own numpy
-    MlpParams and add nothing to the tape."""
-
-    def __init__(self, model: DeepONetModel, trainable: bool):
-        self.model = model
-        self.trainable = trainable
-        for name in NETS:
-            net = getattr(model, name)
-            if trainable:
-                net = net.map(lambda a: Var(a, requires_grad=True))
-            setattr(self, name, net)
-
-    def leaves(self):
-        """Tape leaves in the same order as model.trainable_arrays()."""
-        if not self.trainable:
-            return []
-        return [v for name in NETS for v in getattr(self, name).arrays()]
-
-    def gradient_arrays(self):
-        """Gradients aligned with model.trainable_arrays()."""
-        out = []
-        for v in self.leaves():
-            out.append(v.grad if v.grad is not None
-                       else np.zeros_like(v.data))
-        return out
+    k = np.searchsorted([hi for _, hi in segments[:-1]], tau, side="right")
+    return int(k) if k.ndim == 0 else k
 
 
 def taped_triplet(triplet: OperatorTriplet,
                   trainable=("tc", "tt", "alpha")) -> dict:
-    """Wrap the triplet for one loss evaluation; only the named models are
-    recorded on the tape, the rest evaluate as frozen constants."""
-    return {name: TapedDeepONet(model, name in trainable)
+    """The triplet's models prepared for one loss evaluation. A trainable
+    model is a copy whose subnets hold tape leaves aliasing its arrays (so
+    optimizer updates stay visible), and its `trainable_arrays()` are those
+    leaves; a frozen model is the triplet's own and adds nothing to the
+    tape."""
+    def taped(model):
+        return replace(model, **{name: getattr(model, name).map(
+            lambda a: Var(a, requires_grad=True)) for name in NETS})
+
+    return {name: taped(model) if name in trainable else model
             for name, model in triplet.models().items()}
 
 
-def merged_branch(net: TapedDeepONet | DeepONetModel, bn1_in, bn2_in):
+def merged_branch(net: DeepONetModel, bn1_in, bn2_in):
     """Branch embeddings merged by Hadamard product; rows index designs."""
     return branch_merge(mlp_forward_jet(net.bn1, bn1_in).value,
                         mlp_forward_jet(net.bn2, bn2_in).value)
 
 
-def decode_stratified(net: TapedDeepONet | DeepONetModel, merged, xy,
-                      blocks, d1=(), d2=()) -> Jet2:
+def decode_stratified(net: DeepONetModel, merged, xy, blocks, d1=(),
+                      d2=()) -> Jet2:
     """Trunk + decoders in one batched pass, carrying the derivative slots
     d1/d2 of mlp_forward_jet.
 

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .autodiff import Jet2, clip, exp
+from .autodiff import Jet2, Var, clip, exp
 
 KELVIN_OFFSET = 273.15
 ALPHA_EPS = 1e-9  # guard for fractional powers near alpha = 0 or 1
@@ -172,8 +172,6 @@ def cure_rate(alpha, t_kelvin, p: CureKineticsParams, guard: bool = True):
     temperature is floored away from zero (network predictions roam before
     convergence). With guard=False, out-of-domain inputs raise.
     """
-    from .autodiff import Var
-
     taped = isinstance(alpha, Var) or isinstance(t_kelvin, Var)
     if not taped:
         t_arr = np.asarray(t_kelvin, dtype=np.float64)
@@ -188,11 +186,21 @@ def cure_rate(alpha, t_kelvin, p: CureKineticsParams, guard: bool = True):
     if guard or taped:
         alpha = clip(alpha, ALPHA_EPS, 1.0 - ALPHA_EPS)
         t_kelvin = clip(t_kelvin, 180.0, None)
+    return cure_rate_law(t_kelvin, p)(alpha)
 
+
+def cure_rate_law(t_kelvin, p: CureKineticsParams):
+    """The unguarded cure rate dalpha/dt (1/s) at absolute temperature
+    `t_kelvin` as a function of alpha, with the Arrhenius factor and the
+    critical degree of cure computed once. Generic over numpy and Vars."""
     arrhenius = p.pre_exp * exp(-p.delta_e / (p.gas_constant * t_kelvin))
     alpha_crit = p.alpha_c0 + p.alpha_ct * t_kelvin
-    diffusion = 1.0 + exp(p.diff_c * (alpha - alpha_crit))
-    return arrhenius / diffusion * alpha ** p.m * (1.0 - alpha) ** p.n
+
+    def rate(alpha):
+        diffusion = 1.0 + exp(p.diff_c * (alpha - alpha_crit))
+        return arrhenius / diffusion * alpha ** p.m * (1.0 - alpha) ** p.n
+
+    return rate
 
 
 # -- cure cycle --------------------------------------------------------------

@@ -8,10 +8,10 @@ increment feeds the part's heat-generation source. Boundary and interface
 conditions are enforced as algebraic rows (second-order one-sided stencils)
 at the new time level, which keeps the scheme second order in space and time.
 
-`solve_batch` marches many designs in lockstep on (designs, nodes) arrays:
-each design's conduction matrix is inverted once, so a step is one batched
-matrix-vector product, and the kinetics run as one RK4 over designs x nodes.
-`solve` is its one-design case.
+`solve_batch`, the one entry point, marches designs in lockstep on
+(designs, nodes) arrays: each design's conduction matrix is inverted once,
+so a step is one batched matrix-vector product, and the kinetics run as one
+RK4 over designs x nodes. One design is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ import numpy as np
 from . import __version__ as code_version
 from .design import DesignPoint
 from .process import (ALPHA_EPS, CureKineticsParams, DomainError,
-                      MaterialSet, air_temperature, celsius_to_kelvin)
+                      MaterialSet, air_temperature, celsius_to_kelvin,
+                      cure_rate_law)
+
+KINETICS_SUBSTEPS = 4  # RK4 sub-steps of the cure ODE per conduction step
 
 
 class SolverError(RuntimeError):
@@ -88,47 +91,27 @@ class FieldSolution:
         return np.linspace(0.0, 1.0, self.t_part.shape[1])
 
 
-def solve(design: DesignPoint, props: MaterialSet, grid: Grid1D, *,
-          bc_scale: float = 1.0, cooldown: bool = False,
-          t0: float = 20.0, alpha_init: float = 0.05,
-          forcing: MmsForcing | None = None,
-          air_override=None,
-          kinetics_substeps: int = 4,
-          store_every: int = 1) -> FieldSolution:
-    """March the coupled system from the uniform initial state to t_end:
-    the one-design case of `solve_batch`.
-
-    `air_override` replaces the design's cure-cycle air profile with an
-    arbitrary f(t) -> degC (equilibrium and manufactured-solution tests).
-    """
-    return solve_batch([design], props, grid, bc_scale=bc_scale,
-                       cooldown=cooldown, t0=t0, alpha_init=alpha_init,
-                       forcing=forcing, air_override=air_override,
-                       kinetics_substeps=kinetics_substeps,
-                       store_every=store_every)[0]
-
-
 def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
                 bc_scale: float = 1.0, cooldown: bool = False,
                 t0: float = 20.0, alpha_init: float = 0.05,
                 forcing: MmsForcing | None = None,
                 air_override=None,
-                kinetics_substeps: int = 4,
                 store_every: int = 1) -> list[FieldSolution]:
     """March several designs in lockstep on (designs, nodes) arrays and
     return one FieldSolution per design, in order.
 
     Each design runs to its own t_end (the grid's, or the end of its own
     cure cycle); once there, its state is frozen and it stops storing, so
-    its solution matches, to rounding, the one `solve` gives it alone. `forcing` and
-    `air_override` apply to every design. Each solution's `meta` holds its
+    its solution matches, to rounding, the one it gets in a batch of one.
+    `forcing` and `air_override` (an f(t) -> degC replacing the cure-cycle
+    air profile) apply to every design. Each solution's `meta` holds its
     `steps` and stored alpha range, and the batch's `wall_s` and
     `factor_s` (time spent building the conduction factors).
     """
     if not 0.0 <= bc_scale <= 1.0:
         raise DomainError("bc_scale must lie in [0, 1]")
-    if store_every < 1 or kinetics_substeps < 1:
-        raise ValueError("store_every and kinetics_substeps must be >= 1")
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
     designs = list(designs)
     if not designs:
         raise ValueError("need at least one design")
@@ -207,7 +190,7 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     for step in range(1, n_max + 1):
         t_new = step * dt
         alpha_new = _advance_alpha(alpha, u[:, n1:], props.kinetics, dt,
-                                   kinetics_substeps)
+                                   KINETICS_SUBSTEPS)
         ta_new = air[:, step - 1]
         rhs[:, 0] = -beta_bot * ta_new
         rhs[:, 1:n1 - 1] = (r_t * (u[:, 0:n1 - 2] + u[:, 2:n1])
@@ -306,17 +289,13 @@ def _add_forcing(rhs, fz: MmsForcing, n1, x1, x2, t_new, t_mid, dt):
 def _advance_alpha(alpha, t_part_c, p: CureKineticsParams, dt, substeps):
     """Sub-stepped RK4 on the cure ODE with temperature frozen at the start
     of the conduction step, so the Arrhenius factor and the critical degree
-    of cure are computed once per step. Each stage rate repeats the guarded
-    `cure_rate` operation for operation. Monotone: every stage rate is
-    nonnegative."""
-    t_k = np.maximum(celsius_to_kelvin(t_part_c), 180.0)
-    arrhenius = p.pre_exp * np.exp(-p.delta_e / (p.gas_constant * t_k))
-    alpha_crit = p.alpha_c0 + p.alpha_ct * t_k
+    of cure are computed once per step. Each stage rate is the guarded
+    `cure_rate` (same clamps, same `cure_rate_law`). Monotone: every stage
+    rate is nonnegative."""
+    law = cure_rate_law(np.maximum(celsius_to_kelvin(t_part_c), 180.0), p)
 
     def rate(a):
-        a = np.minimum(np.maximum(a, ALPHA_EPS), 1.0 - ALPHA_EPS)
-        diffusion = 1.0 + np.exp(p.diff_c * (a - alpha_crit))
-        return arrhenius / diffusion * a ** p.m * (1.0 - a) ** p.n
+        return law(np.minimum(np.maximum(a, ALPHA_EPS), 1.0 - ALPHA_EPS))
 
     a = alpha
     h = dt / substeps

@@ -234,9 +234,8 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
         key = [seed, 7002, epoch]
         cset = sample_collocation(triplet, _draw_designs(designs, plan, key),
                                   step_config, seed=key)
-        nets = taped_triplet(triplet, trainable=())
-        comps = compute_components(nets, triplet, cset, props, bc_scale,
-                                   phase=PHASE_ALL)
+        comps = compute_components(triplet.models(), triplet, cset, props,
+                                   bc_scale, phase=PHASE_ALL)
         return breakdown_from(comps)
 
     for epoch in range(start_epoch, len(schedule)):
@@ -259,7 +258,8 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
             comps = compute_components(nets, triplet, cset, props, bc_scale,
                                        phase=phase)
             backward(total_loss(comps, weights))
-            grads = [g for name in names for g in nets[name].gradient_arrays()]
+            grads = [v.grad if v.grad is not None else np.zeros_like(v.data)
+                     for name in names for v in nets[name].trainable_arrays()]
             try:
                 adam_step(arrays[phase], grads, state, lr_at(state.step, plan))
             except NonFiniteGradient:

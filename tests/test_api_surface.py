@@ -81,3 +81,10 @@ def test_the_guard_sees_a_definition_nobody_names(tmp_path):
     (tmp_path / "src" / "cureonet" / "__init__.py").write_text(
         "from .a import lonely\n\n__all__ = ['lonely']\n")
     assert unused_public_api(tmp_path) == ["a.lonely", "a.Box.alone"]
+
+
+def test_every_name_in_all_exists_on_the_package():
+    # `import cureonet` succeeds with a stale __all__ entry; only
+    # `from cureonet import *` would fail on it
+    import cureonet
+    assert [n for n in cureonet.__all__ if not hasattr(cureonet, n)] == []

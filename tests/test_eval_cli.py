@@ -18,7 +18,8 @@ from cureonet.evaluate import (Metrics, evaluate, exotherm_window_max_error,
 from cureonet.losses import CollocationConfig
 from cureonet.operator import OperatorConfig, init_triplet, predict_field
 from cureonet.process import load_material_set
-from cureonet.solver import FieldSolution, Grid1D, exotherm, probe, solve
+from cureonet.solver import (FieldSolution, Grid1D, exotherm, probe,
+                             solve_batch)
 from cureonet.trainer import TrainPlan, train
 from oracles import import_solution_csv, midpoint
 
@@ -29,7 +30,7 @@ GRID = Grid1D(n_tool=11, n_part=11, dt=30.0)
 
 
 def test_metrics_zero_when_prediction_equals_reference():
-    ref = solve(DESIGN, PROPS, GRID, store_every=10)
+    ref = solve_batch([DESIGN], PROPS, GRID, store_every=10)[0]
     metrics = solution_metrics(ref, ref)
     for m in metrics.values():
         assert m.rel_l2 == 0.0
@@ -39,7 +40,7 @@ def test_metrics_zero_when_prediction_equals_reference():
 
 
 def test_metrics_unit_offset_gives_unit_mae_and_max():
-    ref = solve(DESIGN, PROPS, GRID, store_every=10)
+    ref = solve_batch([DESIGN], PROPS, GRID, store_every=10)[0]
     pred = FieldSolution(times=ref.times, t_tool=ref.t_tool + 1.0,
                          t_part=ref.t_part + 1.0, alpha=ref.alpha,
                          design=DESIGN)
@@ -52,7 +53,7 @@ def test_metrics_unit_offset_gives_unit_mae_and_max():
 
 
 def test_metrics_shape_mismatch_rejected():
-    ref = solve(DESIGN, PROPS, GRID, store_every=10)
+    ref = solve_batch([DESIGN], PROPS, GRID, store_every=10)[0]
     bad = FieldSolution(times=ref.times[:-1], t_tool=ref.t_tool[:-1],
                         t_part=ref.t_part[:-1], alpha=ref.alpha[:-1],
                         design=DESIGN)
@@ -97,7 +98,7 @@ def test_evaluate_recovers_from_truncated_cache_entry(tmp_path):
         sol = reference_solution(DESIGN, PROPS, GRID, cache_dir=cache)
     assert sol.meta == {}  # solver statistics are not cached
     assert np.array_equal(sol.t_part,
-                          solve(DESIGN, PROPS, GRID).t_part)
+                          solve_batch([DESIGN], PROPS, GRID)[0].t_part)
 
 
 def test_truncated_cache_entry_leaves_no_open_file(tmp_path):

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cureonet.design import VARIABLE_NAMES, DesignPoint, DesignSpace, sample
-from cureonet.process import DomainError, load_material_set
+from cureonet.process import (DomainError, celsius_to_kelvin, cure_rate,
+                              load_material_set)
 from cureonet.solver import (FieldSolution, Grid1D, MmsForcing, SolverError,
-                             exotherm, export_solution_csv, probe,
-                             run_manifest, solve, solve_batch)
+                             _advance_alpha, exotherm, export_solution_csv,
+                             probe, run_manifest, solve_batch)
 from oracles import import_solution_csv, midpoint
 
 PROPS = load_material_set()
@@ -26,7 +27,8 @@ DESIGN = DesignPoint(h_top=100.0, h_bot=80.0, r1=2.0, ht1=110.0, hd1=60.0,
 
 def test_equilibrium_is_preserved_to_machine_precision():
     grid = Grid1D(n_tool=41, n_part=41, dt=2.0, t_end=600.0)
-    sol = solve(DESIGN, PROPS_NO_HEAT, grid, air_override=lambda t: 20.0)
+    sol = solve_batch([DESIGN], PROPS_NO_HEAT, grid,
+                      air_override=lambda t: 20.0)[0]
     assert np.max(np.abs(sol.t_tool - 20.0)) < 1e-10
     assert np.max(np.abs(sol.t_part - 20.0)) < 1e-10
     # kinetics barely move at room temperature over this horizon
@@ -35,7 +37,7 @@ def test_equilibrium_is_preserved_to_machine_precision():
 
 def test_interface_rows_satisfied_every_step():
     grid = Grid1D(n_tool=31, n_part=31, dt=5.0, t_end=1800.0)
-    sol = solve(DESIGN, PROPS, grid)
+    sol = solve_batch([DESIGN], PROPS, grid)[0]
     value_jump = np.max(np.abs(sol.t_tool[:, -1] - sol.t_part[:, 0]))
     assert value_jump < 1e-9
     # one-sided second-order flux stencils on each side
@@ -108,8 +110,8 @@ def _manufactured_setup():
 def _mms_error(n, dt, t_end=600.0):
     m1, m2, tair, forcing = _manufactured_setup()
     grid = Grid1D(n_tool=n, n_part=n, dt=dt, t_end=t_end)
-    sol = solve(DESIGN, PROPS_NO_HEAT, grid, forcing=forcing,
-                air_override=tair, store_every=10 ** 9)
+    sol = solve_batch([DESIGN], PROPS_NO_HEAT, grid, forcing=forcing,
+                      air_override=tair, store_every=10 ** 9)[0]
     t_n = sol.times[-1]
     return max(np.max(np.abs(sol.t_tool[-1] - m1(sol.x_tool, t_n))),
                np.max(np.abs(sol.t_part[-1] - m2(sol.x_part, t_n))))
@@ -127,8 +129,8 @@ def test_temporal_convergence_order_at_least_1p9():
 
     def run(dt):
         grid = Grid1D(n_tool=41, n_part=41, dt=dt, t_end=600.0)
-        return solve(DESIGN, PROPS_NO_HEAT, grid, forcing=forcing,
-                     air_override=tair, store_every=10 ** 9)
+        return solve_batch([DESIGN], PROPS_NO_HEAT, grid, forcing=forcing,
+                           air_override=tair, store_every=10 ** 9)[0]
 
     ref = run(0.5)
     errs = []
@@ -142,32 +144,54 @@ def test_temporal_convergence_order_at_least_1p9():
 
 def test_alpha_monotone_and_bounded():
     grid = Grid1D(n_tool=41, n_part=41, dt=4.0)
-    sol = solve(DESIGN, PROPS, grid, store_every=5)
+    sol = solve_batch([DESIGN], PROPS, grid, store_every=5)[0]
     assert np.all(np.diff(sol.alpha, axis=0) >= 0.0)
     assert np.all(sol.alpha >= 0.05) and np.all(sol.alpha <= 1.0)
+
+
+@pytest.mark.parametrize("dt", [1.0, 8.0])
+def test_kinetics_step_is_rk4_on_the_guarded_cure_rate(dt):
+    # ties the solver's kinetics to cure_rate, which the frozen
+    # high-precision oracle checks: one sub-step is a classical RK4 step
+    # on the public guarded law, clamped at full cure
+    alpha, t_c = np.meshgrid(np.linspace(0.05, 0.95, 19),
+                             np.linspace(20.0, 200.0, 19))
+    kin = PROPS.kinetics
+
+    def rate(a):
+        return cure_rate(a, celsius_to_kelvin(t_c), kin)
+
+    k1 = rate(alpha)
+    k2 = rate(alpha + 0.5 * dt * k1)
+    k3 = rate(alpha + 0.5 * dt * k2)
+    k4 = rate(alpha + dt * k3)
+    want = np.minimum(alpha + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), 1.0)
+    got = _advance_alpha(alpha, t_c, kin, dt, 1)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_small_space_design_reaches_converged_final_cure():
     # self-oracle: converged min final DoC for the small-space midpoint is
     # 0.8252 (recorded from a 3-level grid study); assert with margin
     design = midpoint(DesignSpace.named("small"))
-    sol = solve(design, PROPS, Grid1D(n_tool=81, n_part=81, dt=2.0),
-                store_every=50)
+    sol = solve_batch([design], PROPS, Grid1D(n_tool=81, n_part=81, dt=2.0),
+                      store_every=50)[0]
     assert np.min(sol.alpha[-1]) > 0.82
 
 
 def test_exotherm_stable_under_grid_refinement():
     design = midpoint(DesignSpace.named("small"))
-    coarse = solve(design, PROPS, Grid1D(n_tool=41, n_part=41, dt=4.0),
-                   store_every=4)
-    fine = solve(design, PROPS, Grid1D(n_tool=81, n_part=81, dt=2.0),
-                 store_every=4)
+    coarse = solve_batch([design], PROPS,
+                         Grid1D(n_tool=41, n_part=41, dt=4.0),
+                         store_every=4)[0]
+    fine = solve_batch([design], PROPS, Grid1D(n_tool=81, n_part=81, dt=2.0),
+                       store_every=4)[0]
     assert abs(exotherm(coarse)[0] - exotherm(fine)[0]) < 0.2
 
 
 def test_exotherm_without_generation_is_final_hold():
     grid = Grid1D(n_tool=31, n_part=31, dt=5.0)
-    sol = solve(DESIGN, PROPS_NO_HEAT, grid, store_every=10)
+    sol = solve_batch([DESIGN], PROPS_NO_HEAT, grid, store_every=10)[0]
     t_max, _t, _x = exotherm(sol)
     assert t_max < DESIGN.ht2 + 1e-6
     assert t_max > DESIGN.ht2 - 0.5  # part reaches the hold by cycle end
@@ -221,8 +245,8 @@ def test_probe_exact_at_nodes_and_midpoints():
 def test_probe_against_fine_grid_resolve():
     grid = Grid1D(n_tool=21, n_part=21, dt=10.0, t_end=3600.0)
     fine = Grid1D(n_tool=81, n_part=81, dt=2.5, t_end=3600.0)
-    sol = solve(DESIGN, PROPS, grid)
-    ref = solve(DESIGN, PROPS, fine)
+    sol = solve_batch([DESIGN], PROPS, grid)[0]
+    ref = solve_batch([DESIGN], PROPS, fine)[0]
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = float(rng.uniform(0, 1))
@@ -237,7 +261,7 @@ def test_solver_aborts_on_degenerate_inputs():
     bad = dataclasses.replace(DESIGN, h_top=float("inf"))
     grid = Grid1D(n_tool=11, n_part=11, dt=10.0, t_end=100.0)
     with pytest.raises(SolverError):
-        solve(bad, PROPS, grid)
+        solve_batch([bad], PROPS, grid)
 
 
 @pytest.mark.parametrize("store_every", [1, 7])
@@ -247,7 +271,7 @@ def test_batch_matches_each_design_solved_alone(store_every):
     batch = solve_batch(designs, PROPS, grid, store_every=store_every)
     assert len({len(sol.times) for sol in batch}) > 1  # ragged cycle ends
     for design, got in zip(designs, batch):
-        alone = solve(design, PROPS, grid, store_every=store_every)
+        alone = solve_batch([design], PROPS, grid, store_every=store_every)[0]
         assert got.design == design
         assert np.array_equal(got.times, alone.times)
         for f in ("t_tool", "t_part", "alpha"):
@@ -271,14 +295,12 @@ def test_solve_batch_rejects_bad_arguments():
     with pytest.raises(ValueError):
         solve_batch([], PROPS, grid)
     with pytest.raises(ValueError):
-        solve(DESIGN, PROPS, grid, store_every=0)
-    with pytest.raises(ValueError):
-        solve(DESIGN, PROPS, grid, kinetics_substeps=0)
+        solve_batch([DESIGN], PROPS, grid, store_every=0)
 
 
 def test_solver_stats_in_meta_and_manifest():
     grid = Grid1D(n_tool=11, n_part=11, dt=60.0)
-    sol = solve(DESIGN, PROPS, grid)
+    sol = solve_batch([DESIGN], PROPS, grid)[0]
     steps = round(DESIGN.cycle().duration_s / grid.dt)
     assert sol.meta["steps"] == steps == len(sol.times) - 1
     assert sol.meta["wall_s"] >= sol.meta["factor_s"] > 0.0
@@ -336,7 +358,7 @@ def test_grid_validation():
 
 def test_solution_csv_round_trip(tmp_path):
     grid = Grid1D(n_tool=7, n_part=9, dt=60.0, t_end=600.0)
-    sol = solve(DESIGN, PROPS, grid)
+    sol = solve_batch([DESIGN], PROPS, grid)[0]
     path = tmp_path / "solution.csv"
     export_solution_csv(sol, path)
     back = import_solution_csv(path, DESIGN)
@@ -348,7 +370,7 @@ def test_solution_csv_round_trip(tmp_path):
 
 def test_run_manifest_contents():
     grid = Grid1D(n_tool=7, n_part=7, dt=60.0, t_end=120.0)
-    sol = solve(DESIGN, PROPS, grid)
+    sol = solve_batch([DESIGN], PROPS, grid)[0]
     manifest = run_manifest(sol, PROPS)
     assert manifest["property_hash"] == PROPS.content_hash()
     assert manifest["design"]["h_top"] == 100.0

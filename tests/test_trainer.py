@@ -319,8 +319,8 @@ def test_backward_releases_the_tape_of_a_training_step(phase):
         held_arrays = _array_bytes()
     finally:
         tracemalloc.stop()
-    gradients = sum(g.nbytes for name in PHASE_MODELS[phase]
-                    for g in nets[name].gradient_arrays())
+    gradients = sum(v.grad.nbytes for name in PHASE_MODELS[phase]
+                    for v in nets[name].trainable_arrays())
     assert forward_arrays <= 1.3 * tape
     assert held_arrays <= gradients + 1024
     assert sweep_peak <= forward_peak + held

@@ -52,10 +52,7 @@ def _plan_from_config(cfg: dict) -> TrainPlan:
 
 
 def _operator_from_config(cfg: dict) -> OperatorConfig:
-    op = dict(cfg.get("operator", {}))
-    if "boundaries" in op and op["boundaries"] is not None:
-        op["boundaries"] = tuple(op["boundaries"])
-    return OperatorConfig(**op)
+    return OperatorConfig(**cfg.get("operator", {}))
 
 
 def _design_from_config(d: dict) -> DesignPoint:

@@ -21,7 +21,9 @@ VARIABLE_NAMES = ("h_top", "h_bot", "r1", "ht1", "hd1",
 @dataclass(frozen=True)
 class DesignPoint:
     """One curing scenario: HTCs (W/m^2.K), ramp rates (degC/min), hold
-    temperatures (degC), hold durations (min), thicknesses (m)."""
+    temperatures (degC), hold durations (min), thicknesses (m). HTCs and
+    thicknesses are checked here, once (a zero HTC is the insulated limit);
+    the cycle fields by the CureCycleSpec that `cycle` builds."""
 
     h_top: float
     h_bot: float
@@ -33,6 +35,12 @@ class DesignPoint:
     hd2: float
     l_tool: float
     l_part: float
+
+    def __post_init__(self):
+        if self.h_top < 0 or self.h_bot < 0:
+            raise DomainError("HTCs must be non-negative")
+        if self.l_tool <= 0 or self.l_part <= 0:
+            raise DomainError("thicknesses must be positive")
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in VARIABLE_NAMES])

@@ -38,9 +38,7 @@ class Metrics:
     exotherm_err: float | None = None
 
     def as_dict(self) -> dict:
-        return {"rel_l2": self.rel_l2, "mae": self.mae,
-                "max_abs_err": self.max_abs_err,
-                "exotherm_err": self.exotherm_err}
+        return dataclasses.asdict(self)
 
 
 def _cache_name(design: DesignPoint, grid: Grid1D, bc_scale: float,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Jet2, clip, value_of
+from .autodiff import Jet2, value_of
 from .design import encode_batch
 from .operator import OperatorTriplet, decode_stratified, merged_branch
 from .process import (MaterialSet, air_temperature, bc_residuals,
@@ -35,20 +35,18 @@ from .process import (MaterialSet, air_temperature, bc_residuals,
 @dataclass(frozen=True)
 class CollocationConfig:
     """Requested point counts per category for one collocation draw, spread
-    over the drawn designs. Counts round up so that every block has equal
-    size: N_d * n * ceil(ceil(q / n) / N_d) points for n designs and N_d
+    over the drawn designs; interior and ODE points number TrainPlan's
+    batch_size. Counts round up so that every block has equal size:
+    N_d * n * ceil(ceil(q / n) / N_d) points for n designs and N_d
     subdomains, and n * ceil(q_ic / n) initial-condition points."""
 
-    q_interior: int = 2048
     q_ic: int = 256
     q_bc: int = 256
     q_if: int = 256
     q_ct: int = 256
-    q_ode: int = 2048
 
     def __post_init__(self):
-        if min(self.q_interior, self.q_ic, self.q_bc, self.q_ct,
-               self.q_ode) < 1 or self.q_if < 0:
+        if min(self.q_ic, self.q_bc, self.q_ct) < 1 or self.q_if < 0:
             raise ValueError("collocation counts must be positive")
 
 
@@ -102,8 +100,10 @@ def _stratified_draw(rng, n_designs, per_design, boundaries):
 
 
 def sample_collocation(triplet: OperatorTriplet, designs,
-                       config: CollocationConfig, seed) -> CollocationSet:
-    """Random collocation coordinates, deterministic per seed."""
+                       config: CollocationConfig, seed,
+                       batch_size: int) -> CollocationSet:
+    """Random collocation coordinates, deterministic per seed, with
+    `batch_size` interior points and as many ODE points."""
     if not designs:
         raise ValueError("need at least one design")
     rng = np.random.default_rng(seed)
@@ -115,8 +115,8 @@ def sample_collocation(triplet: OperatorTriplet, designs,
     def draw(q):
         return _stratified_draw(rng, n, -(-q // n), boundaries)
 
-    int_x, int_tau, int_idx = draw(config.q_interior)
-    ode_x, ode_tau, ode_idx = draw(config.q_ode)
+    int_x, int_tau, int_idx = draw(batch_size)
+    ode_x, ode_tau, ode_idx = draw(batch_size)
     _bc_x, bc_tau, bc_idx = draw(config.q_bc)
     _ct_x, ct_tau, ct_idx = draw(config.q_ct)
 
@@ -170,9 +170,6 @@ class LossWeights:
     if_temporal: float = 1.0
     ct_value: float = 1.0
     ct_flux: float = 1.0
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 COMPONENT_NAMES = tuple(f.name for f in fields(LossWeights))
@@ -243,8 +240,6 @@ def loss_ic(net, merged, cset: CollocationSet, target: float = 0.0):
     """Initial-condition loss of one operator at tau = 0 against `target`
     in normalized output units: 0 is the start temperature; the cure
     operator's target is alpha_init."""
-    if cset.ic_x.size == 0:
-        raise ValueError("empty initial-condition collocation set")
     jet = _flat_eval(net, merged, cset.ic_x, np.zeros_like(cset.ic_x),
                      blocks=[0])
     return _mean_sq(jet.value - target, cset.ic_x.size)
@@ -310,8 +305,7 @@ def loss_ode(nets: dict, merged: dict, cset: CollocationSet,
                        cset.ode_tau, d1=(1,))
     jet_t = _flat_eval(tc, merged["tc"], cset.ode_x, cset.ode_tau)
     t_kelvin = celsius_to_kelvin(tc.out_offset + tc.out_scale * jet_t.value)
-    # predictions roam outside [0,1] early in training; clamp silently
-    rate = cure_rate(clip(jet_a.value, 0.0, 1.0), t_kelvin, props.kinetics)
+    rate = cure_rate(jet_a.value, t_kelvin, props.kinetics)
     return _mean_sq(jet_a.d1[1] - horizon * rate, cset.ode_x.size)
 
 

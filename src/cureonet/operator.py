@@ -17,7 +17,7 @@ feature-major path instead, one matmul per layer with the bias folded in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -79,20 +79,6 @@ class OperatorConfig:
 
     def segments(self) -> list[tuple[float, float]]:
         return list(zip(self.boundaries[:-1], self.boundaries[1:]))
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "hidden_width": self.hidden_width,
-                "hidden_layers": self.hidden_layers,
-                "n_subdomains": self.n_subdomains,
-                "boundaries": list(self.boundaries),
-                "decoder": self.decoder,
-                "bn1_width": self.bn1_width, "bn2_width": self.bn2_width}
-
-    @staticmethod
-    def from_dict(d: dict) -> "OperatorConfig":
-        d = dict(d)
-        d["boundaries"] = tuple(d["boundaries"])
-        return OperatorConfig(**d)
 
 
 @dataclass
@@ -374,13 +360,13 @@ def model_state(model: DeepONetModel, prefix: str) -> dict:
 
 
 def model_meta(model: DeepONetModel) -> dict:
-    return {"config": model.config.to_dict(),
+    return {"config": asdict(model.config),
             "out_offset": model.out_offset,
             "out_scale": model.out_scale}
 
 
 def model_from_state(meta: dict, arrays: dict, prefix: str) -> DeepONetModel:
-    config = OperatorConfig.from_dict(meta["config"])
+    config = OperatorConfig(**meta["config"])
     stored = [tuple(s) for s in meta.get("segments", config.segments())]
     if stored != config.segments():
         raise ValueError(f"{prefix}: stored segments {stored} differ from "

@@ -7,19 +7,22 @@ Celsius; the conversion lives here. Residual functions are generic over
 plain numpy values and tape Vars (see autodiff). They read a Jet2 only as
 `jet.value`, `jet.d1[k]` and `jet.d2[k]`, with input index k = 0 for the
 local spatial coordinate and k = 1 for physical time in seconds.
+
+The residuals only compute: they take thicknesses, HTCs and conductivities
+as already checked, by `DesignPoint` and `MaterialProps` where those are
+built, and the heat-generation scale as checked by their caller.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .autodiff import Jet2, Var, clip, exp
+from .autodiff import Jet2, clip, exp
 
 KELVIN_OFFSET = 273.15
 ALPHA_EPS = 1e-9  # guard for fractional powers near alpha = 0 or 1
@@ -162,30 +165,17 @@ def load_material_set(path=None) -> MaterialSet:
 # -- cure kinetics ---------------------------------------------------------
 
 
-def cure_rate(alpha, t_kelvin, p: CureKineticsParams, guard: bool = True):
+def cure_rate(alpha, t_kelvin, p: CureKineticsParams):
     """Cure rate dalpha/dt in 1/s at degree of cure `alpha` and absolute
-    temperature `t_kelvin`.
+    temperature `t_kelvin`, for scalars, numpy arrays or tape Vars.
 
-    Accepts scalars, numpy arrays, or tape Vars (Vars are always guarded).
-    With guard=True, alpha is clamped to [ALPHA_EPS, 1-ALPHA_EPS] so that
-    fractional powers stay defined for slightly out-of-range iterates, and
-    temperature is floored away from zero (network predictions roam before
-    convergence). With guard=False, out-of-domain inputs raise.
+    alpha is clamped to [ALPHA_EPS, 1-ALPHA_EPS] so that the fractional
+    powers stay defined for out-of-range iterates, and temperature is
+    floored at 180 K (network predictions roam before convergence); the
+    unclamped law is `cure_rate_law`.
     """
-    taped = isinstance(alpha, Var) or isinstance(t_kelvin, Var)
-    if not taped:
-        t_arr = np.asarray(t_kelvin, dtype=np.float64)
-        if not guard and np.any(t_arr <= 0.0):
-            raise DomainError("cure_rate requires absolute temperature > 0")
-        a_arr = np.asarray(alpha, dtype=np.float64)
-        if np.any(a_arr < 0.0) or np.any(a_arr > 1.0):
-            if not guard:
-                raise DomainError("degree of cure outside [0, 1]")
-            warnings.warn("degree of cure outside [0, 1]; clamping",
-                          RuntimeWarning, stacklevel=2)
-    if guard or taped:
-        alpha = clip(alpha, ALPHA_EPS, 1.0 - ALPHA_EPS)
-        t_kelvin = clip(t_kelvin, 180.0, None)
+    alpha = clip(alpha, ALPHA_EPS, 1.0 - ALPHA_EPS)
+    t_kelvin = clip(t_kelvin, 180.0, None)
     return cure_rate_law(t_kelvin, p)(alpha)
 
 
@@ -276,9 +266,6 @@ def air_temperature(cycle: CureCycleSpec, t):
 def pde_residual_tool(jet: Jet2, props: MaterialProps, l_tool):
     """Tool conduction residual dT/dt - (a_t / L_t^2) d2T/dx1^2.
     Thickness may be an array for batched multi-design evaluation."""
-    l_tool = np.asarray(l_tool, dtype=np.float64)
-    if np.any(l_tool <= 0):
-        raise DomainError("tool thickness must be positive")
     coeff = props.diffusivity / l_tool ** 2
     return jet.d1[1] - coeff * jet.d2[0]
 
@@ -287,11 +274,6 @@ def pde_residual_part(jet: Jet2, alpha_rate, props: MaterialProps,
                       l_part, bc_scale: float = 1.0):
     """Part conduction residual with curriculum-scaled heat generation:
     dT/dt - (a_c / L_c^2) d2T/dx2^2 - bc_scale * b_c * dalpha/dt."""
-    l_part = np.asarray(l_part, dtype=np.float64)
-    if np.any(l_part <= 0):
-        raise DomainError("part thickness must be positive")
-    if not (0.0 <= bc_scale <= 1.0):
-        raise DomainError("bc_scale must lie in [0, 1]")
     coeff = props.diffusivity / l_part ** 2
     res = jet.d1[1] - coeff * jet.d2[0]
     if bc_scale > 0.0:
@@ -310,16 +292,6 @@ def bc_residuals(top_jet: Jet2, bot_jet: Jet2, t_air,
     h_top/h_bot and thicknesses may be arrays for batched evaluation. A zero
     HTC is the insulated limit.
     """
-    if part.k <= 0 or tool.k <= 0:
-        raise DomainError("conductivities must be positive")
-    h_top = np.asarray(h_top, dtype=np.float64)
-    h_bot = np.asarray(h_bot, dtype=np.float64)
-    l_part = np.asarray(l_part, dtype=np.float64)
-    l_tool = np.asarray(l_tool, dtype=np.float64)
-    if np.any(h_top < 0) or np.any(h_bot < 0):
-        raise DomainError("HTCs must be non-negative")
-    if np.any(l_part <= 0) or np.any(l_tool <= 0):
-        raise DomainError("thicknesses must be positive")
     top = top_jet.d1[0] - (h_top * l_part / part.k) * (t_air - top_jet.value)
     bottom = bot_jet.d1[0] - (h_bot * l_tool / tool.k) \
         * (bot_jet.value - t_air)
@@ -331,12 +303,6 @@ def continuity_residuals(tool_jet: Jet2, part_jet: Jet2,
                          l_tool, l_part):
     """Interface continuity residuals between tool (x1=1) and part (x2=0):
     value jump and conductive flux jump (k/L scaling from local coords)."""
-    l_tool = np.asarray(l_tool, dtype=np.float64)
-    l_part = np.asarray(l_part, dtype=np.float64)
-    if np.any(l_tool <= 0) or np.any(l_part <= 0):
-        raise DomainError("thicknesses must be positive")
-    if tool.k <= 0 or part.k <= 0:
-        raise DomainError("conductivities must be positive")
     value_residual = tool_jet.value - part_jet.value
     flux_residual = (tool.k / l_tool) * tool_jet.d1[0] \
         - (part.k / l_part) * part_jet.d1[0]

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,13 +70,6 @@ class TrainPlan:
         if not self.curriculum:
             return [1.0]
         return np.linspace(0.0, 1.0, self.curriculum_stages).tolist()
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainPlan":
-        return TrainPlan(**d)
 
 
 def lr_at(step: int, plan: TrainPlan) -> float:
@@ -203,8 +196,6 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
         raise TrainerError("need at least one training design")
     if loss_config is None:
         loss_config = CollocationConfig()
-    step_config = replace(loss_config, q_interior=plan.batch_size,
-                          q_ode=plan.batch_size)
 
     models = triplet.models()
     arrays = {phase: [a for name in names
@@ -233,7 +224,7 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
     def full_breakdown(epoch, bc_scale):
         key = [seed, 7002, epoch]
         cset = sample_collocation(triplet, _draw_designs(designs, plan, key),
-                                  step_config, seed=key)
+                                  loss_config, key, plan.batch_size)
         comps = compute_components(triplet.models(), triplet, cset, props,
                                    bc_scale, phase=PHASE_ALL)
         return breakdown_from(comps)
@@ -253,7 +244,7 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
             key = [seed, 7001, epoch, step]
             cset = sample_collocation(triplet,
                                       _draw_designs(designs, plan, key),
-                                      step_config, seed=key)
+                                      loss_config, key, plan.batch_size)
             nets = taped_triplet(triplet, trainable=names)
             comps = compute_components(nets, triplet, cset, props, bc_scale,
                                        phase=phase)
@@ -394,10 +385,8 @@ def triplet_from_checkpoint(ck: dict) -> tuple[OperatorTriplet, list]:
 def _run_meta(seed, plan: TrainPlan, weights: LossWeights,
               loss_config: CollocationConfig) -> dict:
     """The checkpoint fields that identify a run, besides its designs."""
-    return {"seed": seed, "plan": plan.to_dict(),
-            "weights": weights.as_dict(),
-            "loss_config": {k: getattr(loss_config, k)
-                            for k in loss_config.__dataclass_fields__}}
+    return {"seed": seed, "plan": asdict(plan), "weights": asdict(weights),
+            "loss_config": asdict(loss_config)}
 
 
 def _check_same_run(ck: dict, seed, plan: TrainPlan, weights: LossWeights,
@@ -419,7 +408,7 @@ def _check_same_run(ck: dict, seed, plan: TrainPlan, weights: LossWeights,
                     f"resume: {group}.{key} {value!r} differs from the "
                     f"checkpoint's {meta[group].get(key)!r}")
     done = meta["epoch"] + 1
-    old_plan = TrainPlan.from_dict(meta["plan"])
+    old_plan = TrainPlan(**meta["plan"])
     if _epoch_schedule(old_plan)[:done] != _epoch_schedule(plan)[:done]:
         raise TrainerError(
             f"resume: plan.epochs {plan.epochs} changes the schedule of the "

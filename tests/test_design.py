@@ -1,6 +1,7 @@
 """Design-space tests: published ranges, uniform sampling statistics,
 encoding/normalization round trips, and CSV persistence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,18 @@ def test_encode_lower_bound_design_gives_zero_scalars():
     d = DesignPoint(**{n: space.ranges[n][0] for n in VARIABLE_NAMES})
     enc = encode(d, space, space.max_cycle_duration())
     assert np.array_equal(enc.bn1, np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [dict(h_top=-1.0), dict(h_bot=-1.0),
+                                 dict(l_part=0.0), dict(l_tool=-0.01)])
+def test_design_point_rejects_negative_htc_and_nonpositive_thickness(bad):
+    with pytest.raises(DomainError):
+        dataclasses.replace(midpoint(DesignSpace.named("small")), **bad)
+
+
+def test_design_point_accepts_the_insulated_limit():
+    d = dataclasses.replace(midpoint(DesignSpace.named("small")), h_top=0.0)
+    assert d.h_top == 0.0
 
 
 def test_encode_monotone_transform_of_profile():

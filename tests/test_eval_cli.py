@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cureonet.cli import main
-from cureonet.design import DesignSpace, sample
+from cureonet.design import DesignSpace, VARIABLE_NAMES, sample
 from cureonet.evaluate import (Metrics, evaluate, exotherm_window_max_error,
                                midpoint_trace_rel_l2, reference_solution,
                                solution_metrics)
@@ -218,8 +218,8 @@ def test_ablation_solves_each_test_design_once(monkeypatch):
                        batch_size=32),
         config=OperatorConfig(q=4, hidden_width=4, hidden_layers=1,
                               n_subdomains=1),
-        seed=0, loss_config=CollocationConfig(
-            q_interior=16, q_ic=4, q_bc=4, q_if=4, q_ct=4, q_ode=8),
+        seed=0, loss_config=CollocationConfig(q_ic=4, q_bc=4, q_if=4,
+                                              q_ct=4),
         grid=GRID, cache_dir=None, nd_list=(1, 2, 3))
     report = ev.ablation_run("domain_decomp", setup)
     assert [v["name"] for v in report["variants"]] == ["nd1", "nd2", "nd3"]
@@ -251,8 +251,7 @@ TRAIN_CONFIG = {
     "plan": {"epochs": 2, "steps_per_epoch": 2, "phase_epochs_temp": 1,
              "phase_epochs_cure": 1, "curriculum": False,
              "batch_size": 64, "checkpoint_every": 1},
-    "collocation": {"q_interior": 64, "q_ic": 16, "q_bc": 16, "q_if": 16,
-                    "q_ct": 16, "q_ode": 32},
+    "collocation": {"q_ic": 16, "q_bc": 16, "q_if": 16, "q_ct": 16},
     "grid": {"n_tool": 9, "n_part": 9, "dt": 60.0},
 }
 
@@ -289,6 +288,40 @@ def test_cli_error_is_one_line_and_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ")
+
+
+def _assert_one_error_line(capsys, expected):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {expected}"]
+
+
+def test_cli_simulate_rejects_a_negative_htc(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.json", {
+        **SIM_CONFIG, "design": {**SIM_CONFIG["design"], "h_top": -100.0}})
+    code = main(["simulate", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    _assert_one_error_line(capsys, "DomainError: HTCs must be non-negative")
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_cli_evaluate_rejects_a_negative_thickness(tmp_path, capsys):
+    cfg = _write(tmp_path / "train.json", TRAIN_CONFIG)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+    row = {**SIM_CONFIG["design"], "l_part": -0.03}
+    designs = tmp_path / "designs.csv"
+    designs.write_text(",".join([*VARIABLE_NAMES, "seed", "space"]) + "\n"
+                       + ",".join([*(repr(row[n]) for n in VARIABLE_NAMES),
+                                   "0", "small"]) + "\n")
+    capsys.readouterr()
+    code = main(["evaluate", "--config", cfg,
+                 "--checkpoint", str(out / "checkpoint.npz"),
+                 "--designs", str(designs), "--out-dir", str(tmp_path / "ev")])
+    assert code == 1
+    # the design is refused as it is read, before any reference solve
+    _assert_one_error_line(capsys,
+                           "DomainError: thicknesses must be positive")
 
 
 def test_cli_sample_reproducible(tmp_path):

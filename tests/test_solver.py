@@ -296,6 +296,8 @@ def test_solve_batch_rejects_bad_arguments():
         solve_batch([], PROPS, grid)
     with pytest.raises(ValueError):
         solve_batch([DESIGN], PROPS, grid, store_every=0)
+    with pytest.raises(DomainError):
+        solve_batch([DESIGN], PROPS, grid, bc_scale=1.5)
 
 
 def test_solver_stats_in_meta_and_manifest():

@@ -34,8 +34,7 @@ SPACE = DesignSpace.named("small").narrowed(0.25)
 DESIGNS = sample(SPACE, 2, seed=1)
 SMALL_CONFIG = OperatorConfig(q=10, hidden_width=12, hidden_layers=2,
                               n_subdomains=2)
-SMALL_COLLOC = CollocationConfig(q_interior=128, q_ic=48, q_bc=48, q_if=32,
-                                 q_ct=32, q_ode=64)
+SMALL_COLLOC = CollocationConfig(q_ic=48, q_bc=48, q_if=32, q_ct=32)
 # Written by `train(init_triplet(SMALL_CONFIG, SPACE, seed=0), DESIGNS,
 # quick_plan(lr0=0.0, epochs=2), PROPS, seed=0, loss_config=SMALL_COLLOC)`
 # and `save_checkpoint` in the release that still kept per-decoder parameter
@@ -302,7 +301,7 @@ def test_backward_releases_the_tape_of_a_training_step(phase):
     # sweep frees the forward tape as fast as it allocates cotangents, so
     # its peak exceeds the forward's by less than the gradients it leaves
     triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
-    cset = sample_collocation(triplet, DESIGNS, SMALL_COLLOC, seed=0)
+    cset = sample_collocation(triplet, DESIGNS, SMALL_COLLOC, 0, 128)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -349,8 +348,8 @@ def test_linear_subproblem_total_loss_drops_by_10x():
     # observable is the total loss, which drops ~18x on the first run.
     designs = sample(SPACE, 1, seed=1)
     triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
-    cset = sample_collocation(triplet, designs, SMALL_COLLOC,
-                              seed=[7, 7002, 0])
+    cset = sample_collocation(triplet, designs, SMALL_COLLOC, [7, 7002, 0],
+                              128)
     nets = taped_triplet(triplet, trainable=())
     init_bd = breakdown_from(compute_components(nets, triplet, cset,
                                                 PROPS_NO_HEAT, 1.0,

@@ -16,6 +16,12 @@ names the operators it updates): the temperature phase the initial,
 boundary, PDE, continuity and interface losses of the two temperature
 operators, the cure phase the initial, ODE and interface losses of the cure
 operator. Phase "all", the per-epoch breakdown, evaluates all ten.
+
+`loss_groups` builds the components one loss call at a time. The loss is
+a weighted sum of these independent terms, so a training step sweeps each
+group's tape as soon as the group is built, and its tape peaks at the
+largest group rather than at the whole loss; `compute_components` collects
+the groups into one dict.
 """
 
 from __future__ import annotations
@@ -266,23 +272,26 @@ def loss_bc(nets: dict, merged: dict, cset: CollocationSet,
             _mean_sq(bot * (1.0 / delta_t), total))
 
 
-def loss_pde(nets: dict, merged: dict, cset: CollocationSet,
-             props: MaterialSet, bc_scale: float, delta_t: float,
-             horizon: float):
-    """PDE residual losses of the tool and the part, in normalized (tau,
-    temperature-span) units. The part's heat generation reads the cure
-    operator's rate, scaled by the curriculum's bc_scale."""
+def loss_pde_tool(net, merged, cset: CollocationSet, props: MaterialSet,
+                  delta_t: float, horizon: float):
+    """PDE residual loss of the tool operator, in normalized (tau,
+    temperature-span) units."""
+    jet = _flat_eval(net, merged, cset.int_x, cset.int_tau, d1=(0, 1),
+                     d2=(0,))
+    phys = _phys_temp_jet(jet, net.out_scale, net.out_offset, horizon)
+    res = pde_residual_tool(phys, props.tool, cset.l_tool[cset.int_idx])
+    return _mean_sq(res * (horizon / delta_t), cset.int_x.size)
+
+
+def loss_pde_part(nets: dict, merged: dict, cset: CollocationSet,
+                  props: MaterialSet, bc_scale: float, delta_t: float,
+                  horizon: float):
+    """PDE residual loss of the part, in the units of loss_pde_tool. The
+    part's heat generation reads the cure operator's rate, scaled by the
+    curriculum's bc_scale."""
     if not 0.0 <= bc_scale <= 1.0:
         raise ValueError("bc_scale must lie in [0, 1]")
-    tc, tt = nets["tc"], nets["tt"]
-    total = cset.int_x.size
-    pde_scale = horizon / delta_t
-    jet = _flat_eval(tt, merged["tt"], cset.int_x, cset.int_tau,
-                     d1=(0, 1), d2=(0,))
-    phys = _phys_temp_jet(jet, tt.out_scale, tt.out_offset, horizon)
-    res = pde_residual_tool(phys, props.tool, cset.l_tool[cset.int_idx])
-    l_tool = _mean_sq(res * pde_scale, total)
-
+    tc = nets["tc"]
     jet = _flat_eval(tc, merged["tc"], cset.int_x, cset.int_tau,
                      d1=(0, 1), d2=(0,))
     phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
@@ -294,7 +303,7 @@ def loss_pde(nets: dict, merged: dict, cset: CollocationSet,
         alpha_rate = 0.0
     res = pde_residual_part(phys, alpha_rate, props.part,
                             cset.l_part[cset.int_idx], bc_scale)
-    return l_tool, _mean_sq(res * pde_scale, total)
+    return _mean_sq(res * (horizon / delta_t), cset.int_x.size)
 
 
 def loss_ode(nets: dict, merged: dict, cset: CollocationSet,
@@ -355,35 +364,56 @@ PHASE_ALL = "all"
 PHASE_MODELS = {PHASE_TEMPERATURE: ("tc", "tt"), PHASE_CURE: ("alpha",)}
 
 
+def loss_groups(nets: dict, merged: dict, triplet: OperatorTriplet,
+                cset: CollocationSet, props: MaterialSet, bc_scale: float,
+                phase: str):
+    """The loss components one phase minimizes, one dict per loss call,
+    built only when the next is asked for; phase "all" yields all ten.
+    `nets` maps {tc, tt, alpha} to taped or frozen operators and `merged`
+    to their merged branch embeddings; gradient flows only through taped
+    ones. A name may recur: if_temporal once per operator, ic_t once per
+    temperature operator. The groups are independent terms of the loss, so
+    a trainer can sweep each one before the next is built."""
+    if phase not in (*PHASE_MODELS, PHASE_ALL):
+        raise ValueError(f"unknown phase {phase!r}")
+    delta_t, horizon = triplet.delta_t, triplet.horizon
+
+    def interface(name):
+        return {"if_temporal": loss_interface_temporal(nets[name],
+                                                       merged[name], cset)}
+
+    if phase != PHASE_CURE:
+        yield {"ic_t": loss_ic(nets["tt"], merged["tt"], cset)}
+        yield {"ic_t": loss_ic(nets["tc"], merged["tc"], cset)}
+        top, bot = loss_bc(nets, merged, cset, props, delta_t, horizon)
+        yield {"bc_top": top, "bc_bot": bot}
+        yield {"pde_tool": loss_pde_tool(nets["tt"], merged["tt"], cset,
+                                         props, delta_t, horizon)}
+        yield {"pde_part": loss_pde_part(nets, merged, cset, props,
+                                         bc_scale, delta_t, horizon)}
+        value, flux = loss_continuity_material(nets, merged, cset, props,
+                                               delta_t, horizon)
+        yield {"ct_value": value, "ct_flux": flux}
+        yield interface("tc")
+        yield interface("tt")
+    if phase != PHASE_TEMPERATURE:
+        yield {"ic_alpha": loss_ic(nets["alpha"], merged["alpha"], cset,
+                                   target=triplet.alpha_init)}
+        yield {"ode": loss_ode(nets, merged, cset, props, horizon)}
+        yield interface("alpha")
+
+
 def compute_components(nets: dict, triplet: OperatorTriplet,
                        cset: CollocationSet, props: MaterialSet,
                        bc_scale: float, phase: str = PHASE_ALL) -> dict:
     """Loss components one phase minimizes, and only those; phase "all"
-    evaluates all ten. `nets` maps {tc, tt, alpha} to taped or frozen
-    operators; gradient flows only through taped ones. The if_temporal
-    entry sums the temporal-interface losses of the phase's operators."""
-    if phase not in (*PHASE_MODELS, PHASE_ALL):
-        raise ValueError(f"unknown phase {phase!r}")
-    delta_t, horizon = triplet.delta_t, triplet.horizon
-    merged = merged_branches(nets, cset)
-
-    def interface(name):
-        return loss_interface_temporal(nets[name], merged[name], cset)
-
+    evaluates all ten. The groups of loss_groups are collected into one
+    dict, and a name that recurs holds the sum of its groups in their
+    order: ic_t of both temperature operators, if_temporal of the phase's
+    operators."""
     out: dict = {}
-    if phase != PHASE_CURE:
-        out["ic_t"] = (loss_ic(nets["tt"], merged["tt"], cset)
-                       + loss_ic(nets["tc"], merged["tc"], cset))
-        out["bc_top"], out["bc_bot"] = loss_bc(nets, merged, cset, props,
-                                               delta_t, horizon)
-        out["pde_tool"], out["pde_part"] = loss_pde(
-            nets, merged, cset, props, bc_scale, delta_t, horizon)
-        out["ct_value"], out["ct_flux"] = loss_continuity_material(
-            nets, merged, cset, props, delta_t, horizon)
-        out["if_temporal"] = interface("tc") + interface("tt")
-    if phase != PHASE_TEMPERATURE:
-        out["ic_alpha"] = loss_ic(nets["alpha"], merged["alpha"], cset,
-                                  target=triplet.alpha_init)
-        out["ode"] = loss_ode(nets, merged, cset, props, horizon)
-        out["if_temporal"] = out.get("if_temporal", 0.0) + interface("alpha")
+    for group in loss_groups(nets, merged_branches(nets, cset), triplet,
+                             cset, props, bc_scale, phase):
+        for name, value in group.items():
+            out[name] = out[name] + value if name in out else value
     return out

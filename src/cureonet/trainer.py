@@ -18,12 +18,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__ as code_version
-from .autodiff import backward
+from .autodiff import Var, backward
 from .design import DesignPoint, DesignSpace
 from .losses import (COMPONENT_NAMES, PHASE_ALL, PHASE_CURE, PHASE_MODELS,
                      PHASE_TEMPERATURE, CollocationConfig, LossWeights,
-                     breakdown_from, compute_components, sample_collocation,
-                     total_loss)
+                     breakdown_from, compute_components, loss_groups,
+                     merged_branches, sample_collocation, total_loss)
 from .operator import (OperatorTriplet, model_from_state, model_meta,
                        model_state, taped_triplet)
 from .process import MaterialSet
@@ -246,9 +246,8 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
                                       _draw_designs(designs, plan, key),
                                       loss_config, key, plan.batch_size)
             nets = taped_triplet(triplet, trainable=names)
-            comps = compute_components(nets, triplet, cset, props, bc_scale,
-                                       phase=phase)
-            backward(total_loss(comps, weights))
+            _sweep_by_group(nets, names, triplet, cset, props, bc_scale,
+                            phase, weights)
             grads = [v.grad if v.grad is not None else np.zeros_like(v.data)
                      for name in names for v in nets[name].trainable_arrays()]
             try:
@@ -293,14 +292,39 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
     return triplet, history
 
 
+def _sweep_by_group(nets, names, triplet, cset, props, bc_scale, phase,
+                    weights) -> None:
+    """Fill the gradients of the trainable operators `names` in `nets` with
+    those of the phase's total loss, sweeping each loss group as soon as it
+    is built, so the tape peaks at the largest group rather than at the
+    whole loss. The groups share only parameters, which accumulate their
+    gradients across sweeps, and each operator's merged branch embeddings,
+    which they read through a leaf cut from the embeddings; the cotangent
+    gathered on that leaf is swept through the branch nets once at the end.
+    The gradients equal those of one sweep of the summed loss bit for bit:
+    every leaf receives the same contributions in the same order."""
+    merged = merged_branches(nets, cset)
+    cut = {name: Var(merged[name].data, requires_grad=True) for name in names}
+    for group in loss_groups(nets, {**merged, **cut}, triplet, cset, props,
+                             bc_scale, phase):
+        loss = total_loss(group, weights)
+        # an interface loss without internal boundaries is an untaped 0.0
+        if isinstance(loss, Var):
+            backward(loss)
+    for name in names:
+        backward((merged[name] * cut[name].grad).sum())
+
+
 # -- checkpointing -------------------------------------------------------------
 
 
 def _make_checkpoint(triplet, adam, plan, seed, designs, weights,
                      loss_config, epoch, history) -> dict:
+    # copies, so that later training does not mutate them
     arrays = {}
     for name, model in triplet.models().items():
-        arrays.update(model_state(model, name))
+        arrays.update({k: v.copy()
+                       for k, v in model_state(model, name).items()})
     for phase, st in adam.items():
         tag = _ADAM_TAGS[phase]
         for i, (m, v) in enumerate(zip(st.m, st.v)):
@@ -325,8 +349,6 @@ def _make_checkpoint(triplet, adam, plan, seed, designs, weights,
         "cooldown": triplet.cooldown,
         "history": [asdict(r) for r in history.records],
     }
-    # deep-copy the model arrays so later training does not mutate them
-    arrays = {k: np.array(v, copy=True) for k, v in arrays.items()}
     return {"meta": meta, "arrays": arrays}
 
 

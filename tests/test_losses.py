@@ -15,7 +15,8 @@ from cureonet.losses import (CollocationConfig, LossWeights, PHASE_ALL,
                              PHASE_CURE, PHASE_TEMPERATURE, breakdown_from,
                              compute_components, loss_bc,
                              loss_continuity_material, loss_ic,
-                             loss_interface_temporal, loss_ode, loss_pde,
+                             loss_interface_temporal, loss_ode,
+                             loss_pde_part, loss_pde_tool,
                              merged_branches, sample_collocation, total_loss)
 from cureonet.operator import (OperatorConfig, init_triplet, subdomain_index,
                                taped_triplet)
@@ -231,8 +232,10 @@ def test_loss_physics_matches_recomputation():
     cset = cset_for(triplet)
     nets, merged = frozen(triplet, cset)
     bc_scale = 0.7
-    l_tool, l_part = loss_pde(nets, merged, cset, PROPS, bc_scale,
-                              triplet.delta_t, triplet.horizon)
+    l_tool = loss_pde_tool(nets["tt"], merged["tt"], cset, PROPS,
+                           triplet.delta_t, triplet.horizon)
+    l_part = loss_pde_part(nets, merged, cset, PROPS, bc_scale,
+                           triplet.delta_t, triplet.horizon)
     l_ode = loss_ode(nets, merged, cset, PROPS, triplet.horizon)
     dt, hz = triplet.delta_t, triplet.horizon
     a_t = PROPS.tool.diffusivity
@@ -380,19 +383,19 @@ def test_part_pde_loss_with_zero_bc_scale_ignores_alpha():
     triplet = fresh_triplet(seed=10)
     cset = cset_for(triplet)
     nets, merged = frozen(triplet, cset)
-    _, l_part0 = loss_pde(nets, merged, cset, PROPS, 0.0, triplet.delta_t,
-                          triplet.horizon)
+    l_part0 = loss_pde_part(nets, merged, cset, PROPS, 0.0, triplet.delta_t,
+                            triplet.horizon)
     # rewire the cure model: part loss at bc_scale = 0 must not change
     triplet2 = fresh_triplet(seed=10)
     for w in triplet2.g_alpha.dec.weights:
         w[...] = 0.123
     nets2, merged2 = frozen(triplet2, cset)
-    _, l_part0b = loss_pde(nets2, merged2, cset, PROPS, 0.0,
-                           triplet2.delta_t, triplet2.horizon)
+    l_part0b = loss_pde_part(nets2, merged2, cset, PROPS, 0.0,
+                             triplet2.delta_t, triplet2.horizon)
     assert float(l_part0) == float(l_part0b)
     with pytest.raises(ValueError):
-        loss_pde(nets, merged, cset, PROPS, 1.5, triplet.delta_t,
-                 triplet.horizon)
+        loss_pde_part(nets, merged, cset, PROPS, 1.5, triplet.delta_t,
+                      triplet.horizon)
 
 
 def test_single_subdomain_interface_loss_is_zero():

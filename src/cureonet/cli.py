@@ -55,19 +55,20 @@ def _operator_from_config(cfg: dict) -> OperatorConfig:
     return OperatorConfig(**cfg.get("operator", {}))
 
 
+# The design and grid sections, like the others, reach their dataclass
+# through `**`, so an unknown key is refused there.
 def _design_from_config(d: dict) -> DesignPoint:
     missing = [n for n in VARIABLE_NAMES if n not in d]
     if missing:
         raise ValueError(f"design config missing fields {missing}")
-    return DesignPoint(**{n: float(d[n]) for n in VARIABLE_NAMES})
+    return DesignPoint(**{**d, **{n: float(d[n]) for n in VARIABLE_NAMES}})
 
 
 def _grid_from_config(cfg: dict) -> Grid1D:
     g = cfg.get("grid", {})
-    return Grid1D(n_tool=int(g.get("n_tool", 81)),
-                  n_part=int(g.get("n_part", 81)),
-                  dt=float(g.get("dt", 1.0)),
-                  t_end=g.get("t_end"))
+    return Grid1D(**{**g, "n_tool": int(g.get("n_tool", 81)),
+                     "n_part": int(g.get("n_part", 81)),
+                     "dt": float(g.get("dt", 1.0))})
 
 
 def cmd_simulate(args) -> int:
@@ -167,8 +168,7 @@ def cmd_predict(args) -> int:
     designs, _seed, _label = load_designs(args.designs)
     design = designs[args.design_index]
     grid = _grid_from_config(cfg)
-    t_end = design.cycle(t0=triplet.t0,
-                         cooldown=triplet.cooldown).duration_s
+    t_end = design.cycle(cooldown=triplet.cooldown).duration_s
     times = np.append(np.arange(0.0, t_end, grid.dt * 10), t_end)
     sol = predict_field(triplet, design, times, n_tool=grid.n_tool,
                         n_part=grid.n_part)

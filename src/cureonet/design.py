@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import CureCycleSpec, DomainError, air_temperature
+from .process import T0, CureCycleSpec, DomainError, air_temperature
 
 N_SENSORS = 100          # air-profile samples fed to the cycle branch net
+SCALAR_NAMES = ("h_top", "h_bot", "l_tool", "l_part")  # scalar branch input
 T_REF_HEADROOM = 50.0    # degC above the space's max hold-2 temperature
 
 VARIABLE_NAMES = ("h_top", "h_bot", "r1", "ht1", "hd1",
@@ -49,7 +50,7 @@ class DesignPoint:
     def from_array(a) -> "DesignPoint":
         return DesignPoint(**{n: float(v) for n, v in zip(VARIABLE_NAMES, a)})
 
-    def cycle(self, t0: float = 20.0, cooldown: bool = False) -> CureCycleSpec:
+    def cycle(self, t0: float = T0, cooldown: bool = False) -> CureCycleSpec:
         return CureCycleSpec(r1=self.r1, r2=self.r2, ht1=self.ht1,
                              ht2=self.ht2, hd1=self.hd1, hd2=self.hd2,
                              t0=t0, cooldown=cooldown)
@@ -119,8 +120,7 @@ class DesignSpace:
         """Largest air temperature attainable in the space (degC)."""
         return self.ranges["ht2"][1]
 
-    def max_cycle_duration(self, t0: float = 20.0,
-                           cooldown: bool = False) -> float:
+    def max_cycle_duration(self, cooldown: bool = False) -> float:
         """Longest possible cycle duration over the space, in seconds.
 
         Duration is linear in ht1 at fixed rates, so the maximum sits at a
@@ -134,7 +134,7 @@ class DesignSpace:
         best = 0.0
         for ht1 in self.ranges["ht1"]:
             cyc = CureCycleSpec(r1=r1, r2=r2, ht1=ht1, ht2=ht2,
-                                hd1=hd1, hd2=hd2, t0=t0, cooldown=cooldown)
+                                hd1=hd1, hd2=hd2, cooldown=cooldown)
             best = max(best, cyc.duration_s)
         return best
 
@@ -156,13 +156,14 @@ def sample(space: DesignSpace, n: int, seed: int) -> list[DesignPoint]:
 class SensorizedInput:
     """Branch-net inputs for one design: bn2 is the normalized air profile
     at N_SENSORS fixed fractions of the global horizon, bn1 the min-max
-    normalized time-invariant scalars (h_top, h_bot, l_tool, l_part)."""
+    normalized time-invariant scalars named by SCALAR_NAMES."""
 
     bn1: np.ndarray
     bn2: np.ndarray
 
     def __post_init__(self):
-        if self.bn2.shape != (N_SENSORS,) or self.bn1.shape != (4,):
+        if self.bn2.shape != (N_SENSORS,) or \
+                self.bn1.shape != (len(SCALAR_NAMES),):
             raise ValueError("bad sensorized input shapes")
 
 
@@ -171,27 +172,26 @@ def normalize_temperature(t_c, t0: float, t_hi: float):
 
 
 def encode(d: DesignPoint, space: DesignSpace, horizon: float,
-           t0: float = 20.0, cooldown: bool = False) -> SensorizedInput:
-    """Encode a design point against its space and the shared time horizon."""
-    cycle = d.cycle(t0=t0, cooldown=cooldown)
+           cooldown: bool = False) -> SensorizedInput:
+    """Encode a design point against its space and the shared time horizon;
+    the air profile is normalized from T0 to the space's hottest air."""
+    cycle = d.cycle(cooldown=cooldown)
     if horizon < cycle.duration_s:
         raise DomainError(
             f"horizon {horizon:.0f}s shorter than cycle {cycle.duration_s:.0f}s")
     times = np.linspace(0.0, horizon, N_SENSORS)
     profile = air_temperature(cycle, times)
-    bn2 = normalize_temperature(profile, t0, space.max_t_air())
-    scalars = np.array([d.h_top, d.h_bot, d.l_tool, d.l_part])
-    names = ("h_top", "h_bot", "l_tool", "l_part")
-    lo = np.array([space.ranges[n][0] for n in names])
-    hi = np.array([space.ranges[n][1] for n in names])
+    bn2 = normalize_temperature(profile, T0, space.max_t_air())
+    scalars = np.array([getattr(d, n) for n in SCALAR_NAMES])
+    lo = np.array([space.ranges[n][0] for n in SCALAR_NAMES])
+    hi = np.array([space.ranges[n][1] for n in SCALAR_NAMES])
     bn1 = (scalars - lo) / (hi - lo)
     return SensorizedInput(bn1=bn1, bn2=bn2)
 
 
-def encode_batch(designs, space, horizon, t0=20.0, cooldown=False):
+def encode_batch(designs, space, horizon, cooldown=False):
     """Stack encodings: returns (bn1 matrix [n,4], bn2 matrix [n,100])."""
-    encs = [encode(d, space, horizon, t0=t0, cooldown=cooldown)
-            for d in designs]
+    encs = [encode(d, space, horizon, cooldown=cooldown) for d in designs]
     return (np.stack([e.bn1 for e in encs]),
             np.stack([e.bn2 for e in encs]))
 

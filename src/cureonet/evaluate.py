@@ -41,12 +41,10 @@ class Metrics:
         return dataclasses.asdict(self)
 
 
-def _cache_name(design: DesignPoint, grid: Grid1D, bc_scale: float,
-                cooldown: bool) -> str:
+def _cache_name(design: DesignPoint, grid: Grid1D, cooldown: bool) -> str:
     payload = json.dumps({
         "design": list(design.as_array()),
         "grid": [grid.n_tool, grid.n_part, grid.dt, grid.t_end],
-        "bc_scale": bc_scale,
         "cooldown": cooldown,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
@@ -58,17 +56,16 @@ MAX_BATCH_FIELD_BYTES = 256 * 2 ** 20
 
 
 def reference_solution(design: DesignPoint, props: MaterialSet, grid: Grid1D,
-                       cache_dir=None, bc_scale: float = 1.0,
+                       cache_dir=None,
                        cooldown: bool = False) -> FieldSolution:
     """Reference solve of one design, cached on disk: the one-design case
     of `reference_solutions`."""
     return reference_solutions([design], props, grid, cache_dir=cache_dir,
-                               bc_scale=bc_scale, cooldown=cooldown)[0]
+                               cooldown=cooldown)[0]
 
 
 def reference_solutions(designs, props: MaterialSet, grid: Grid1D,
-                        cache_dir=None, bc_scale: float = 1.0,
-                        cooldown: bool = False,
+                        cache_dir=None, cooldown: bool = False,
                         n_times: int | None = None) -> list[FieldSolution]:
     """Reference solves of several designs, in order. Cache entries are
     keyed by design + grid and carry the property hash and solver version;
@@ -84,8 +81,8 @@ def reference_solutions(designs, props: MaterialSet, grid: Grid1D,
     for i, design in enumerate(designs):
         if cache_dir is not None:
             paths[i] = os.path.join(cache_dir, "ref_" + _cache_name(
-                design, grid, bc_scale, cooldown) + ".npz")
-            sol = _read_cache_entry(paths[i], stamp, design, bc_scale)
+                design, grid, cooldown) + ".npz")
+            sol = _read_cache_entry(paths[i], stamp, design)
             if sol is not None:
                 out[i] = _thinned(sol, n_times)
                 continue
@@ -94,7 +91,7 @@ def reference_solutions(designs, props: MaterialSet, grid: Grid1D,
     for start in range(0, len(misses), batch):
         chunk = misses[start:start + batch]
         solved = solve_batch([designs[i] for i in chunk], props, grid,
-                             bc_scale=bc_scale, cooldown=cooldown)
+                             cooldown=cooldown)
         for i, sol in zip(chunk, solved):
             if cache_dir is not None:
                 savez_atomic(paths[i], stamp=stamp, times=sol.times,
@@ -114,8 +111,8 @@ def _batch_size(designs, grid: Grid1D, cooldown: bool) -> int:
     return max(1, MAX_BATCH_FIELD_BYTES // per_design)
 
 
-def _read_cache_entry(path, stamp: str, design: DesignPoint,
-                      bc_scale: float) -> FieldSolution | None:
+def _read_cache_entry(path, stamp: str,
+                      design: DesignPoint) -> FieldSolution | None:
     """The cached solution at `path`, or None (with a warning when an entry
     exists but is stale or unreadable)."""
     if not os.path.exists(path):
@@ -126,7 +123,7 @@ def _read_cache_entry(path, stamp: str, design: DesignPoint,
                 return FieldSolution(
                     times=data["times"], t_tool=data["t_tool"],
                     t_part=data["t_part"], alpha=data["alpha"],
-                    design=design, bc_scale=bc_scale)
+                    design=design)
     except (OSError, ValueError, EOFError, KeyError,
             zipfile.BadZipFile) as err:
         warnings.warn(f"reference cache entry {path} is unreadable "
@@ -207,11 +204,10 @@ def evaluate(triplet: OperatorTriplet, test_designs, props: MaterialSet,
 
 
 def midpoint_trace_rel_l2(triplet: OperatorTriplet, ref: FieldSolution,
-                          n_times: int = 201,
                           field_name: str = "part_temperature") -> float:
-    """Relative L2 error of the predicted mid-point trace of one field
-    against the reference solution `ref`."""
-    times = np.linspace(0.0, ref.times[-1], n_times)
+    """Relative L2 error of the predicted mid-point trace of one field, at
+    201 times, against the reference solution `ref`."""
+    times = np.linspace(0.0, ref.times[-1], 201)
     ref_trace = probe(ref, 0.5, times, field_name)
     pred = predict_field(triplet, ref.design, times, n_tool=3, n_part=3)
     pred_trace = probe(pred, 0.5, times, field_name)
@@ -219,15 +215,14 @@ def midpoint_trace_rel_l2(triplet: OperatorTriplet, ref: FieldSolution,
                  / max(np.linalg.norm(ref_trace), 1e-30))
 
 
-def exotherm_window_max_error(triplet: OperatorTriplet, ref: FieldSolution,
-                              window_s: float = 900.0,
-                              n_times: int = 121) -> float:
-    """Max absolute part-temperature error inside a time window around the
-    exotherm of the reference solution `ref`, on `ref`'s nodes."""
+def exotherm_window_max_error(triplet: OperatorTriplet,
+                              ref: FieldSolution) -> float:
+    """Max absolute part-temperature error within 900 s of the exotherm of
+    the reference solution `ref`, at 121 times and `ref`'s nodes."""
     _t_max, t_at, _x = exotherm(ref)
-    lo = max(0.0, t_at - window_s)
-    hi = min(ref.times[-1], t_at + window_s)
-    times = np.linspace(lo, hi, n_times)
+    lo = max(0.0, t_at - 900.0)
+    hi = min(ref.times[-1], t_at + 900.0)
+    times = np.linspace(lo, hi, 121)
     pred = predict_field(triplet, ref.design, times,
                          n_tool=ref.t_tool.shape[1],
                          n_part=ref.t_part.shape[1])
@@ -312,13 +307,13 @@ def ablation_run(kind: str, setup: AblationSetup, out_dir=None) -> dict:
     return report
 
 
-def export_plot_data(triplet: OperatorTriplet, ref: FieldSolution, path,
-                     n_times: int = 201) -> None:
-    """Mid-point trace comparison CSV against the reference solution `ref`:
-    (time_s, T_air_C, T_mid_pred_C, T_mid_ref_C, alpha_mid_pred,
-    alpha_mid_ref)."""
-    times = np.linspace(0.0, ref.times[-1], n_times)
-    cycle = ref.design.cycle(t0=triplet.t0, cooldown=triplet.cooldown)
+def export_plot_data(triplet: OperatorTriplet, ref: FieldSolution,
+                     path) -> None:
+    """Mid-point trace comparison CSV against the reference solution `ref`,
+    201 rows of (time_s, T_air_C, T_mid_pred_C, T_mid_ref_C,
+    alpha_mid_pred, alpha_mid_ref)."""
+    times = np.linspace(0.0, ref.times[-1], 201)
+    cycle = ref.design.cycle(cooldown=triplet.cooldown)
     t_air = air_temperature(cycle, times)
     pred = predict_field(triplet, ref.design, times, n_tool=3, n_part=3)
     t_ref = probe(ref, 0.5, times, "part_temperature")

@@ -33,9 +33,9 @@ import numpy as np
 from .autodiff import Jet2, value_of
 from .design import encode_batch
 from .operator import OperatorTriplet, decode_stratified, merged_branch
-from .process import (MaterialSet, air_temperature, bc_residuals,
-                      celsius_to_kelvin, continuity_residuals, cure_rate,
-                      pde_residual_part, pde_residual_tool)
+from .process import (ALPHA_INIT, MaterialSet, air_temperature,
+                      bc_residuals, celsius_to_kelvin, continuity_residuals,
+                      cure_rate, pde_residual_part, pde_residual_tool)
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class CollocationSet:
     one block per internal boundary, and initial-condition points one
     block; each block holds every design's points in design order."""
 
-    designs: list
     bn1: np.ndarray            # (N, 4)
     bn2: np.ndarray            # (N, 100)
     l_tool: np.ndarray         # (N,)
@@ -115,7 +114,7 @@ def sample_collocation(triplet: OperatorTriplet, designs,
     rng = np.random.default_rng(seed)
     n = len(designs)
     bn1, bn2 = encode_batch(designs, triplet.space, triplet.horizon,
-                            t0=triplet.t0, cooldown=triplet.cooldown)
+                            cooldown=triplet.cooldown)
     boundaries = triplet.g_tc.config.boundaries
 
     def draw(q):
@@ -144,13 +143,13 @@ def sample_collocation(triplet: OperatorTriplet, designs,
 
     ta_bc = np.empty_like(bc_tau)
     for i, d in enumerate(designs):
-        cycle = d.cycle(t0=triplet.t0, cooldown=triplet.cooldown)
+        cycle = d.cycle(cooldown=triplet.cooldown)
         rows = bc_idx == i
         ta_bc[rows] = air_temperature(cycle, bc_tau[rows] * triplet.horizon)
 
     arr = lambda name: np.array([getattr(d, name) for d in designs])
     return CollocationSet(
-        designs=list(designs), bn1=bn1, bn2=bn2,
+        bn1=bn1, bn2=bn2,
         l_tool=arr("l_tool"), l_part=arr("l_part"),
         h_top=arr("h_top"), h_bot=arr("h_bot"),
         int_x=int_x, int_tau=int_tau, int_idx=int_idx,
@@ -244,8 +243,8 @@ def _mean_sq(r, total: int):
 
 def loss_ic(net, merged, cset: CollocationSet, target: float = 0.0):
     """Initial-condition loss of one operator at tau = 0 against `target`
-    in normalized output units: 0 is the start temperature; the cure
-    operator's target is alpha_init."""
+    in normalized output units: 0 is the start temperature T0; the cure
+    operator's target is ALPHA_INIT."""
     jet = _flat_eval(net, merged, cset.ic_x, np.zeros_like(cset.ic_x),
                      blocks=[0])
     return _mean_sq(jet.value - target, cset.ic_x.size)
@@ -398,7 +397,7 @@ def loss_groups(nets: dict, merged: dict, triplet: OperatorTriplet,
         yield interface("tt")
     if phase != PHASE_TEMPERATURE:
         yield {"ic_alpha": loss_ic(nets["alpha"], merged["alpha"], cset,
-                                   target=triplet.alpha_init)}
+                                   target=ALPHA_INIT)}
         yield {"ode": loss_ode(nets, merged, cset, props, horizon)}
         yield interface("alpha")
 

@@ -23,8 +23,9 @@ import numpy as np
 
 from .autodiff import (Jet2, MlpParams, Var, dense_layers, mlp_forward_jet,
                        value_of)
-from .design import (DesignPoint, DesignSpace, SensorizedInput, encode,
-                     normalize_query)
+from .design import (N_SENSORS, SCALAR_NAMES, DesignPoint, DesignSpace,
+                     SensorizedInput, encode, normalize_query)
+from .process import ALPHA_INIT, T0
 from .solver import FieldSolution
 
 # smaller subdomains concentrated where the cure transition tends to sit
@@ -38,7 +39,8 @@ NETS = ("bn1", "bn2", "trunk", "dec")
 class OperatorConfig:
     """Architecture of one operator: all subnets are tanh MLPs with
     `hidden_layers` x `hidden_width`, latent width q shared by branches and
-    trunk; one decoder per temporal subdomain."""
+    trunk; one decoder per temporal subdomain. Branch input widths are the
+    encoding's (SCALAR_NAMES, N_SENSORS)."""
 
     q: int = 50
     hidden_width: int = 50
@@ -46,8 +48,6 @@ class OperatorConfig:
     n_subdomains: int = 7
     boundaries: tuple = None
     decoder: str = "nonlinear"     # or "linear"
-    bn1_width: int = 4
-    bn2_width: int = 100
 
     def __post_init__(self):
         if self.q < 1 or self.hidden_width < 1 or self.hidden_layers < 1:
@@ -73,8 +73,8 @@ class OperatorConfig:
         """Layer sizes of each subnet in NETS (one decoder for `dec`)."""
         hidden = [self.hidden_width] * self.hidden_layers
         dec = [self.q] + (hidden if self.decoder == "nonlinear" else []) + [1]
-        return {"bn1": [self.bn1_width] + hidden + [self.q],
-                "bn2": [self.bn2_width] + hidden + [self.q],
+        return {"bn1": [len(SCALAR_NAMES)] + hidden + [self.q],
+                "bn2": [N_SENSORS] + hidden + [self.q],
                 "trunk": [2] + hidden + [self.q], "dec": dec}
 
     def segments(self) -> list[tuple[float, float]]:
@@ -143,16 +143,17 @@ def init(config: OperatorConfig, seed: int,
 @dataclass
 class OperatorTriplet:
     """Three independent operators (part T, tool T, degree of cure) sharing
-    a design space, time horizon, and subdomain partition but no weights."""
+    a design space, time horizon, and subdomain partition but no weights.
+    Its class attributes t0 and alpha_init are T0 and ALPHA_INIT."""
 
     g_tc: DeepONetModel
     g_tt: DeepONetModel
     g_alpha: DeepONetModel
     space: DesignSpace
     horizon: float
-    t0: float = 20.0
-    alpha_init: float = 0.05
     cooldown: bool = False
+    t0 = T0
+    alpha_init = ALPHA_INIT
 
     def __post_init__(self):
         b = self.g_tc.config.boundaries
@@ -166,30 +167,27 @@ class OperatorTriplet:
     def copy(self) -> "OperatorTriplet":
         return OperatorTriplet(self.g_tc.copy(), self.g_tt.copy(),
                                self.g_alpha.copy(), self.space, self.horizon,
-                               t0=self.t0, alpha_init=self.alpha_init,
                                cooldown=self.cooldown)
 
     @property
     def delta_t(self) -> float:
         """Temperature normalization span (degC)."""
-        return self.space.t_ref() - self.t0
+        return self.space.t_ref() - T0
 
 
 def init_triplet(config: OperatorConfig, space: DesignSpace, seed: int,
-                 t0: float = 20.0, alpha_init: float = 0.05,
-                 cooldown: bool = False,
-                 horizon: float | None = None) -> OperatorTriplet:
+                 cooldown: bool = False) -> OperatorTriplet:
     """Three independently initialized operators with the temperature models
-    denormalizing to [t0, t_ref] and the cure model passing through."""
-    if horizon is None:
-        horizon = space.max_cycle_duration(t0=t0, cooldown=cooldown)
-    t_scale = space.t_ref() - t0
+    denormalizing to [T0, t_ref] and the cure model passing through, over
+    the horizon of the space's longest cycle."""
+    t_scale = space.t_ref() - T0
     rng_seeds = np.random.SeedSequence(seed).generate_state(3)
-    g_tc = init(config, int(rng_seeds[0]), out_offset=t0, out_scale=t_scale)
-    g_tt = init(config, int(rng_seeds[1]), out_offset=t0, out_scale=t_scale)
+    g_tc = init(config, int(rng_seeds[0]), out_offset=T0, out_scale=t_scale)
+    g_tt = init(config, int(rng_seeds[1]), out_offset=T0, out_scale=t_scale)
     g_alpha = init(config, int(rng_seeds[2]), out_offset=0.0, out_scale=1.0)
-    return OperatorTriplet(g_tc, g_tt, g_alpha, space, horizon,
-                           t0=t0, alpha_init=alpha_init, cooldown=cooldown)
+    return OperatorTriplet(g_tc, g_tt, g_alpha, space,
+                           space.max_cycle_duration(cooldown=cooldown),
+                           cooldown=cooldown)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -325,7 +323,7 @@ def predict_field(triplet: OperatorTriplet, design: DesignPoint,
     the clamp count is reported in meta."""
     times = np.asarray(times, dtype=np.float64)
     taus = normalize_query(0.0, times, triplet.horizon)[1]
-    u = encode(design, triplet.space, triplet.horizon, t0=triplet.t0,
+    u = encode(design, triplet.space, triplet.horizon,
                cooldown=triplet.cooldown)
     x1 = np.linspace(0.0, 1.0, n_tool)
     x2 = np.linspace(0.0, 1.0, n_part)
@@ -366,7 +364,9 @@ def model_meta(model: DeepONetModel) -> dict:
 
 
 def model_from_state(meta: dict, arrays: dict, prefix: str) -> DeepONetModel:
-    config = OperatorConfig(**meta["config"])
+    # older files carry the branch widths, now fixed by the encoding
+    config = OperatorConfig(**{k: v for k, v in meta["config"].items()
+                               if k not in ("bn1_width", "bn2_width")})
     stored = [tuple(s) for s in meta.get("segments", config.segments())]
     if stored != config.segments():
         raise ValueError(f"{prefix}: stored segments {stored} differ from "

@@ -25,7 +25,10 @@ import numpy as np
 from .autodiff import Jet2, clip, exp
 
 KELVIN_OFFSET = 273.15
+T0 = 20.0          # start temperature of every run (tool, part, air), degC
+ALPHA_INIT = 0.05  # start degree of cure of every run
 ALPHA_EPS = 1e-9  # guard for fractional powers near alpha = 0 or 1
+T_FLOOR_K = 180.0  # kinetics temperature floor, K
 PROPERTY_SCHEMA_VERSION = 1
 
 
@@ -171,11 +174,11 @@ def cure_rate(alpha, t_kelvin, p: CureKineticsParams):
 
     alpha is clamped to [ALPHA_EPS, 1-ALPHA_EPS] so that the fractional
     powers stay defined for out-of-range iterates, and temperature is
-    floored at 180 K (network predictions roam before convergence); the
+    floored at T_FLOOR_K (network predictions roam before convergence); the
     unclamped law is `cure_rate_law`.
     """
     alpha = clip(alpha, ALPHA_EPS, 1.0 - ALPHA_EPS)
-    t_kelvin = clip(t_kelvin, 180.0, None)
+    t_kelvin = clip(t_kelvin, T_FLOOR_K, None)
     return cure_rate_law(t_kelvin, p)(alpha)
 
 
@@ -207,7 +210,7 @@ class CureCycleSpec:
     ht2: float     # degC
     hd1: float     # min
     hd2: float     # min
-    t0: float = 20.0
+    t0: float = T0
     cooldown: bool = False
 
     def __post_init__(self):

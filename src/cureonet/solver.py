@@ -11,7 +11,8 @@ at the new time level, which keeps the scheme second order in space and time.
 `solve_batch`, the one entry point, marches designs in lockstep on
 (designs, nodes) arrays: each design's conduction matrix is inverted once,
 so a step is one batched matrix-vector product, and the kinetics run as one
-RK4 over designs x nodes. One design is a batch of one.
+RK4 over designs x nodes. One design is a batch of one. Every design starts
+from process.T0 and process.ALPHA_INIT.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from . import __version__ as code_version
 from .design import DesignPoint
-from .process import (ALPHA_EPS, CureKineticsParams, DomainError,
-                      MaterialSet, air_temperature, celsius_to_kelvin,
-                      cure_rate_law)
+from .process import (ALPHA_EPS, ALPHA_INIT, T0, T_FLOOR_K,
+                      CureKineticsParams, DomainError, MaterialSet,
+                      air_temperature, celsius_to_kelvin, cure_rate_law)
 
 KINETICS_SUBSTEPS = 4  # RK4 sub-steps of the cure ODE per conduction step
 
@@ -93,7 +94,6 @@ class FieldSolution:
 
 def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
                 bc_scale: float = 1.0, cooldown: bool = False,
-                t0: float = 20.0, alpha_init: float = 0.05,
                 forcing: MmsForcing | None = None,
                 air_override=None,
                 store_every: int = 1) -> list[FieldSolution]:
@@ -125,7 +125,7 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     x1 = np.linspace(0.0, 1.0, n1)
     x2 = np.linspace(0.0, 1.0, n2)
 
-    cycles = [d.cycle(t0=t0, cooldown=cooldown) for d in designs]
+    cycles = [d.cycle(cooldown=cooldown) for d in designs]
     n_steps = np.array([
         max(1, int(round((grid.t_end if grid.t_end is not None
                           else c.duration_s) / dt))) for c in cycles])
@@ -163,12 +163,12 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
             air[b] = air_temperature(cycle, dt * np.arange(1, n_max + 1))
 
     fz = forcing or MmsForcing()
-    u = np.full((n_designs, n), t0, dtype=np.float64)
+    u = np.full((n_designs, n), T0, dtype=np.float64)
     if fz.ic_tool is not None:
         u[:, :n1] = fz.ic_tool(x1)
     if fz.ic_part is not None:
         u[:, n1:] = fz.ic_part(x2)
-    alpha = np.full((n_designs, n2), alpha_init, dtype=np.float64)
+    alpha = np.full((n_designs, n2), ALPHA_INIT, dtype=np.float64)
 
     # one output array per design and field, written row by row; a step's
     # row is ceil(step / store_every), so a last step off the stride gets one
@@ -290,9 +290,9 @@ def _advance_alpha(alpha, t_part_c, p: CureKineticsParams, dt, substeps):
     """Sub-stepped RK4 on the cure ODE with temperature frozen at the start
     of the conduction step, so the Arrhenius factor and the critical degree
     of cure are computed once per step. Each stage rate is the guarded
-    `cure_rate` (same clamps, same `cure_rate_law`). Monotone: every stage
-    rate is nonnegative."""
-    law = cure_rate_law(np.maximum(celsius_to_kelvin(t_part_c), 180.0), p)
+    `cure_rate` (the same ALPHA_EPS and T_FLOOR_K clamps, the same
+    `cure_rate_law`). Monotone: every stage rate is nonnegative."""
+    law = cure_rate_law(np.maximum(celsius_to_kelvin(t_part_c), T_FLOOR_K), p)
 
     def rate(a):
         return law(np.minimum(np.maximum(a, ALPHA_EPS), 1.0 - ALPHA_EPS))

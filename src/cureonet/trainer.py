@@ -26,9 +26,10 @@ from .losses import (COMPONENT_NAMES, PHASE_ALL, PHASE_CURE, PHASE_MODELS,
                      merged_branches, sample_collocation, total_loss)
 from .operator import (OperatorTriplet, model_from_state, model_meta,
                        model_state, taped_triplet)
-from .process import MaterialSet
+from .process import ALPHA_INIT, T0, MaterialSet
 
 CHECKPOINT_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainerError(RuntimeError):
@@ -65,6 +66,9 @@ class TrainPlan:
                self.phase_epochs_temp, self.phase_epochs_cure,
                self.curriculum_stages, self.designs_per_draw) < 1:
             raise ValueError("plan counts must be positive")
+        if self.curriculum and self.curriculum_stages < 2:
+            raise ValueError("a curriculum needs at least 2 stages, so that "
+                             "its last one has heat generation on")
 
     def bc_scales(self) -> list[float]:
         if not self.curriculum:
@@ -84,9 +88,6 @@ class AdamState:
     m: list
     v: list
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_arrays(arrays) -> "AdamState":
@@ -103,7 +104,7 @@ def adam_step(params: list, grads: list, state: AdamState, rate: float):
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient("non-finite gradient in optimizer step")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -111,7 +112,7 @@ def adam_step(params: list, grads: list, state: AdamState, rate: float):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p -= rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
@@ -344,8 +345,6 @@ def _make_checkpoint(triplet, adam, plan, seed, designs, weights,
                   "ranges": {k: list(v)
                              for k, v in triplet.space.ranges.items()}},
         "horizon": triplet.horizon,
-        "t0": triplet.t0,
-        "alpha_init": triplet.alpha_init,
         "cooldown": triplet.cooldown,
         "history": [asdict(r) for r in history.records],
     }
@@ -388,8 +387,13 @@ def load_checkpoint(path) -> dict:
 
 
 def triplet_from_checkpoint(ck: dict) -> tuple[OperatorTriplet, list]:
-    """Rebuild the operator triplet and its training designs."""
+    """Rebuild the operator triplet and its training designs. An older
+    file's `t0` and `alpha_init` must be the start state, T0 and ALPHA_INIT."""
     meta, arrays = ck["meta"], ck["arrays"]
+    start = (meta.get("t0", T0), meta.get("alpha_init", ALPHA_INIT))
+    if start != (T0, ALPHA_INIT):
+        raise TrainerError(f"checkpoint start state (t0, alpha_init) {start} "
+                           f"is not {(T0, ALPHA_INIT)}")
     space = DesignSpace(meta["space"]["label"],
                         {k: tuple(v)
                          for k, v in meta["space"]["ranges"].items()})
@@ -397,8 +401,6 @@ def triplet_from_checkpoint(ck: dict) -> tuple[OperatorTriplet, list]:
               for name in ("tc", "tt", "alpha")}
     triplet = OperatorTriplet(models["tc"], models["tt"], models["alpha"],
                               space, float(meta["horizon"]),
-                              t0=float(meta["t0"]),
-                              alpha_init=float(meta["alpha_init"]),
                               cooldown=bool(meta["cooldown"]))
     designs = [DesignPoint.from_array(row) for row in arrays["designs"]]
     return triplet, designs

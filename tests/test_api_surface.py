@@ -2,9 +2,15 @@
 `src/cureonet`, and every public method of its classes, must be named
 somewhere other than its own definition, in the package itself (re-exports
 in `__init__.py` do not count) or in the benchmark harness under
-`perfbench/`. Anything only the tests call belongs in the tests."""
+`perfbench/`. Anything only the tests call belongs in the tests.
+
+A second guard asks the same of options: every defaulted parameter of a
+public function or method must be passed, by keyword or by position, at
+some call in the package, the benchmark harness or the tests. A parameter
+that only its default reaches is not an option but a constant."""
 
 import ast
+import math
 import pathlib
 from collections import Counter
 
@@ -61,6 +67,73 @@ def unused_public_api(root=ROOT) -> list:
     return unused
 
 
+def _calls(node) -> dict:
+    """Per callee name, the (positional count, keyword names) of each call
+    in a syntax tree. A starred argument counts as every position, and a
+    `**` splat as every keyword (its name is None)."""
+    out = {}
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) \
+            else getattr(func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        out.setdefault(name, []).append(
+            (math.inf if starred else len(call.args),
+             {k.arg for k in call.keywords}))
+    return out
+
+
+def _defaulted(definition, method: bool) -> list:
+    """(name, call position) of each defaulted parameter of a function;
+    a method's self is no call position, and a keyword-only parameter has
+    none (None)."""
+    a = definition.args
+    positional = a.posonlyargs + a.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in definition.decorator_list)
+    shift = 1 if method and not static else 0
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, i - shift) for i, p in enumerate(positional) if i >= first]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _passes(calls, name: str, param: str, position) -> int:
+    return sum(param in keywords or None in keywords
+               or (position is not None and n_pos > position)
+               for n_pos, keywords in calls.get(name, []))
+
+
+def defaults_never_passed(root=ROOT) -> list:
+    package = root / "src" / "cureonet"
+    sources = sorted(package.glob("*.py")) \
+        + sorted((root / "perfbench").glob("*.py")) \
+        + sorted((root / "tests").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sources}
+    everywhere = {}
+    for tree in trees.values():
+        for name, seen in _calls(tree).items():
+            everywhere.setdefault(name, []).extend(seen)
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != package or path.name == "__init__.py":
+            continue
+        for qualname, definition in _public_defs(tree):
+            if not isinstance(definition, ast.FunctionDef):
+                continue
+            name = definition.name
+            # calls inside the definition itself do not count
+            inside = _calls(definition)
+            for param, position in _defaulted(definition, "." in qualname):
+                if _passes(everywhere, name, param, position) \
+                        == _passes(inside, name, param, position):
+                    unused.append(f"{path.stem}.{qualname}({param})")
+    return unused
+
+
 def test_every_public_definition_has_a_caller_outside_the_tests():
     assert unused_public_api() == []
 
@@ -81,6 +154,31 @@ def test_the_guard_sees_a_definition_nobody_names(tmp_path):
     (tmp_path / "src" / "cureonet" / "__init__.py").write_text(
         "from .a import lonely\n\n__all__ = ['lonely']\n")
     assert unused_public_api(tmp_path) == ["a.lonely", "a.Box.alone"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    assert defaults_never_passed() == []
+
+
+def test_the_guard_sees_a_default_nobody_passes(tmp_path):
+    for where in ("src/cureonet", "perfbench", "tests"):
+        (tmp_path / where).mkdir(parents=True)
+    (tmp_path / "src" / "cureonet" / "a.py").write_text(
+        "def f(x, by_keyword=1, by_position=2, never=3, *, only_kw=4):\n"
+        "    return f(x, never=never)\n\n\n"
+        "class Box:\n"
+        "    def m(self, passed=1, alone=2):\n        return passed\n\n"
+        "    @staticmethod\n"
+        "    def s(passed=1):\n        return passed\n\n"
+        "    def _hidden(self, x=1):\n        return x\n\n\n"
+        "def g(x=1):\n    return x\n")
+    (tmp_path / "perfbench" / "b.py").write_text(
+        "from cureonet.a import Box, f\n\n"
+        "f(0, 1, 2)\nBox().m(1)\nBox.s(1)\n")
+    (tmp_path / "tests" / "test_c.py").write_text(
+        "from cureonet.a import f, g\n\nf(0, by_keyword=1)\ng(*[1])\n")
+    assert defaults_never_passed(tmp_path) == [
+        "a.f(never)", "a.f(only_kw)", "a.Box.m(alone)"]
 
 
 def test_every_name_in_all_exists_on_the_package():

@@ -305,6 +305,34 @@ def test_cli_simulate_rejects_a_negative_htc(tmp_path, capsys):
     assert not (tmp_path / "out" / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("section, entries", [
+    # at the default dt = 1 s, the misspelt dt_s would run 16 steps, not 2
+    ("grid", {"n_tool": 5, "n_part": 5, "t_end": 16, "dt_s": 8}),
+    ("design", {**SIM_CONFIG["design"], "dt_s": 8})])
+def test_cli_simulate_refuses_an_unknown_key(tmp_path, capsys, section,
+                                             entries):
+    cfg = _write(tmp_path / "sim.json", {**SIM_CONFIG, section: entries})
+    code = main(["simulate", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: TypeError: ") and "'dt_s'" in err[0]
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_cli_train_refuses_a_one_stage_curriculum(tmp_path, capsys):
+    cfg = _write(tmp_path / "train.json", {
+        **TRAIN_CONFIG, "plan": {**TRAIN_CONFIG["plan"], "curriculum": True,
+                                 "curriculum_stages": 1}})
+    code = main(["train", "--config", cfg, "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ValueError: a curriculum needs at least")
+    assert not (tmp_path / "checkpoint.npz").exists()
+
+
 def test_cli_evaluate_rejects_a_negative_thickness(tmp_path, capsys):
     cfg = _write(tmp_path / "train.json", TRAIN_CONFIG)
     out = tmp_path / "run"

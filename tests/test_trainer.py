@@ -119,6 +119,14 @@ def test_epoch_schedule_structure():
     assert phases == (["temperature"] * 10 + ["cure"] * 10) * 2
 
 
+def test_a_curriculum_of_one_stage_is_refused():
+    # its one stage would run at bc_scale 0: heat generation never turns on
+    with pytest.raises(ValueError, match="at least 2 stages"):
+        TrainPlan(curriculum=True, curriculum_stages=1)
+    assert TrainPlan(curriculum=False, curriculum_stages=1).bc_scales() \
+        == [1.0]
+
+
 def test_epoch_schedule_without_curriculum():
     plan = TrainPlan(epochs=20, curriculum=False, phase_epochs_temp=3,
                      phase_epochs_cure=2)
@@ -238,6 +246,23 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert [tuple(d.as_array()) for d in designs] == \
         [tuple(d.as_array()) for d in DESIGNS]
     assert rebuilt.horizon == triplet.horizon
+
+
+def test_checkpoint_stores_no_start_state_and_refuses_another(tmp_path):
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=3)
+    train(triplet, DESIGNS, quick_plan(epochs=1), PROPS_NO_HEAT, seed=9,
+          loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    ck = load_checkpoint(tmp_path / "checkpoint.npz")
+    assert not {"t0", "alpha_init"} & set(ck["meta"])
+    assert not {"bn1_width", "bn2_width"} \
+        & set(ck["meta"]["models"]["tc"]["config"])
+    # an older file names the start state: it loads only if it is T0 and
+    # ALPHA_INIT
+    ck["meta"].update(t0=20.0, alpha_init=0.05)
+    assert triplet_from_checkpoint(ck)[0].t0 == 20.0
+    ck["meta"]["t0"] = 30.0
+    with pytest.raises(TrainerError, match="start state"):
+        triplet_from_checkpoint(ck)
 
 
 def test_checkpoint_version_mismatch_rejected(tmp_path):

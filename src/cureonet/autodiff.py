@@ -447,8 +447,11 @@ def dense(jet: Jet2, w, b, act: bool, blocks=None) -> Jet2:
     def scatter(g, shape):
         if blocks is None:
             return g
+        # block by block in C order, the order np.add.at adds in, so
+        # repeated blocks accumulate to the same bits
         full = np.zeros(shape)
-        np.add.at(full, blocks, g)
+        for k, g_k in zip(blocks.ravel(), g.reshape(-1, *shape[1:])):
+            full[k] += g_k
         return full
 
     parents = _shared_pulls(vjp, (

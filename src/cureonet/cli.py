@@ -18,17 +18,32 @@ from .evaluate import (AblationSetup, ablation_run, evaluate, export_plot_data,
                        reference_solution)
 from .losses import CollocationConfig, LossWeights
 from .operator import OperatorConfig, init_triplet, predict_field
-from .process import load_material_set
+from .process import load_material_set, write_json_atomic
 from .solver import Grid1D, export_solution_csv, solve_batch, write_manifest
 from .trainer import (TrainPlan, load_checkpoint, train,
                       triplet_from_checkpoint)
+
+
+# The top-level config keys some subcommand reads. Every subcommand accepts
+# all of them, since one train.json serves train, evaluate and ablate; any
+# other key is refused, so a misspelt one does not silently fall back to
+# its default.
+CONFIG_KEYS = frozenset({
+    "space", "narrow", "properties_file", "zero_heat_generation", "design",
+    "grid", "bc_scale", "cooldown", "store_every", "seed", "design_seed",
+    "n_designs", "plan", "operator", "weights", "collocation",
+    "n_test_designs", "test_seed", "nd_list"})
 
 
 def _read_config(path) -> dict:
     if path is None:
         return {}
     with open(path) as f:
-        return json.load(f)
+        cfg = json.load(f)
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown} in {path}")
+    return cfg
 
 
 def _space_from_config(cfg: dict) -> DesignSpace:
@@ -151,10 +166,7 @@ def cmd_evaluate(args) -> int:
                        cache_dir=cache_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "metrics.json")
-    with open(path, "w") as f:
-        json.dump({k: m.as_dict() for k, m in metrics.items()}, f,
-                  indent=2, sort_keys=True)
-        f.write("\n")
+    write_json_atomic(path, {k: m.as_dict() for k, m in metrics.items()})
     for name, m in metrics.items():
         print(f"{name}: rel_l2={m.rel_l2:.4e} mae={m.mae:.4g} "
               f"max_abs={m.max_abs_err:.4g}")

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import T0, CureCycleSpec, DomainError, air_temperature
+from .process import (T0, CureCycleSpec, DomainError, air_temperature,
+                      atomic_write)
 
 N_SENSORS = 100          # air-profile samples fed to the cycle branch net
 SCALAR_NAMES = ("h_top", "h_bot", "l_tool", "l_part")  # scalar branch input
@@ -212,7 +213,7 @@ def normalize_query(x, t, horizon: float):
 
 def save_designs(path, designs, space: DesignSpace, seed: int) -> None:
     """One row per design; floats stored with full round-trip precision."""
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(list(VARIABLE_NAMES) + ["seed", "space"])
         for d in designs:

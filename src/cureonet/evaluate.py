@@ -20,9 +20,10 @@ from .design import DesignPoint, DesignSpace
 from .losses import CollocationConfig, LossWeights
 from .operator import (OperatorConfig, OperatorTriplet, init_triplet,
                        predict_field)
-from .process import MaterialSet, air_temperature
+from .process import (MaterialSet, air_temperature, atomic_write,
+                      savez_atomic, write_json_atomic)
 from .solver import FieldSolution, Grid1D, exotherm, probe, solve_batch
-from .trainer import TrainPlan, savez_atomic, train
+from .trainer import TrainPlan, train
 
 
 @dataclass(frozen=True)
@@ -300,10 +301,8 @@ def ablation_run(kind: str, setup: AblationSetup, out_dir=None) -> dict:
 
     report = {"kind": kind, "seed": setup.seed, "variants": reports}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"ablation_{kind}.json"), "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json_atomic(os.path.join(out_dir, f"ablation_{kind}.json"),
+                          report)
     return report
 
 
@@ -318,7 +317,7 @@ def export_plot_data(triplet: OperatorTriplet, ref: FieldSolution,
     pred = predict_field(triplet, ref.design, times, n_tool=3, n_part=3)
     t_ref = probe(ref, 0.5, times, "part_temperature")
     a_ref = probe(ref, 0.5, times, "alpha")
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["time_s", "T_air_C", "T_mid_pred_C", "T_mid_ref_C",
                          "alpha_mid_pred", "alpha_mid_ref"])

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -163,6 +165,43 @@ def load_material_set(path=None) -> MaterialSet:
         schema_version=version,
         source=source,
     )
+
+
+# -- files -------------------------------------------------------------------
+
+
+@contextmanager
+def atomic_write(path, mode="w", **open_kw):
+    """Open a temp file in `path`'s directory for the block to write, then
+    rename it over `path`: a reader sees the old file or the whole new one.
+    If the block raises, the temp file is removed and `path` is untouched.
+    Every file the package writes goes through here."""
+    directory, name = os.path.split(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    # exclusive creation: a new file, with the permissions a plain open gives
+    f = open(tmp, mode.replace("w", "x"), **open_kw)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def savez_atomic(path, **arrays) -> None:
+    """`np.savez` through `atomic_write`."""
+    with atomic_write(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+def write_json_atomic(path, obj) -> None:
+    """Indented, key-sorted JSON with a final newline, through
+    `atomic_write`."""
+    with atomic_write(path) as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 # -- cure kinetics ---------------------------------------------------------

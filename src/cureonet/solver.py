@@ -18,7 +18,6 @@ from process.T0 and process.ALPHA_INIT.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +27,8 @@ from . import __version__ as code_version
 from .design import DesignPoint
 from .process import (ALPHA_EPS, ALPHA_INIT, T0, T_FLOOR_K,
                       CureKineticsParams, DomainError, MaterialSet,
-                      air_temperature, celsius_to_kelvin, cure_rate_law)
+                      air_temperature, atomic_write, celsius_to_kelvin,
+                      cure_rate_law, write_json_atomic)
 
 KINETICS_SUBSTEPS = 4  # RK4 sub-steps of the cure ODE per conduction step
 
@@ -353,7 +353,7 @@ def probe(sol: FieldSolution, x, t, field_name: str):
 
 def export_solution_csv(sol: FieldSolution, path) -> None:
     """Rows: (time_s, x_local, material, T_C, alpha); alpha blank for tool."""
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["time_s", "x_local", "material", "T_C", "alpha"])
         x1, x2 = sol.x_tool, sol.x_part
@@ -386,6 +386,4 @@ def run_manifest(sol: FieldSolution, props: MaterialSet) -> dict:
 
 
 def write_manifest(sol: FieldSolution, props: MaterialSet, path) -> None:
-    with open(path, "w") as f:
-        json.dump(run_manifest(sol, props), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json_atomic(path, run_manifest(sol, props))

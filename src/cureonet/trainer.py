@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,7 +25,8 @@ from .losses import (COMPONENT_NAMES, PHASE_ALL, PHASE_CURE, PHASE_MODELS,
                      merged_branches, sample_collocation, total_loss)
 from .operator import (OperatorTriplet, model_from_state, model_meta,
                        model_state, taped_triplet)
-from .process import ALPHA_INIT, T0, MaterialSet
+from .process import (ALPHA_INIT, T0, MaterialSet, atomic_write,
+                      savez_atomic)
 
 CHECKPOINT_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -138,7 +138,7 @@ class TrainHistory:
 
 
 def history_to_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "stage", "bc_scale", "phase", "lr_temp",
                          "lr_cure", "total", *COMPONENT_NAMES])
@@ -209,7 +209,7 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
         _check_same_run(ck, seed, plan, weights, loss_config, designs)
-        _restore_triplet(triplet, ck)
+        _copy_weights(triplet, triplet_from_checkpoint(ck)[0])
         for phase, state in adam.items():
             _restore_adam(state, ck, _ADAM_TAGS[phase])
         start_epoch = ck["meta"]["epoch"] + 1
@@ -218,9 +218,9 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
     schedule = _epoch_schedule(plan)
     stage_start_total = None
     last_stage = None
-    last_good = _make_checkpoint(triplet, adam, plan, seed, designs, weights,
-                                 loss_config, epoch=start_epoch - 1,
-                                 history=history)
+    # the weights the divergence guard restores; the Adam moments are not
+    # kept, since a diverged run ends
+    last_good = triplet.copy()
 
     def full_breakdown(epoch, bc_scale):
         key = [seed, 7002, epoch]
@@ -257,7 +257,7 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
                 history.diverged = True
                 break
         if history.diverged:
-            _restore_triplet(triplet, last_good)
+            _copy_weights(triplet, last_good)
             break
 
         bd = full_breakdown(epoch, bc_scale)
@@ -274,21 +274,20 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
         if not np.isfinite(record.total) \
                 or record.total > plan.divergence_factor * stage_start_total:
             history.diverged = True
-            _restore_triplet(triplet, last_good)
+            _copy_weights(triplet, last_good)
             break
 
         if (epoch + 1) % plan.checkpoint_every == 0 \
                 or epoch == len(schedule) - 1:
-            last_good = _make_checkpoint(triplet, adam, plan, seed, designs,
-                                         weights, loss_config, epoch=epoch,
-                                         history=history)
+            _copy_weights(last_good, triplet)
             if out_dir is not None:
-                os.makedirs(out_dir, exist_ok=True)
                 save_checkpoint(os.path.join(out_dir, "checkpoint.npz"),
-                                last_good)
+                                _make_checkpoint(triplet, adam, plan, seed,
+                                                 designs, weights,
+                                                 loss_config, epoch=epoch,
+                                                 history=history))
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         history_to_csv(history, os.path.join(out_dir, "history.csv"))
     return triplet, history
 
@@ -321,16 +320,16 @@ def _sweep_by_group(nets, names, triplet, cset, props, bc_scale, phase,
 
 def _make_checkpoint(triplet, adam, plan, seed, designs, weights,
                      loss_config, epoch, history) -> dict:
-    # copies, so that later training does not mutate them
+    """The run's state for `save_checkpoint`. Its arrays are the live
+    weights and Adam moments, not copies: save it before training goes on."""
     arrays = {}
     for name, model in triplet.models().items():
-        arrays.update({k: v.copy()
-                       for k, v in model_state(model, name).items()})
+        arrays.update(model_state(model, name))
     for phase, st in adam.items():
         tag = _ADAM_TAGS[phase]
         for i, (m, v) in enumerate(zip(st.m, st.v)):
-            arrays[f"adam_{tag}/m{i}"] = m.copy()
-            arrays[f"adam_{tag}/v{i}"] = v.copy()
+            arrays[f"adam_{tag}/m{i}"] = m
+            arrays[f"adam_{tag}/v{i}"] = v
     arrays["designs"] = np.array([d.as_array() for d in designs])
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -357,22 +356,6 @@ def save_checkpoint(path, checkpoint: dict) -> None:
     payload["__meta__"] = np.frombuffer(
         json.dumps(checkpoint["meta"]).encode(), dtype=np.uint8)
     savez_atomic(path, **payload)
-
-
-def savez_atomic(path, **arrays) -> None:
-    """`np.savez` to a temp file in the target directory, then rename it
-    over `path`: a reader sees the old file or the whole new one."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def load_checkpoint(path) -> dict:
@@ -445,13 +428,13 @@ def _check_same_run(ck: dict, seed, plan: TrainPlan, weights: LossWeights,
             f"({len(designs)} given, {len(ck_designs)} in the checkpoint)")
 
 
-def _restore_triplet(triplet: OperatorTriplet, ck: dict) -> None:
-    rebuilt, _ = triplet_from_checkpoint(ck)
+def _copy_weights(triplet: OperatorTriplet, source: OperatorTriplet) -> None:
+    """Copy the weights of `source` into `triplet`'s arrays, in place, so
+    that views aliasing them (Adam's parameter lists) stay valid."""
     for name, model in triplet.models().items():
-        src = rebuilt.models()[name]
-        for dst_a, src_a in zip(model.trainable_arrays(),
-                                src.trainable_arrays()):
-            dst_a[...] = src_a
+        for dst, src in zip(model.trainable_arrays(),
+                            source.models()[name].trainable_arrays()):
+            dst[...] = src
 
 
 def _restore_adam(state: AdamState, ck: dict, tag: str) -> None:

@@ -299,6 +299,17 @@ def test_dense_layers_match_forward_and_central_differences(d1, data, layout,
     assert np.max(np.abs(leaves[0].grad - expect)) \
         <= 1e-12 * np.max(np.abs(expect))
 
+    if layout == "gathered":
+        # the gathered weights' gradients are the per-block copies'
+        # gradients scattered by np.add.at, bit for bit, repeats included
+        copies = [Var(a[blocks], requires_grad=True) for a in ws + bs]
+        taped = dense_layers(Jet2(x, d1, d2), copies[:n_w], copies[n_w:])
+        backward((taped.data * cot).sum())
+        for leaf, copy in zip(leaves[1:], copies):
+            expect = np.zeros_like(leaf.data)
+            np.add.at(expect, blocks, copy.grad)
+            assert np.array_equal(leaf.grad, expect)
+
     for arr, leaf in zip(arrays, leaves):
         for _ in range(4):
             pos = tuple(rng.integers(0, n) for n in arr.shape)

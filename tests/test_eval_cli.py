@@ -1,8 +1,10 @@
 """Evaluation-metric and CLI tests: metric trivials, reference caching,
 subcommand round trips, and reproducibility of CLI outputs."""
 
+import ast
 import dataclasses
 import gc
+import inspect
 import json
 import os
 import warnings
@@ -10,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cureonet import cli
 from cureonet.cli import main
 from cureonet.design import DesignSpace, VARIABLE_NAMES, sample
 from cureonet.evaluate import (Metrics, evaluate, exotherm_window_max_error,
@@ -319,6 +322,40 @@ def test_cli_simulate_refuses_an_unknown_key(tmp_path, capsys, section,
     assert len(err) == 1
     assert err[0].startswith("error: TypeError: ") and "'dt_s'" in err[0]
     assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_cli_refuses_an_unknown_top_level_key(tmp_path, capsys, command):
+    # a misspelt "cooldown" would otherwise run without cooldown, exit 0
+    config = SIM_CONFIG if command == "simulate" else TRAIN_CONFIG
+    cfg = _write(tmp_path / "run.json", {**config, "cooldwn": True})
+    code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ValueError: unknown config key") \
+        and "'cooldwn'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_are_the_keys_the_cli_reads():
+    # every top-level key a subcommand reads is accepted, and no other
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.Subscript):                 # cfg["k"]
+            owner, key = node.value, node.slice
+        elif isinstance(node, ast.Compare):                 # "k" in cfg
+            owner, key = node.comparators[0], node.left
+        elif isinstance(node, ast.Call) and node.args \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get":                # cfg.get("k")
+            owner, key = node.func.value, node.args[0]
+        else:
+            continue
+        if isinstance(owner, ast.Name) and owner.id == "cfg" \
+                and isinstance(key, ast.Constant):
+            read.add(key.value)
+    assert read == set(cli.CONFIG_KEYS)
 
 
 def test_cli_train_refuses_a_one_stage_curriculum(tmp_path, capsys):

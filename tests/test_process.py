@@ -2,16 +2,21 @@
 oracle, cure-cycle profile, and residual functions on trivial and
 manufactured fields."""
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from cureonet.autodiff import Jet2
+from cureonet.design import DesignSpace, sample, save_designs
 from cureonet.process import (CureCycleSpec, CureKineticsParams,
                               MaterialProps, air_temperature, bc_residuals,
                               celsius_to_kelvin, continuity_residuals,
                               cure_rate, cure_rate_law, load_material_set,
-                              pde_residual_part, pde_residual_tool)
+                              pde_residual_part, pde_residual_tool,
+                              savez_atomic)
 
 # frozen oracle values (50-digit evaluation of the rate law, precomputed)
 ORACLE_RATE_050_450 = 2.487319192168067e-4
@@ -161,6 +166,25 @@ def test_property_file_round_trip(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(ValueError):
         load_material_set(path)
+
+
+@pytest.mark.parametrize("writer", ["csv", "npz"])
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path,
+                                                             writer):
+    path = tmp_path / "out"
+    path.write_text("old")
+    if writer == "csv":
+        space = DesignSpace.named("small")
+        # fails after the header and the first row are written
+        with pytest.raises(AttributeError):
+            save_designs(path, [*sample(space, 1, seed=0), None], space, 0)
+    else:
+        # fails after the first array is written: a lambda does not pickle
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            savez_atomic(path, a=np.zeros(3),
+                         b=np.array([lambda: 0], dtype=object))
+    assert path.read_text() == "old"
+    assert os.listdir(tmp_path) == ["out"]
 
 
 # -- residuals -----------------------------------------------------------------

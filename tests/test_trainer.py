@@ -319,6 +319,29 @@ def _owned_node_bytes(root):
     return total
 
 
+def test_training_holds_one_weight_snapshot():
+    # at each epoch's end a run holds, besides the weights, its two phases'
+    # Adam moments (two weight copies), one weight snapshot for the
+    # divergence guard and the last step's gradients; a second copy of the
+    # whole state (weights and moments) would take it past 5x
+    triplet = init_triplet(OperatorConfig(), SPACE, seed=0)
+    weight_bytes = sum(a.nbytes for model in triplet.models().values()
+                       for a in model.trainable_arrays())
+    held = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(triplet, DESIGNS, quick_plan(steps_per_epoch=1,
+                                           checkpoint_every=1),
+              PROPS_NO_HEAT, seed=5, loss_config=SMALL_COLLOC,
+              log=lambda record: held.append(
+                  tracemalloc.get_traced_memory()[0] - base))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 4
+    assert max(held) <= 4.5 * weight_bytes
+
+
 @pytest.mark.parametrize("phase", [PHASE_TEMPERATURE, PHASE_CURE])
 def test_backward_releases_the_tape_of_a_training_step(phase):
     # the forward's arrays are little more than its nodes' own data (no

@@ -22,7 +22,8 @@ from .operator import (OperatorConfig, OperatorTriplet, init_triplet,
                        predict_field)
 from .process import (MaterialSet, air_temperature, atomic_write,
                       savez_atomic, write_json_atomic)
-from .solver import FieldSolution, Grid1D, exotherm, probe, solve_batch
+from .solver import (SCHEME, FieldSolution, Grid1D, exotherm, probe,
+                     solve_batch)
 from .trainer import TrainPlan, train
 
 
@@ -69,13 +70,14 @@ def reference_solutions(designs, props: MaterialSet, grid: Grid1D,
                         cache_dir=None, cooldown: bool = False,
                         n_times: int | None = None) -> list[FieldSolution]:
     """Reference solves of several designs, in order. Cache entries are
-    keyed by design + grid and carry the property hash and solver version;
-    a stale or unreadable entry is recomputed with a warning. Misses are
-    solved together in `solve_batch` calls of up to MAX_BATCH_FIELD_BYTES
-    of fields each, and every entry is written whole (temp file + rename).
+    keyed by design + grid and stamped with the property hash, the package
+    version and the solver's `SCHEME`; a stale or unreadable entry is
+    recomputed with a warning. Misses are solved together in `solve_batch`
+    calls of up to MAX_BATCH_FIELD_BYTES of fields each, and every entry is
+    written whole (temp file + rename).
     With `n_times`, each solution is thinned to that many time rows as soon
     as it is read or written."""
-    stamp = f"{props.content_hash()}:{code_version}"
+    stamp = f"{props.content_hash()}:{code_version}:{SCHEME}"
     paths = [None] * len(designs)
     out = [None] * len(designs)
     misses = []
@@ -131,7 +133,8 @@ def _read_cache_entry(path, stamp: str,
                       f"({err}); recomputing", RuntimeWarning)
         return None
     warnings.warn(f"reference cache entry {path} has a stale property "
-                  "hash or solver version; recomputing", RuntimeWarning)
+                  "hash, version or solver scheme; recomputing",
+                  RuntimeWarning)
     return None
 
 

@@ -3,10 +3,12 @@ heat equations in local coordinates, with Robin boundaries, interface
 continuity rows, and operator-split cure-kinetics integration.
 
 Time stepping is Crank-Nicolson for conduction; the degree of cure advances
-per step with a sub-stepped RK4 using start-of-step temperature, and its
+per step with one classical RK4 step using start-of-step temperature, and its
 increment feeds the part's heat-generation source. Boundary and interface
 conditions are enforced as algebraic rows (second-order one-sided stencils)
-at the new time level, which keeps the scheme second order in space and time.
+at the new time level. Without heat generation the scheme is second order in
+space and time; with it, the lagged (Lie-type) coupling of kinetics and
+conduction makes it first order in time.
 
 `solve_batch`, the one entry point, marches designs in lockstep on
 (designs, nodes) arrays: each design's conduction matrix is inverted once,
@@ -30,7 +32,9 @@ from .process import (ALPHA_EPS, ALPHA_INIT, T0, T_FLOOR_K,
                       air_temperature, atomic_write, celsius_to_kelvin,
                       cure_rate_law, write_json_atomic)
 
-KINETICS_SUBSTEPS = 4  # RK4 sub-steps of the cure ODE per conduction step
+# the solver's numerical scheme, part of the reference cache's stamp: change
+# it whenever a change to the scheme moves the solutions
+SCHEME = "cn-lie-rk4x1"
 
 
 class SolverError(RuntimeError):
@@ -105,8 +109,9 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     its solution matches, to rounding, the one it gets in a batch of one.
     `forcing` and `air_override` (an f(t) -> degC replacing the cure-cycle
     air profile) apply to every design. Each solution's `meta` holds its
-    `steps` and stored alpha range, and the batch's `wall_s` and
-    `factor_s` (time spent building the conduction factors).
+    `steps` and stored alpha range, and the batch's `wall_s`, `factor_s`
+    (time spent building the conduction factors) and `kinetics_s` (time
+    spent advancing the degree of cure).
     """
     if not 0.0 <= bc_scale <= 1.0:
         raise DomainError("bc_scale must lie in [0, 1]")
@@ -187,10 +192,12 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     r_t, r_c = r_t[:, None], r_c[:, None]
     keep_t, keep_c = 1.0 - 2.0 * r_t, 1.0 - 2.0 * r_c
     rhs = np.zeros((n_designs, n))
+    kinetics_s = 0.0
     for step in range(1, n_max + 1):
         t_new = step * dt
-        alpha_new = _advance_alpha(alpha, u[:, n1:], props.kinetics, dt,
-                                   KINETICS_SUBSTEPS)
+        kinetics_start = time.perf_counter()
+        alpha_new = _advance_alpha(alpha, u[:, n1:], props.kinetics, dt)
+        kinetics_s += time.perf_counter() - kinetics_start
         ta_new = air[:, step - 1]
         rhs[:, 0] = -beta_bot * ta_new
         rhs[:, 1:n1 - 1] = (r_t * (u[:, 0:n1 - 2] + u[:, 2:n1])
@@ -230,7 +237,8 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     wall_s = time.perf_counter() - wall_start
     base_meta = {"property_hash": props.content_hash(),
                  "code_version": code_version, "cooldown": cooldown,
-                 "wall_s": wall_s, "factor_s": factor_s}
+                 "wall_s": wall_s, "factor_s": factor_s,
+                 "kinetics_s": kinetics_s}
     return [
         FieldSolution(
             times=times_out[b], t_tool=tool_out[b], t_part=part_out[b],
@@ -286,10 +294,10 @@ def _add_forcing(rhs, fz: MmsForcing, n1, x1, x2, t_new, t_mid, dt):
         rhs[:, n - 1] += fz.g_top(t_new)
 
 
-def _advance_alpha(alpha, t_part_c, p: CureKineticsParams, dt, substeps):
-    """Sub-stepped RK4 on the cure ODE with temperature frozen at the start
-    of the conduction step, so the Arrhenius factor and the critical degree
-    of cure are computed once per step. Each stage rate is the guarded
+def _advance_alpha(alpha, t_part_c, p: CureKineticsParams, dt):
+    """One classical RK4 step of the cure ODE with temperature frozen at the
+    start of the conduction step, so the Arrhenius factor and the critical
+    degree of cure are computed once per step. Each stage rate is the guarded
     `cure_rate` (the same ALPHA_EPS and T_FLOOR_K clamps, the same
     `cure_rate_law`). Monotone: every stage rate is nonnegative."""
     law = cure_rate_law(np.maximum(celsius_to_kelvin(t_part_c), T_FLOOR_K), p)
@@ -297,15 +305,11 @@ def _advance_alpha(alpha, t_part_c, p: CureKineticsParams, dt, substeps):
     def rate(a):
         return law(np.minimum(np.maximum(a, ALPHA_EPS), 1.0 - ALPHA_EPS))
 
-    a = alpha
-    h = dt / substeps
-    for _ in range(substeps):
-        k1 = rate(a)
-        k2 = rate(a + 0.5 * h * k1)
-        k3 = rate(a + 0.5 * h * k2)
-        k4 = rate(a + h * k3)
-        a = np.minimum(a + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), 1.0)
-    return a
+    k1 = rate(alpha)
+    k2 = rate(alpha + 0.5 * dt * k1)
+    k3 = rate(alpha + 0.5 * dt * k2)
+    k4 = rate(alpha + dt * k3)
+    return np.minimum(alpha + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), 1.0)
 
 
 def exotherm(sol: FieldSolution):
@@ -368,7 +372,8 @@ def export_solution_csv(sol: FieldSolution, path) -> None:
 
 
 # run statistics `solve_batch` puts into FieldSolution.meta
-SOLVER_STATS = ("steps", "wall_s", "factor_s", "alpha_min", "alpha_max")
+SOLVER_STATS = ("steps", "wall_s", "factor_s", "kinetics_s", "alpha_min",
+                "alpha_max")
 
 
 def run_manifest(sol: FieldSolution, props: MaterialSet) -> dict:

@@ -230,10 +230,23 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
                                    bc_scale, phase=PHASE_ALL)
         return breakdown_from(comps)
 
+    def train_step(epoch, step, bc_scale, phase):
+        # a function of its own, so the step's tape, gradients and
+        # collocation points are released as soon as Adam has used them
+        key = [seed, 7001, epoch, step]
+        cset = sample_collocation(triplet, _draw_designs(designs, plan, key),
+                                  loss_config, key, plan.batch_size)
+        names = PHASE_MODELS[phase]
+        nets = taped_triplet(triplet, trainable=names)
+        _sweep_by_group(nets, names, triplet, cset, props, bc_scale, phase,
+                        weights)
+        grads = [v.grad if v.grad is not None else np.zeros_like(v.data)
+                 for name in names for v in nets[name].trainable_arrays()]
+        state = adam[phase]
+        adam_step(arrays[phase], grads, state, lr_at(state.step, plan))
+
     for epoch in range(start_epoch, len(schedule)):
         stage, bc_scale, phase = schedule[epoch]
-        names = PHASE_MODELS[phase]
-        state = adam[phase]
 
         if stage != last_stage:
             # divergence baseline: loss before any training in this stage
@@ -241,22 +254,11 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
                 total_loss(full_breakdown(epoch, bc_scale), weights), 1e-30)
             last_stage = stage
 
-        for step in range(plan.steps_per_epoch):
-            key = [seed, 7001, epoch, step]
-            cset = sample_collocation(triplet,
-                                      _draw_designs(designs, plan, key),
-                                      loss_config, key, plan.batch_size)
-            nets = taped_triplet(triplet, trainable=names)
-            _sweep_by_group(nets, names, triplet, cset, props, bc_scale,
-                            phase, weights)
-            grads = [v.grad if v.grad is not None else np.zeros_like(v.data)
-                     for name in names for v in nets[name].trainable_arrays()]
-            try:
-                adam_step(arrays[phase], grads, state, lr_at(state.step, plan))
-            except NonFiniteGradient:
-                history.diverged = True
-                break
-        if history.diverged:
+        try:
+            for step in range(plan.steps_per_epoch):
+                train_step(epoch, step, bc_scale, phase)
+        except NonFiniteGradient:
+            history.diverged = True
             _copy_weights(triplet, last_good)
             break
 

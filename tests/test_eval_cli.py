@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cureonet import cli
+from cureonet import __version__, cli
 from cureonet.cli import main
 from cureonet.design import DesignSpace, VARIABLE_NAMES, sample
 from cureonet.evaluate import (Metrics, evaluate, exotherm_window_max_error,
@@ -21,7 +21,7 @@ from cureonet.evaluate import (Metrics, evaluate, exotherm_window_max_error,
 from cureonet.losses import CollocationConfig
 from cureonet.operator import OperatorConfig, init_triplet, predict_field
 from cureonet.process import load_material_set
-from cureonet.solver import (FieldSolution, Grid1D, exotherm, probe,
+from cureonet.solver import (SCHEME, FieldSolution, Grid1D, exotherm, probe,
                              solve_batch)
 from cureonet.trainer import TrainPlan, train
 from oracles import import_solution_csv, midpoint
@@ -71,6 +71,19 @@ def test_reference_cache_round_trip_and_stale_warning(tmp_path):
     assert len(files) == 1
     b = reference_solution(DESIGN, PROPS, GRID, cache_dir=cache)
     assert np.array_equal(a.t_part, b.t_part)
+    # an entry stamped without the solver's scheme, as the four-sub-step
+    # kinetics wrote them, is stale even with the same properties and
+    # version: it is recomputed, not served
+    (entry,) = files
+    with np.load(entry) as data:
+        old = {k: data[k] for k in data.files}
+    assert str(old["stamp"]).endswith(":" + SCHEME)
+    old["stamp"] = np.array(f"{PROPS.content_hash()}:{__version__}")
+    old["t_part"] = old["t_part"] + 1.0
+    np.savez(entry, **old)
+    with pytest.warns(RuntimeWarning, match="stale"):
+        d = reference_solution(DESIGN, PROPS, GRID, cache_dir=cache)
+    assert np.array_equal(a.t_part, d.t_part)
     # different properties -> same filename key, stale stamp -> recompute
     props2 = dataclasses.replace(
         PROPS, part=dataclasses.replace(PROPS.part, h_r=0.0))

@@ -152,8 +152,8 @@ def test_alpha_monotone_and_bounded():
 @pytest.mark.parametrize("dt", [1.0, 8.0])
 def test_kinetics_step_is_rk4_on_the_guarded_cure_rate(dt):
     # ties the solver's kinetics to cure_rate, which the frozen
-    # high-precision oracle checks: one sub-step is a classical RK4 step
-    # on the public guarded law, clamped at full cure
+    # high-precision oracle checks: the kinetics step is a classical RK4
+    # step on the public guarded law, clamped at full cure
     alpha, t_c = np.meshgrid(np.linspace(0.05, 0.95, 19),
                              np.linspace(20.0, 200.0, 19))
     kin = PROPS.kinetics
@@ -166,8 +166,25 @@ def test_kinetics_step_is_rk4_on_the_guarded_cure_rate(dt):
     k3 = rate(alpha + 0.5 * dt * k2)
     k4 = rate(alpha + dt * k3)
     want = np.minimum(alpha + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), 1.0)
-    got = _advance_alpha(alpha, t_c, kin, dt, 1)
+    got = _advance_alpha(alpha, t_c, kin, dt)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("dt, bound", [(1.0, 2e-12), (8.0, 5e-8)])
+def test_one_kinetics_step_matches_a_fine_integration(dt, bound):
+    # one RK4 step against 256 at dt/256 on the same frozen temperature,
+    # worst case over the cure and temperature range a cycle spans; the
+    # measured worst cases are 8.3e-13 (dt 1 s) and 2.5e-8 (dt 8 s), and the
+    # bounds give each about 2x headroom. The coupling around the step is
+    # first order in time with errors near 1e-3, so one step is enough.
+    alpha, t_c = np.meshgrid(np.linspace(0.05, 0.95, 19),
+                             np.linspace(20.0, 220.0, 21))
+    kin = PROPS.kinetics
+    fine = alpha
+    for _ in range(256):
+        fine = _advance_alpha(fine, t_c, kin, dt / 256)
+    assert np.max(np.abs(_advance_alpha(alpha, t_c, kin, dt) - fine)) \
+        <= bound
 
 
 def test_small_space_design_reaches_converged_final_cure():
@@ -306,12 +323,13 @@ def test_solver_stats_in_meta_and_manifest():
     steps = round(DESIGN.cycle().duration_s / grid.dt)
     assert sol.meta["steps"] == steps == len(sol.times) - 1
     assert sol.meta["wall_s"] >= sol.meta["factor_s"] > 0.0
+    assert 0.0 <= sol.meta["kinetics_s"] <= sol.meta["wall_s"]
     assert sol.meta["alpha_min"] == 0.05
     assert sol.meta["alpha_max"] == sol.alpha.max() > 0.05
     stats = run_manifest(sol, PROPS)["solver"]
     assert stats == {k: sol.meta[k] for k in
-                     ("steps", "wall_s", "factor_s", "alpha_min",
-                      "alpha_max")}
+                     ("steps", "wall_s", "factor_s", "kinetics_s",
+                      "alpha_min", "alpha_max")}
 
 
 _UNIT = st.floats(0.0, 1.0, allow_nan=False)

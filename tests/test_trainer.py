@@ -321,9 +321,10 @@ def _owned_node_bytes(root):
 
 def test_training_holds_one_weight_snapshot():
     # at each epoch's end a run holds, besides the weights, its two phases'
-    # Adam moments (two weight copies), one weight snapshot for the
-    # divergence guard and the last step's gradients; a second copy of the
-    # whole state (weights and moments) would take it past 5x
+    # Adam moments (two weight copies) and one weight snapshot for the
+    # divergence guard: 3.04-3.05x the weight bytes. The last step's
+    # gradients, kept alive past the step, took it to 3.38-3.73x, and a
+    # second copy of the whole state (weights and moments) past 5x
     triplet = init_triplet(OperatorConfig(), SPACE, seed=0)
     weight_bytes = sum(a.nbytes for model in triplet.models().values()
                        for a in model.trainable_arrays())
@@ -339,7 +340,7 @@ def test_training_holds_one_weight_snapshot():
     finally:
         tracemalloc.stop()
     assert len(held) == 4
-    assert max(held) <= 4.5 * weight_bytes
+    assert max(held) <= 3.2 * weight_bytes
 
 
 @pytest.mark.parametrize("phase", [PHASE_TEMPERATURE, PHASE_CURE])

@@ -77,15 +77,11 @@ class Var:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Var):
-            return Var._node(
-                self.data + other.data,
-                ((self, lambda g: _unbroadcast(g, self.data.shape)),
-                 (other, lambda g: _unbroadcast(g, other.data.shape))),
-            )
+        other = _lift(other)
         return Var._node(
-            self.data + other,
-            ((self, lambda g: _unbroadcast(g, self.data.shape)),),
+            self.data + other.data,
+            ((self, lambda g: _unbroadcast(g, self.data.shape)),
+             (other, lambda g: _unbroadcast(g, other.data.shape))),
         )
 
     __radd__ = __add__
@@ -94,55 +90,38 @@ class Var:
         return Var._node(-self.data, ((self, lambda g: -g),))
 
     def __sub__(self, other):
-        if isinstance(other, Var):
-            return Var._node(
-                self.data - other.data,
-                ((self, lambda g: _unbroadcast(g, self.data.shape)),
-                 (other, lambda g: _unbroadcast(-g, other.data.shape))),
-            )
+        other = _lift(other)
         return Var._node(
-            self.data - other,
-            ((self, lambda g: _unbroadcast(g, self.data.shape)),),
+            self.data - other.data,
+            ((self, lambda g: _unbroadcast(g, self.data.shape)),
+             (other, lambda g: _unbroadcast(-g, other.data.shape))),
         )
 
     def __rsub__(self, other):
-        return Var._node(
-            other - self.data,
-            ((self, lambda g: _unbroadcast(-g, self.data.shape)),),
-        )
+        return _lift(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, Var):
-            return Var._node(
-                self.data * other.data,
-                ((self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
-                 (other, lambda g: _unbroadcast(g * self.data, other.data.shape))),
-            )
+        other = _lift(other)
         return Var._node(
-            self.data * other,
-            ((self, lambda g: _unbroadcast(g * other, self.data.shape)),),
+            self.data * other.data,
+            ((self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
+             (other, lambda g: _unbroadcast(g * self.data, other.data.shape))),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Var):
-            inv = 1.0 / other.data
-            return Var._node(
-                self.data * inv,
-                ((self, lambda g: _unbroadcast(g * inv, self.data.shape)),
-                 (other, lambda g: _unbroadcast(-g * self.data * inv * inv,
-                                                other.data.shape))),
-            )
-        return self * (1.0 / other)
+        other = _lift(other)
+        inv = 1.0 / other.data
+        return Var._node(
+            self.data * inv,
+            ((self, lambda g: _unbroadcast(g * inv, self.data.shape)),
+             (other, lambda g: _unbroadcast(-g * self.data * inv * inv,
+                                            other.data.shape))),
+        )
 
     def __rtruediv__(self, other):
-        inv = 1.0 / self.data
-        return Var._node(
-            other * inv,
-            ((self, lambda g: _unbroadcast(-g * other * inv * inv,
-                                           self.data.shape)),),
-        )
+        return _lift(other) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -175,6 +154,12 @@ class Var:
             return out
 
         return Var._node(self.data[idx], ((self, pull),))
+
+
+def _lift(x) -> Var:
+    """`x` as a Var: a constant becomes an untaped one, which `Var._node`
+    leaves off the tape."""
+    return x if isinstance(x, Var) else Var(x)
 
 
 # -- dispatchers usable on both Var and ndarray -----------------------------
@@ -412,23 +397,18 @@ def _tanh_jet(z, n1, src):
     return out, vjp
 
 
-def dense(jet: Jet2, w, b, act: bool, blocks=None) -> Jet2:
+def dense(jet: Jet2, w, b, act: bool) -> Jet2:
     """One dense layer, tanh(x @ w + b) if `act` else x @ w + b, on every
     slot of `jet` as one taped node.
 
     `w` is (a, b) with bias (b,) against (S, ..., a) slots, or stacked per
     block as (..., a, b) with bias (..., b) against (S, ..., m, a) slots.
-    With `blocks`, the layer uses w[blocks] and b[blocks] of stacked weights
-    (repeated blocks accumulate their gradients). One matmul covers all
-    slots and the bias enters the value slot only. Without derivative
-    slots a tanh layer is plain tanh; with them `_tanh_jet` takes it in
-    place over the matmul's result. Either way a taped node keeps its
-    output slots only.
+    One matmul covers all slots and the bias enters the value slot only.
+    Without derivative slots a tanh layer is plain tanh; with them
+    `_tanh_jet` takes it in place over the matmul's result. Either way a
+    taped node keeps its output slots only.
     """
     h, wd, bd = value_of(jet.data), value_of(w), value_of(b)
-    shapes = wd.shape, bd.shape
-    if blocks is not None:
-        wd, bd = wd[blocks], bd[blocks]
     bias = bd[..., None, :] if bd.ndim > 1 else bd
     z = h @ wd
     z[0] += bias
@@ -443,33 +423,20 @@ def dense(jet: Jet2, w, b, act: bool, blocks=None) -> Jet2:
                              [1 + first.index(k) for k in jet.d2])
     if not any(isinstance(p, Var) for p in (jet.data, w, b)):
         return Jet2(out, jet.d1, jet.d2)
-
-    def scatter(g, shape):
-        if blocks is None:
-            return g
-        # block by block in C order, the order np.add.at adds in, so
-        # repeated blocks accumulate to the same bits
-        full = np.zeros(shape)
-        for k, g_k in zip(blocks.ravel(), g.reshape(-1, *shape[1:])):
-            full[k] += g_k
-        return full
-
     parents = _shared_pulls(vjp, (
         (jet.data, lambda gz: _unbroadcast(gz @ wd.swapaxes(-1, -2),
                                            h.shape)),
-        (w, lambda gz: scatter(_unbroadcast(h.swapaxes(-1, -2) @ gz,
-                                            wd.shape), shapes[0])),
-        (b, lambda gz: scatter(_unbroadcast(gz[0], bias.shape)
-                               .reshape(bd.shape), shapes[1]))))
+        (w, lambda gz: _unbroadcast(h.swapaxes(-1, -2) @ gz, wd.shape)),
+        (b, lambda gz: _unbroadcast(gz[0], bias.shape).reshape(bd.shape))))
     return Jet2(Var(out, parents, bool(parents)), jet.d1, jet.d2)
 
 
-def dense_layers(jet: Jet2, weights, biases, blocks=None) -> Jet2:
+def dense_layers(jet: Jet2, weights, biases) -> Jet2:
     """`dense` through every layer: tanh on all but the last, which is
     affine."""
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        jet = dense(jet, w, b, act=i < last, blocks=blocks)
+        jet = dense(jet, w, b, act=i < last)
     return jet
 
 

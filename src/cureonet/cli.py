@@ -174,11 +174,19 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _indexed_design(args) -> DesignPoint:
+    """The design `--design-index` picks from the `--designs` file."""
+    designs, _seed, _label = load_designs(args.designs)
+    if not 0 <= args.design_index < len(designs):
+        raise ValueError(f"--design-index {args.design_index} outside 0 .. "
+                         f"{len(designs) - 1}")
+    return designs[args.design_index]
+
+
 def cmd_predict(args) -> int:
     cfg = _read_config(args.config)
     triplet, _ = triplet_from_checkpoint(load_checkpoint(args.checkpoint))
-    designs, _seed, _label = load_designs(args.designs)
-    design = designs[args.design_index]
+    design = _indexed_design(args)
     grid = _grid_from_config(cfg)
     t_end = design.cycle(cooldown=triplet.cooldown).duration_s
     times = np.append(np.arange(0.0, t_end, grid.dt * 10), t_end)
@@ -215,8 +223,7 @@ def cmd_ablate(args) -> int:
 def cmd_export_plot_data(args) -> int:
     cfg = _read_config(args.config)
     triplet, _ = triplet_from_checkpoint(load_checkpoint(args.checkpoint))
-    designs, _seed, _label = load_designs(args.designs)
-    ref = reference_solution(designs[args.design_index],
+    ref = reference_solution(_indexed_design(args),
                              _props_from_config(cfg), _grid_from_config(cfg),
                              cache_dir=os.path.join(args.out_dir, "ref_cache"),
                              cooldown=triplet.cooldown)

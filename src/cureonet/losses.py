@@ -6,10 +6,11 @@ that the default unit weights are comparably scaled across components. Every
 component is a mean square over all sampled points of all designs.
 
 Collocation points are stratified by temporal subdomain and laid out
-segment-major in equal blocks, so each loss decodes all its points in one
-batched pass: block k goes to subdomain k's decoder (initial-condition
-points form one block for the first subdomain; interface points go once to
-each side's decoder).
+segment-major in equal blocks, so each loss decodes its points in batched
+passes over a run of consecutive decoders: block k goes to subdomain k's
+decoder (initial-condition points form one block for the first subdomain;
+interface points are decoded twice, by the runs left and right of the
+boundaries).
 
 A training phase evaluates only the components it minimizes (PHASE_MODELS
 names the operators it updates): the temperature phase the initial,
@@ -204,16 +205,16 @@ def merged_branches(nets: dict, cset: CollocationSet) -> dict:
             for name, net in nets.items()}
 
 
-def _flat_eval(net, merged, x, tau, blocks=None, d1=(), d2=()) -> Jet2:
-    """Operator jets on block-major points, as flat (P,) slots (or (r, P)
-    for an (r, n_b) `blocks`). Block b holds every design's points in
-    design order and is decoded by decoder blocks[..., b]; by default block
-    k belongs to subdomain k."""
-    if blocks is None:
-        blocks = np.arange(net.config.n_subdomains)
+def _flat_eval(net, merged, x, tau, decoders=None, d1=(), d2=()) -> Jet2:
+    """Operator jets on block-major points, as flat (P,) slots. Block i
+    holds every design's points in design order and is decoded by decoder
+    decoders[i] of a run of consecutive decoders; by default the run is
+    every decoder, so block k belongs to subdomain k."""
+    if decoders is None:
+        decoders = range(net.config.n_subdomains)
     xy = np.stack([np.asarray(x, dtype=np.float64),
                    np.asarray(tau, dtype=np.float64)], axis=1)
-    return decode_stratified(net, merged, xy, blocks, d1, d2)
+    return decode_stratified(net, merged, xy, decoders, d1, d2)
 
 
 def _phys_temp_jet(jet: Jet2, scale: float, offset: float,
@@ -246,7 +247,7 @@ def loss_ic(net, merged, cset: CollocationSet, target: float = 0.0):
     in normalized output units: 0 is the start temperature T0; the cure
     operator's target is ALPHA_INIT."""
     jet = _flat_eval(net, merged, cset.ic_x, np.zeros_like(cset.ic_x),
-                     blocks=[0])
+                     decoders=range(1))
     return _mean_sq(jet.value - target, cset.ic_x.size)
 
 
@@ -324,11 +325,9 @@ def loss_interface_temporal(net, merged, cset: CollocationSet):
     if n_d == 1 or cset.if_x.size == 0:
         return 0.0
     # block b sits on internal boundary b + 1: decode it on both sides
-    right = np.arange(1, n_d)
-    jet = _flat_eval(net, merged, cset.if_x, cset.if_tau,
-                     blocks=[right - 1, right])
-    diff = jet.data[0, 0] - jet.data[0, 1]
-    return (diff * diff).sum() / cset.if_x.size
+    left, right = (_flat_eval(net, merged, cset.if_x, cset.if_tau, run).value
+                   for run in (range(n_d - 1), range(1, n_d)))
+    return _mean_sq(left - right, cset.if_x.size)
 
 
 def loss_continuity_material(nets: dict, merged: dict, cset: CollocationSet,

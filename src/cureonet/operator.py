@@ -9,8 +9,8 @@ named by NETS; all decoders share layer shapes, so `dec` is one MlpParams
 whose arrays carry a leading subdomain axis, (N_d, a, b) per weight.
 
 The losses decode through `decode_stratified`: points arrive in equal
-contiguous blocks, and each block names the decoder that evaluates it, so
-all blocks run in one batched pass with derivative slots on the tape. Grid
+contiguous blocks, one per decoder of a run of consecutive decoders, so all
+blocks run in one batched pass with derivative slots on the tape. Grid
 prediction needs values only and goes through `predict_grid`'s tape-free
 feature-major path instead, one matmul per layer with the bias folded in.
 """
@@ -231,34 +231,34 @@ def merged_branch(net: DeepONetModel, bn1_in, bn2_in):
                         mlp_forward_jet(net.bn2, bn2_in).value)
 
 
-def decode_stratified(net: DeepONetModel, merged, xy, blocks, d1=(),
-                      d2=()) -> Jet2:
+def decode_stratified(net: DeepONetModel, merged, xy, decoders: range,
+                      d1=(), d2=()) -> Jet2:
     """Trunk + decoders in one batched pass, carrying the derivative slots
-    d1/d2 of mlp_forward_jet.
+    d1/d2 of mlp_forward_jet, as (P,) slots.
 
-    The P rows of `xy` split into blocks.shape[-1] equal contiguous blocks,
-    and block b is decoded by decoder blocks[..., b]. A (n_b,) `blocks`
-    gives (P,) slots; an (r, n_b) one decodes the same trunk features with
-    r decoder sets and gives (r, P) slots. `merged` holds the merged branch
-    embeddings of n designs, (n, q), and every block holds each design's
-    points in design order, equally many per design.
+    `decoders` is a run of consecutive decoders. The P rows of `xy` split
+    into len(decoders) equal contiguous blocks, and block i is decoded by
+    decoder decoders[i]. `merged` holds the merged branch embeddings of n
+    designs, (n, q), and every block holds each design's points in design
+    order, equally many per design.
     """
-    blocks = np.asarray(blocks, dtype=np.intp)
-    *lead, n_b = blocks.shape
+    n_dec, n_b = net.dec.stack_shape[0], len(decoders)
     n, q = value_of(merged).shape
     p = xy.shape[0]
-    if n_b == 0 or p % (n_b * n):
+    if decoders.step != 1 or not 0 <= decoders.start < decoders.stop <= n_dec:
+        raise ValueError(f"{decoders} is no run of the {n_dec} decoders")
+    if p % (n_b * n):
         raise ValueError("P must split into equal blocks with equally many "
                          "points per design")
     trunk = mlp_forward_jet(net.trunk, xy, d1, d2).data
-    per_design = trunk.reshape(-1, n_b, n, p // (n_b * n), q)
-    joint = (merged[:, None] * per_design).reshape(
-        -1, *(1,) * len(lead), n_b, p // n_b, q)
-    if np.array_equal(blocks, np.arange(net.dec.stack_shape[0])):
-        blocks = None    # every decoder once, in order: no gather
-    out = dense_layers(Jet2(joint, d1, d2), net.dec.weights, net.dec.biases,
-                       blocks)
-    return Jet2(out.data.reshape(-1, *lead, p), d1, d2)
+    joint = (merged[:, None] * trunk.reshape(-1, n_b, n, p // (n_b * n), q)
+             ).reshape(-1, n_b, p // n_b, q)
+    weights, biases = net.dec.weights, net.dec.biases
+    if n_b < n_dec:     # a full slice's pull would copy the whole stack
+        run = slice(decoders.start, decoders.stop)
+        weights, biases = [w[run] for w in weights], [b[run] for b in biases]
+    out = dense_layers(Jet2(joint, d1, d2), weights, biases)
+    return Jet2(out.data.reshape(-1, p), d1, d2)
 
 
 def _mlp_feature_major(weights, biases, h, spare):

@@ -104,9 +104,11 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     """March several designs in lockstep on (designs, nodes) arrays and
     return one FieldSolution per design, in order.
 
-    Each design runs to its own t_end (the grid's, or the end of its own
-    cure cycle); once there, its state is frozen and it stops storing, so
-    its solution matches, to rounding, the one it gets in a batch of one.
+    Each design's solution ends at its own t_end (the grid's, or the end of
+    its own cure cycle): every design marches to the batch's last step, but
+    stores no step past its own end, so its solution matches, to rounding,
+    the one it gets in a batch of one. The solutions' fields are views into
+    one padded array per field.
     `forcing` and `air_override` (an f(t) -> degC replacing the cure-cycle
     air profile) apply to every design. Each solution's `meta` holds its
     `steps` and stored alpha range, and the batch's `wall_s`, `factor_s`
@@ -175,20 +177,17 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
         u[:, n1:] = fz.ic_part(x2)
     alpha = np.full((n_designs, n2), ALPHA_INIT, dtype=np.float64)
 
-    # one output array per design and field, written row by row; a step's
-    # row is ceil(step / store_every), so a last step off the stride gets one
+    # one padded (designs, rows, nodes) array per field, written row by
+    # row; a step's row is ceil(step / store_every), so a last step off the
+    # stride gets one, and design b's solution is its first n_rows[b] rows
     n_rows = 1 + -(-n_steps // store_every)
-    times_out = [np.zeros(r) for r in n_rows]
-    tool_out = [np.empty((r, n1)) for r in n_rows]
-    part_out = [np.empty((r, n2)) for r in n_rows]
-    alpha_out = [np.empty((r, n2)) for r in n_rows]
-    for b in range(n_designs):
-        tool_out[b][0] = u[b, :n1]
-        part_out[b][0] = u[b, n1:]
-        alpha_out[b][0] = alpha[b]
+    times_out = np.zeros((n_designs, n_rows.max()))
+    tool_out, part_out, alpha_out = (np.empty((n_designs, n_rows.max(), m))
+                                     for m in (n1, n2, n2))
+    tool_out[:, 0], part_out[:, 0] = u[:, :n1], u[:, n1:]
+    alpha_out[:, 0] = alpha
 
     gen = bc_scale * part.heat_gen_coeff
-    active = np.arange(n_designs)
     r_t, r_c = r_t[:, None], r_c[:, None]
     keep_t, keep_c = 1.0 - 2.0 * r_t, 1.0 - 2.0 * r_c
     rhs = np.zeros((n_designs, n))
@@ -212,27 +211,18 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
 
         u = np.matmul(inv, rhs[:, :, None])[:, :, 0]
         alpha = alpha_new
-        if not np.isfinite(u).all():
-            bad = active[np.argmin(np.isfinite(u).all(axis=1))]
-            raise SolverError(
-                f"design {bad}: non-finite temperature at t = {t_new:.1f}s")
-
+        # a design past its own t_end marches on but stores nothing more
+        store = ((step % store_every == 0) & (step <= n_steps)) \
+            | (step == n_steps)
+        finite = np.isfinite(u).all(axis=1) | (step > n_steps)
+        if not finite.all():
+            raise SolverError(f"design {np.argmin(finite)}: non-finite "
+                              f"temperature at t = {t_new:.1f}s")
         row = -(-step // store_every)
-        stored = step % store_every == 0
-        for k, b in enumerate(active):
-            if stored or step == n_steps[b]:
-                times_out[b][row] = t_new
-                tool_out[b][row] = u[k, :n1]
-                part_out[b][row] = u[k, n1:]
-                alpha_out[b][row] = alpha[k]
-
-        # designs that reached their own t_end leave the batch
-        running = n_steps[active] > step
-        if not running.all():
-            (active, u, alpha, inv, air, rhs, r_t, r_c, keep_t, keep_c,
-             beta_bot, beta_top) = (
-                x[running] for x in (active, u, alpha, inv, air, rhs, r_t,
-                                     r_c, keep_t, keep_c, beta_bot, beta_top))
+        times_out[store, row] = t_new
+        tool_out[store, row] = u[store, :n1]
+        part_out[store, row] = u[store, n1:]
+        alpha_out[store, row] = alpha[store]
 
     wall_s = time.perf_counter() - wall_start
     base_meta = {"property_hash": props.content_hash(),
@@ -241,15 +231,16 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
                  "kinetics_s": kinetics_s}
     return [
         FieldSolution(
-            times=times_out[b], t_tool=tool_out[b], t_part=part_out[b],
-            alpha=alpha_out[b], design=design, bc_scale=bc_scale,
+            times=times_out[b, :r], t_tool=tool_out[b, :r],
+            t_part=part_out[b, :r], alpha=alpha_out[b, :r], design=design,
+            bc_scale=bc_scale,
             meta={**base_meta,
                   "grid": {"n_tool": n1, "n_part": n2, "dt": dt,
                            "t_end": int(n_steps[b]) * dt},
                   "steps": int(n_steps[b]),
-                  "alpha_min": float(alpha_out[b].min()),
-                  "alpha_max": float(alpha_out[b].max())})
-        for b, design in enumerate(designs)]
+                  "alpha_min": float(alpha_out[b, :r].min()),
+                  "alpha_max": float(alpha_out[b, :r].max())})
+        for b, (design, r) in enumerate(zip(designs, n_rows))]
 
 
 def _conduction_matrix(n1, n2, r_t, r_c, beta_bot, beta_top, kt_l, kc_l):

@@ -64,8 +64,11 @@ class TrainPlan:
             raise ValueError("bad learning-rate schedule")
         if min(self.epochs, self.steps_per_epoch, self.batch_size,
                self.phase_epochs_temp, self.phase_epochs_cure,
-               self.curriculum_stages, self.designs_per_draw) < 1:
+               self.curriculum_stages, self.designs_per_draw,
+               self.checkpoint_every) < 1:
             raise ValueError("plan counts must be positive")
+        if not self.divergence_factor > 0:
+            raise ValueError("divergence_factor must be positive")
         if self.curriculum and self.curriculum_stages < 2:
             raise ValueError("a curriculum needs at least 2 stages, so that "
                              "its last one has heat generation on")

@@ -1,8 +1,9 @@
-"""Guard against test-only API: every public top-level function or class in
-`src/cureonet`, and every public method of its classes, must be named
-somewhere other than its own definition, in the package itself (re-exports
-in `__init__.py` do not count) or in the benchmark harness under
-`perfbench/`. Anything only the tests call belongs in the tests.
+"""Guard against test-only API and dead helpers: every top-level function
+or class in `src/cureonet`, private or public, and every public method of
+its classes, must be named somewhere other than its own definition, in the
+package itself (re-exports in `__init__.py` do not count) or in the
+benchmark harness under `perfbench/`. Anything only the tests call belongs
+in the tests, and a helper nothing calls any more goes.
 
 A second guard asks the same of options: every defaulted parameter of a
 public function or method must be passed, by keyword or by position, at
@@ -48,7 +49,14 @@ def _public_defs(tree) -> list:
     return defs
 
 
-def unused_public_api(root=ROOT) -> list:
+def _private_defs(tree) -> list:
+    """(name, node) of the private top-level functions and classes."""
+    return [(node.name, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")]
+
+
+def unused_definitions(root=ROOT) -> list:
     package = root / "src" / "cureonet"
     sources = [p for p in sorted(package.glob("*.py"))
                if p.name != "__init__.py"]
@@ -59,7 +67,7 @@ def unused_public_api(root=ROOT) -> list:
     for path, tree in trees.items():
         if path.parent != package:
             continue
-        for qualname, definition in _public_defs(tree):
+        for qualname, definition in _public_defs(tree) + _private_defs(tree):
             name = definition.name
             # references inside the definition itself do not count
             if everywhere[name] == _names(definition)[name]:
@@ -135,14 +143,15 @@ def defaults_never_passed(root=ROOT) -> list:
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
-    assert unused_public_api() == []
+    assert unused_definitions() == []
 
 
 def test_the_guard_sees_a_definition_nobody_names(tmp_path):
     (tmp_path / "src" / "cureonet").mkdir(parents=True)
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "src" / "cureonet" / "a.py").write_text(
-        "def used():\n    return 1\n\n\n"
+        "def used():\n    return _helper()\n\n\n"
+        "def _helper():\n    return 1\n\n\n"
         "def lonely():\n    return lonely()\n\n\n"
         "class Box:\n"
         "    def called(self):\n        return 1\n\n"
@@ -153,7 +162,9 @@ def test_the_guard_sees_a_definition_nobody_names(tmp_path):
         "from .a import Box, used\n\nVALUE = used() + Box().called()\n")
     (tmp_path / "src" / "cureonet" / "__init__.py").write_text(
         "from .a import lonely\n\n__all__ = ['lonely']\n")
-    assert unused_public_api(tmp_path) == ["a.lonely", "a.Box.alone"]
+    # a private method is not looked at; a private class nobody names is
+    assert unused_definitions(tmp_path) == ["a.lonely", "a.Box.alone",
+                                            "a._Private"]
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():

@@ -250,35 +250,39 @@ def test_tanh_jet_node_keeps_only_its_output_slots(d1, d2):
 @settings(max_examples=30)
 @given(d1=st.lists(st.integers(0, 2), unique=True, max_size=3),
        data=st.data(),
-       layout=st.sampled_from(["2-D", "stacked", "gathered"]),
+       layout=st.sampled_from(["2-D", "stacked", "sliced"]),
        seed=st.integers(0, 2 ** 16))
 def test_dense_layers_match_forward_and_central_differences(d1, data, layout,
                                                             seed):
     # one tanh layer and one affine layer on a jet with random slots, for
-    # 2-D weights, stacked per-block weights, and per-block weights gathered
-    # by (possibly repeated) decoder indices
+    # 2-D weights, stacked per-block weights, and per-block weights sliced
+    # as a consecutive run out of a larger stack
     d2 = data.draw(st.lists(st.sampled_from(d1), unique=True)) if d1 else []
     rng = np.random.default_rng(seed)
     sizes, n_d, m = [3, 4, 2], 3, 3
     n_slots = 1 + len(d1) + len(d2)
-    stack = () if layout == "2-D" else (n_d,)
+    stack = {"2-D": (), "stacked": (n_d,), "sliced": (n_d + 2,)}[layout]
     ws = [rng.normal(0.0, 0.6, stack + (a, b))
           for a, b in zip(sizes[:-1], sizes[1:])]
     bs = [rng.normal(0.0, 0.3, stack + (b,)) for b in sizes[1:]]
-    blocks = rng.integers(0, n_d, size=4) if layout == "gathered" else None
-    rows = (5,) if layout == "2-D" else (n_d if blocks is None else 4, m)
+    start = int(rng.integers(0, 3)) if layout == "sliced" else 0
+    run = slice(start, start + n_d)
+    rows = (5,) if layout == "2-D" else (n_d, m)
     x = rng.normal(size=(n_slots,) + rows + (sizes[0],))
 
+    def pick(arrays):
+        # the run of a larger stack, through Var.__getitem__ on tape leaves
+        return [a[run] for a in arrays] if layout == "sliced" else arrays
+
     def forward(x, ws, bs):
-        return dense_layers(Jet2(x, d1, d2), ws, bs, blocks).data
+        return dense_layers(Jet2(x, d1, d2), pick(ws), pick(bs)).data
 
     out = forward(x, ws, bs)
     if layout == "2-D":
         expect = mlp_forward(MlpParams(sizes, ws, bs), x[0])
         assert np.array_equal(out[0], expect)
     else:
-        decoders = range(n_d) if blocks is None else blocks
-        for i, k in enumerate(decoders):
+        for i, k in enumerate(range(start, start + n_d)):
             net = MlpParams(sizes, [w[k] for w in ws], [b[k] for b in bs])
             assert np.array_equal(out[0, i], mlp_forward(net, x[0, i]))
 
@@ -291,24 +295,21 @@ def test_dense_layers_match_forward_and_central_differences(d1, data, layout,
 
     # the input cotangent, pulled back by hand through the closed-form
     # Jacobian of the tanh layer
-    w0, w1 = ws if blocks is None else [w[blocks] for w in ws]
-    z = dense(Jet2(x, d1, d2), ws[0], bs[0], act=False, blocks=blocks).data
+    w0, w1 = pick(ws)
+    z = dense(Jet2(x, d1, d2), w0, pick(bs)[0], act=False).data
     g_y = cot @ w1.swapaxes(-1, -2)
     g_z = np.einsum("ab...,a...->b...", tanh_jet_jacobian(z, d1, d2), g_y)
     expect = g_z @ w0.swapaxes(-1, -2)
     assert np.max(np.abs(leaves[0].grad - expect)) \
         <= 1e-12 * np.max(np.abs(expect))
 
-    if layout == "gathered":
-        # the gathered weights' gradients are the per-block copies'
-        # gradients scattered by np.add.at, bit for bit, repeats included
-        copies = [Var(a[blocks], requires_grad=True) for a in ws + bs]
-        taped = dense_layers(Jet2(x, d1, d2), copies[:n_w], copies[n_w:])
-        backward((taped.data * cot).sum())
-        for leaf, copy in zip(leaves[1:], copies):
-            expect = np.zeros_like(leaf.data)
-            np.add.at(expect, blocks, copy.grad)
-            assert np.array_equal(leaf.grad, expect)
+    if layout == "sliced":
+        # decoders outside the run get exactly zero gradient
+        outside = np.ones(stack, dtype=bool)
+        outside[run] = False
+        for leaf in leaves[1:]:
+            assert leaf.grad.shape == leaf.data.shape
+            assert not leaf.grad[outside].any()
 
     for arr, leaf in zip(arrays, leaves):
         for _ in range(4):

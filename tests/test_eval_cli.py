@@ -383,6 +383,40 @@ def test_cli_train_refuses_a_one_stage_curriculum(tmp_path, capsys):
     assert not (tmp_path / "checkpoint.npz").exists()
 
 
+def test_cli_train_refuses_a_zero_checkpoint_interval(tmp_path, capsys):
+    # it would train a whole epoch, then fail on a modulo by zero
+    cfg = _write(tmp_path / "train.json", {
+        **TRAIN_CONFIG, "plan": {**TRAIN_CONFIG["plan"],
+                                 "checkpoint_every": 0}})
+    code = main(["train", "--config", cfg, "--out-dir", str(tmp_path)])
+    assert code == 1
+    _assert_one_error_line(capsys, "ValueError: plan counts must be positive")
+    assert not (tmp_path / "history.csv").exists()
+
+
+def test_cli_refuses_an_out_of_range_design_index(tmp_path, capsys):
+    # -1 would silently take the last design
+    cfg = _write(tmp_path / "train.json", TRAIN_CONFIG)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+    samp = tmp_path / "designs"
+    assert main(["sample", "--n", "2", "--seed", "9", "--config", cfg,
+                 "--out-dir", str(samp)]) == 0
+    capsys.readouterr()
+    for command in ("predict", "export-plot-data"):
+        for index in (-1, 2):
+            target = tmp_path / f"{command}{index}"
+            code = main([command, "--config", cfg,
+                         "--checkpoint", str(out / "checkpoint.npz"),
+                         "--designs", str(samp / "designs.csv"),
+                         "--design-index", str(index),
+                         "--out-dir", str(target)])
+            assert code == 1
+            _assert_one_error_line(
+                capsys, f"ValueError: --design-index {index} outside 0 .. 1")
+            assert not target.exists()
+
+
 def test_cli_evaluate_rejects_a_negative_thickness(tmp_path, capsys):
     cfg = _write(tmp_path / "train.json", TRAIN_CONFIG)
     out = tmp_path / "run"

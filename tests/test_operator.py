@@ -200,15 +200,30 @@ def test_predict_grid_matches_decode_stratified(cfg):
     taus = rng.permutation(np.concatenate(per_segment))   # unsorted
     grid = predict_grid(model, u, xs, taus)
 
-    blocks = rng.permutation(cfg.n_subdomains)
-    block_taus = np.concatenate([per_segment[k] for k in blocks])
-    xx, tt = np.meshgrid(xs, block_taus)
-    xy = np.stack([xx.ravel(), tt.ravel()], axis=1)
+    # every decoder in order, and a run that skips decoder 0
+    n_d = cfg.n_subdomains
     merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
-    strat = decode_stratified(model, merged, xy, blocks).value
     row_of = {tau: i for i, tau in enumerate(taus)}
-    expect = grid[[row_of[tau] for tau in block_taus]]
-    assert np.max(np.abs(strat.reshape(expect.shape) - expect)) <= 1e-13
+    for decoders in [range(n_d)] + ([range(1, n_d)] if n_d > 1 else []):
+        block_taus = np.concatenate([per_segment[k] for k in decoders])
+        xx, tt = np.meshgrid(xs, block_taus)
+        xy = np.stack([xx.ravel(), tt.ravel()], axis=1)
+        strat = decode_stratified(model, merged, xy, decoders).value
+        expect = grid[[row_of[tau] for tau in block_taus]]
+        assert np.max(np.abs(strat.reshape(expect.shape) - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("decoders", [range(0, 3, 2), range(-1, 2),
+                                      range(2, 4), range(1, 1)])
+def test_decode_stratified_refuses_a_range_that_is_no_run(decoders):
+    # range(-1, 2) has as many blocks as there are decoders, so unchecked
+    # it would decode block i with decoder i rather than i - 1
+    model = init(small_config(), seed=13)
+    u = encode(midpoint(SPACE), SPACE, HORIZON)
+    merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
+    xy = np.full((6, 2), 0.5)
+    with pytest.raises(ValueError, match="no run"):
+        decode_stratified(model, merged, xy, decoders)
 
 
 def test_predict_factorization_same_branch_vector():

@@ -127,6 +127,17 @@ def test_a_curriculum_of_one_stage_is_refused():
         == [1.0]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("checkpoint_every", 0), ("checkpoint_every", -1),
+    ("divergence_factor", 0.0), ("divergence_factor", -1.0),
+    ("divergence_factor", float("nan"))])
+def test_a_plan_refuses_a_bad_checkpoint_interval_or_guard(field, value):
+    # checkpoint_every 0 fails after a whole epoch on a modulo by zero; a
+    # factor that is not positive marks every run diverged after one epoch
+    with pytest.raises(ValueError):
+        TrainPlan(**{field: value})
+
+
 def test_epoch_schedule_without_curriculum():
     plan = TrainPlan(epochs=20, curriculum=False, phase_epochs_temp=3,
                      phase_epochs_cure=2)

@@ -5,12 +5,14 @@ units and then nondimensionalized (normalized time / temperature spans) so
 that the default unit weights are comparably scaled across components. Every
 component is a mean square over all sampled points of all designs.
 
-Collocation points are stratified by temporal subdomain and laid out
-segment-major in equal blocks, so each loss decodes its points in batched
-passes over a run of consecutive decoders: block k goes to subdomain k's
-decoder (initial-condition points form one block for the first subdomain;
-interface points are decoded twice, by the runs left and right of the
-boundaries).
+Collocation points have one layout, `Points` drawn by `_draw` under one
+rounding rule: one equal block per tau span, each holding every design's
+points in design order. The spans are the temporal subdomains, tau = 0 for
+initial-condition points and the internal boundaries for interface points.
+So each loss decodes its points in batched passes over a run of consecutive
+decoders: block k goes to subdomain k's decoder (the initial-condition
+block to the first one's; interface points go through the trunk once and
+are decoded twice, by the runs left and right of the boundaries).
 
 A training phase evaluates only the components it minimizes (PHASE_MODELS
 names the operators it updates): the temperature phase the initial,
@@ -31,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Jet2, value_of
+from .autodiff import Jet2, mlp_forward_jet, value_of
 from .design import encode_batch
 from .operator import OperatorTriplet, decode_stratified, merged_branch
 from .process import (ALPHA_INIT, MaterialSet, air_temperature,
@@ -43,9 +45,8 @@ from .process import (ALPHA_INIT, MaterialSet, air_temperature,
 class CollocationConfig:
     """Requested point counts per category for one collocation draw, spread
     over the drawn designs; interior and ODE points number TrainPlan's
-    batch_size. Counts round up so that every block has equal size:
-    N_d * n * ceil(ceil(q / n) / N_d) points for n designs and N_d
-    subdomains, and n * ceil(q_ic / n) initial-condition points."""
+    batch_size. Every category rounds by one rule (see `_draw`): q points
+    over n designs and B blocks become B * n * ceil(q / (n * B))."""
 
     q_ic: int = 256
     q_bc: int = 256
@@ -57,13 +58,24 @@ class CollocationConfig:
             raise ValueError("collocation counts must be positive")
 
 
+@dataclass(frozen=True)
+class Points:
+    """Collocation points of one category: coordinates x and tau and the
+    design index idx of each row, block-major (see CollocationSet)."""
+
+    x: np.ndarray
+    tau: np.ndarray
+    idx: np.ndarray
+
+
 @dataclass
 class CollocationSet:
-    """Flattened random collocation coordinates for N designs. idx arrays
-    give the design index of each row. Rows are block-major: interior, ODE,
-    BC and continuity points form one block per subdomain, interface points
-    one block per internal boundary, and initial-condition points one
-    block; each block holds every design's points in design order."""
+    """Random collocation points for N designs, one Points per category,
+    all in one layout: one block per tau span, each block holding every
+    design's points in design order, equally many per design. Interior,
+    ODE, BC and continuity points have one block per subdomain, interface
+    points one per internal boundary (tau on it), and initial-condition
+    points one block at tau = 0."""
 
     bn1: np.ndarray            # (N, 4)
     bn2: np.ndarray            # (N, 100)
@@ -71,94 +83,65 @@ class CollocationSet:
     l_part: np.ndarray
     h_top: np.ndarray
     h_bot: np.ndarray
-    int_x: np.ndarray          # interior points, used for tool and part PDEs
-    int_tau: np.ndarray
-    int_idx: np.ndarray
-    ode_x: np.ndarray
-    ode_tau: np.ndarray
-    ode_idx: np.ndarray
-    ic_x: np.ndarray
-    ic_idx: np.ndarray
-    bc_tau: np.ndarray
-    bc_idx: np.ndarray
-    ta_bc: np.ndarray          # air temperature at bc_tau, degC
-    if_x: np.ndarray
-    if_tau: np.ndarray         # values at internal subdomain boundaries
-    if_idx: np.ndarray
-    ct_tau: np.ndarray
-    ct_idx: np.ndarray
+    ta_bc: np.ndarray          # air temperature at bc.tau, degC
+    interior: Points           # tool and part PDEs
+    ode: Points
+    bc: Points
+    ct: Points
+    ic: Points
+    interface: Points
 
 
-def _stratified_draw(rng, n_designs, per_design, boundaries):
-    """Segment-major stratified draw: equal blocks per subdomain, uniform
-    tau inside each subdomain, uniform x. Returns (x, tau, idx)."""
-    n_d = len(boundaries) - 1
-    m = -(-per_design // n_d)  # ceil
-    total = n_d * n_designs * m
-    x = rng.uniform(0.0, 1.0, size=total)
-    tau = np.empty(total)
-    for k in range(n_d):
-        lo, hi = boundaries[k], boundaries[k + 1]
-        block = slice(k * n_designs * m, (k + 1) * n_designs * m)
-        tau[block] = rng.uniform(lo, hi, size=n_designs * m)
-    idx = np.tile(np.repeat(np.arange(n_designs, dtype=np.intp), m), n_d)
-    return x, tau, idx
+def _draw(rng, n_designs, q, spans) -> Points:
+    """At least q points in one block per (lo, hi) tau span, m = ceil(q /
+    (n_designs * len(spans))) per design per block: uniform x for all
+    blocks first, then each block's uniform tau. A point span (b, b) draws
+    no tau; no spans or q = 0 give no points."""
+    if not spans or q == 0:
+        return Points(np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+    m = -(-q // (n_designs * len(spans)))
+    size = n_designs * m
+    x = rng.uniform(0.0, 1.0, size=len(spans) * size)
+    tau = np.concatenate([np.full(size, lo) if lo == hi
+                          else rng.uniform(lo, hi, size=size)
+                          for lo, hi in spans])
+    idx = np.tile(np.repeat(np.arange(n_designs, dtype=np.intp), m),
+                  len(spans))
+    return Points(x, tau, idx)
 
 
 def sample_collocation(triplet: OperatorTriplet, designs,
                        config: CollocationConfig, seed,
                        batch_size: int) -> CollocationSet:
-    """Random collocation coordinates, deterministic per seed, with
-    `batch_size` interior points and as many ODE points."""
+    """Random collocation points, deterministic per seed, with `batch_size`
+    interior points and as many ODE points. BC and continuity points sit at
+    fixed x yet draw x they never read: skipping those draws would shift
+    the random stream of every later category, and so every seeded run."""
     if not designs:
         raise ValueError("need at least one design")
     rng = np.random.default_rng(seed)
     n = len(designs)
     bn1, bn2 = encode_batch(designs, triplet.space, triplet.horizon,
                             cooldown=triplet.cooldown)
-    boundaries = triplet.g_tc.config.boundaries
+    op_config = triplet.g_tc.config
+    draw = lambda q, spans=op_config.segments(): _draw(rng, n, q, spans)
+    interior, ode = draw(batch_size), draw(batch_size)
+    bc, ct = draw(config.q_bc), draw(config.q_ct)
+    ic = draw(config.q_ic, [(0.0, 0.0)])
+    interface = draw(config.q_if, [(b, b) for b in op_config.boundaries[1:-1]])
 
-    def draw(q):
-        return _stratified_draw(rng, n, -(-q // n), boundaries)
-
-    int_x, int_tau, int_idx = draw(batch_size)
-    ode_x, ode_tau, ode_idx = draw(batch_size)
-    _bc_x, bc_tau, bc_idx = draw(config.q_bc)
-    _ct_x, ct_tau, ct_idx = draw(config.q_ct)
-
-    m_ic = -(-config.q_ic // n)
-    ic_x = rng.uniform(0.0, 1.0, size=n * m_ic)
-    ic_idx = np.repeat(np.arange(n, dtype=np.intp), m_ic)
-
-    internal = np.asarray(boundaries[1:-1])
-    if internal.size and config.q_if:
-        n_b = internal.size
-        m_if = max(1, -(-config.q_if // (n_b * n)))
-        if_x = rng.uniform(0.0, 1.0, size=n_b * n * m_if)
-        if_tau = np.repeat(internal, n * m_if)
-        if_idx = np.tile(np.repeat(np.arange(n, dtype=np.intp), m_if), n_b)
-    else:
-        if_x = np.empty(0)
-        if_tau = np.empty(0)
-        if_idx = np.empty(0, dtype=np.intp)
-
-    ta_bc = np.empty_like(bc_tau)
+    ta_bc = np.empty_like(bc.tau)
     for i, d in enumerate(designs):
         cycle = d.cycle(cooldown=triplet.cooldown)
-        rows = bc_idx == i
-        ta_bc[rows] = air_temperature(cycle, bc_tau[rows] * triplet.horizon)
+        rows = bc.idx == i
+        ta_bc[rows] = air_temperature(cycle, bc.tau[rows] * triplet.horizon)
 
     arr = lambda name: np.array([getattr(d, name) for d in designs])
     return CollocationSet(
         bn1=bn1, bn2=bn2,
         l_tool=arr("l_tool"), l_part=arr("l_part"),
-        h_top=arr("h_top"), h_bot=arr("h_bot"),
-        int_x=int_x, int_tau=int_tau, int_idx=int_idx,
-        ode_x=ode_x, ode_tau=ode_tau, ode_idx=ode_idx,
-        ic_x=ic_x, ic_idx=ic_idx,
-        bc_tau=bc_tau, bc_idx=bc_idx, ta_bc=ta_bc,
-        if_x=if_x, if_tau=if_tau, if_idx=if_idx,
-        ct_tau=ct_tau, ct_idx=ct_idx)
+        h_top=arr("h_top"), h_bot=arr("h_bot"), ta_bc=ta_bc,
+        interior=interior, ode=ode, bc=bc, ct=ct, ic=ic, interface=interface)
 
 
 # -- loss weights and breakdown ------------------------------------------------
@@ -205,6 +188,11 @@ def merged_branches(nets: dict, cset: CollocationSet) -> dict:
             for name, net in nets.items()}
 
 
+def _trunk_jet(net, x, tau, d1=(), d2=()) -> Jet2:
+    """The trunk's jet on the points (x, tau)."""
+    return mlp_forward_jet(net.trunk, np.stack([x, tau], axis=1), d1, d2)
+
+
 def _flat_eval(net, merged, x, tau, decoders=None, d1=(), d2=()) -> Jet2:
     """Operator jets on block-major points, as flat (P,) slots. Block i
     holds every design's points in design order and is decoded by decoder
@@ -212,9 +200,8 @@ def _flat_eval(net, merged, x, tau, decoders=None, d1=(), d2=()) -> Jet2:
     every decoder, so block k belongs to subdomain k."""
     if decoders is None:
         decoders = range(net.config.n_subdomains)
-    xy = np.stack([np.asarray(x, dtype=np.float64),
-                   np.asarray(tau, dtype=np.float64)], axis=1)
-    return decode_stratified(net, merged, xy, decoders, d1, d2)
+    return decode_stratified(net, merged, _trunk_jet(net, x, tau, d1, d2),
+                             decoders)
 
 
 def _phys_temp_jet(jet: Jet2, scale: float, offset: float,
@@ -246,24 +233,22 @@ def loss_ic(net, merged, cset: CollocationSet, target: float = 0.0):
     """Initial-condition loss of one operator at tau = 0 against `target`
     in normalized output units: 0 is the start temperature T0; the cure
     operator's target is ALPHA_INIT."""
-    jet = _flat_eval(net, merged, cset.ic_x, np.zeros_like(cset.ic_x),
-                     decoders=range(1))
-    return _mean_sq(jet.value - target, cset.ic_x.size)
+    ic = cset.ic
+    jet = _flat_eval(net, merged, ic.x, ic.tau, decoders=range(1))
+    return _mean_sq(jet.value - target, ic.x.size)
 
 
 def loss_bc(nets: dict, merged: dict, cset: CollocationSet,
             props: MaterialSet, delta_t: float, horizon: float):
     """Robin boundary losses at the part top and tool bottom, in normalized
     temperature units."""
-    total = cset.bc_tau.size
+    tau, idx = cset.bc.tau, cset.bc.idx
+    total = tau.size
     tc, tt = nets["tc"], nets["tt"]
-    top_jet = _flat_eval(tc, merged["tc"], np.ones(total), cset.bc_tau,
-                         d1=(0,))
-    bot_jet = _flat_eval(tt, merged["tt"], np.zeros(total), cset.bc_tau,
-                         d1=(0,))
+    top_jet = _flat_eval(tc, merged["tc"], np.ones(total), tau, d1=(0,))
+    bot_jet = _flat_eval(tt, merged["tt"], np.zeros(total), tau, d1=(0,))
     top_phys = _phys_temp_jet(top_jet, tc.out_scale, tc.out_offset, horizon)
     bot_phys = _phys_temp_jet(bot_jet, tt.out_scale, tt.out_offset, horizon)
-    idx = cset.bc_idx
     top, bot = bc_residuals(top_phys, bot_phys, cset.ta_bc,
                             props.part, props.tool, cset.h_top[idx],
                             cset.h_bot[idx], cset.l_part[idx],
@@ -276,11 +261,11 @@ def loss_pde_tool(net, merged, cset: CollocationSet, props: MaterialSet,
                   delta_t: float, horizon: float):
     """PDE residual loss of the tool operator, in normalized (tau,
     temperature-span) units."""
-    jet = _flat_eval(net, merged, cset.int_x, cset.int_tau, d1=(0, 1),
-                     d2=(0,))
+    pts = cset.interior
+    jet = _flat_eval(net, merged, pts.x, pts.tau, d1=(0, 1), d2=(0,))
     phys = _phys_temp_jet(jet, net.out_scale, net.out_offset, horizon)
-    res = pde_residual_tool(phys, props.tool, cset.l_tool[cset.int_idx])
-    return _mean_sq(res * (horizon / delta_t), cset.int_x.size)
+    res = pde_residual_tool(phys, props.tool, cset.l_tool[pts.idx])
+    return _mean_sq(res * (horizon / delta_t), pts.x.size)
 
 
 def loss_pde_part(nets: dict, merged: dict, cset: CollocationSet,
@@ -291,43 +276,44 @@ def loss_pde_part(nets: dict, merged: dict, cset: CollocationSet,
     curriculum's bc_scale."""
     if not 0.0 <= bc_scale <= 1.0:
         raise ValueError("bc_scale must lie in [0, 1]")
-    tc = nets["tc"]
-    jet = _flat_eval(tc, merged["tc"], cset.int_x, cset.int_tau,
-                     d1=(0, 1), d2=(0,))
+    tc, pts = nets["tc"], cset.interior
+    jet = _flat_eval(tc, merged["tc"], pts.x, pts.tau, d1=(0, 1), d2=(0,))
     phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
     if bc_scale > 0.0:
-        jet_a = _flat_eval(nets["alpha"], merged["alpha"], cset.int_x,
-                           cset.int_tau, d1=(1,))
+        jet_a = _flat_eval(nets["alpha"], merged["alpha"], pts.x, pts.tau,
+                           d1=(1,))
         alpha_rate = jet_a.d1[1] * (1.0 / horizon)
     else:
         alpha_rate = 0.0
     res = pde_residual_part(phys, alpha_rate, props.part,
-                            cset.l_part[cset.int_idx], bc_scale)
-    return _mean_sq(res * (horizon / delta_t), cset.int_x.size)
+                            cset.l_part[pts.idx], bc_scale)
+    return _mean_sq(res * (horizon / delta_t), pts.x.size)
 
 
 def loss_ode(nets: dict, merged: dict, cset: CollocationSet,
              props: MaterialSet, horizon: float):
     """Cure-kinetics ODE loss in tau units, at the part temperature."""
-    tc = nets["tc"]
-    jet_a = _flat_eval(nets["alpha"], merged["alpha"], cset.ode_x,
-                       cset.ode_tau, d1=(1,))
-    jet_t = _flat_eval(tc, merged["tc"], cset.ode_x, cset.ode_tau)
+    tc, pts = nets["tc"], cset.ode
+    jet_a = _flat_eval(nets["alpha"], merged["alpha"], pts.x, pts.tau,
+                       d1=(1,))
+    jet_t = _flat_eval(tc, merged["tc"], pts.x, pts.tau)
     t_kelvin = celsius_to_kelvin(tc.out_offset + tc.out_scale * jet_t.value)
     rate = cure_rate(jet_a.value, t_kelvin, props.kinetics)
-    return _mean_sq(jet_a.d1[1] - horizon * rate, cset.ode_x.size)
+    return _mean_sq(jet_a.d1[1] - horizon * rate, pts.x.size)
 
 
 def loss_interface_temporal(net, merged, cset: CollocationSet):
     """Mismatch of adjacent decoders at shared subdomain boundaries
-    (normalized output units). Zero by construction for one subdomain."""
-    n_d = net.config.n_subdomains
-    if n_d == 1 or cset.if_x.size == 0:
+    (normalized output units); 0.0 without interface points, as for one
+    subdomain. Both sides' decoders read one trunk pass."""
+    pts, n_d = cset.interface, net.config.n_subdomains
+    if pts.x.size == 0:
         return 0.0
     # block b sits on internal boundary b + 1: decode it on both sides
-    left, right = (_flat_eval(net, merged, cset.if_x, cset.if_tau, run).value
+    trunk = _trunk_jet(net, pts.x, pts.tau)
+    left, right = (decode_stratified(net, merged, trunk, run).value
                    for run in (range(n_d - 1), range(1, n_d)))
-    return _mean_sq(left - right, cset.if_x.size)
+    return _mean_sq(left - right, pts.x.size)
 
 
 def loss_continuity_material(nets: dict, merged: dict, cset: CollocationSet,
@@ -336,16 +322,15 @@ def loss_continuity_material(nets: dict, merged: dict, cset: CollocationSet,
     """Tool/part interface continuity losses: temperature value jump and
     conductive flux jump, nondimensionalized by the temperature span and the
     part-side conductance."""
-    total = cset.ct_tau.size
+    tau = cset.ct.tau
+    total = tau.size
     tc, tt = nets["tc"], nets["tt"]
-    tool_jet = _flat_eval(tt, merged["tt"], np.ones(total), cset.ct_tau,
-                          d1=(0,))
-    part_jet = _flat_eval(tc, merged["tc"], np.zeros(total), cset.ct_tau,
-                          d1=(0,))
+    tool_jet = _flat_eval(tt, merged["tt"], np.ones(total), tau, d1=(0,))
+    part_jet = _flat_eval(tc, merged["tc"], np.zeros(total), tau, d1=(0,))
     tool_phys = _phys_temp_jet(tool_jet, tt.out_scale, tt.out_offset, horizon)
     part_phys = _phys_temp_jet(part_jet, tc.out_scale, tc.out_offset, horizon)
-    l_tool_pt = cset.l_tool[cset.ct_idx]
-    l_part_pt = cset.l_part[cset.ct_idx]
+    l_tool_pt = cset.l_tool[cset.ct.idx]
+    l_part_pt = cset.l_part[cset.ct.idx]
     val, flux = continuity_residuals(tool_phys, part_phys, props.tool,
                                      props.part, l_tool_pt, l_part_pt)
     return (_mean_sq(val * (1.0 / delta_t), total),

@@ -9,10 +9,11 @@ named by NETS; all decoders share layer shapes, so `dec` is one MlpParams
 whose arrays carry a leading subdomain axis, (N_d, a, b) per weight.
 
 The losses decode through `decode_stratified`: points arrive in equal
-contiguous blocks, one per decoder of a run of consecutive decoders, so all
-blocks run in one batched pass with derivative slots on the tape. Grid
-prediction needs values only and goes through `predict_grid`'s tape-free
-feature-major path instead, one matmul per layer with the bias folded in.
+contiguous blocks, one per decoder of a run of consecutive decoders, and
+their trunk jet, computed by the caller, goes through all blocks' decoders
+in one batched pass with derivative slots on the tape. Grid prediction
+needs values only and goes through `predict_grid`'s tape-free feature-major
+path instead, one matmul per layer with the bias folded in.
 """
 
 from __future__ import annotations
@@ -231,34 +232,36 @@ def merged_branch(net: DeepONetModel, bn1_in, bn2_in):
                         mlp_forward_jet(net.bn2, bn2_in).value)
 
 
-def decode_stratified(net: DeepONetModel, merged, xy, decoders: range,
-                      d1=(), d2=()) -> Jet2:
-    """Trunk + decoders in one batched pass, carrying the derivative slots
-    d1/d2 of mlp_forward_jet, as (P,) slots.
+def decode_stratified(net: DeepONetModel, merged, trunk: Jet2,
+                      decoders: range) -> Jet2:
+    """Decoders in one batched pass over the trunk's jet on P points,
+    `mlp_forward_jet(net.trunk, xy, d1, d2)`, carrying its derivative
+    slots, as (P,) slots. The trunk pass is the caller's, so that two runs
+    of decoders can read one.
 
-    `decoders` is a run of consecutive decoders. The P rows of `xy` split
-    into len(decoders) equal contiguous blocks, and block i is decoded by
+    `decoders` is a run of consecutive decoders. The P points split into
+    len(decoders) equal contiguous blocks, and block i is decoded by
     decoder decoders[i]. `merged` holds the merged branch embeddings of n
     designs, (n, q), and every block holds each design's points in design
     order, equally many per design.
     """
     n_dec, n_b = net.dec.stack_shape[0], len(decoders)
     n, q = value_of(merged).shape
-    p = xy.shape[0]
+    p = value_of(trunk.data).shape[1]
     if decoders.step != 1 or not 0 <= decoders.start < decoders.stop <= n_dec:
         raise ValueError(f"{decoders} is no run of the {n_dec} decoders")
     if p % (n_b * n):
         raise ValueError("P must split into equal blocks with equally many "
                          "points per design")
-    trunk = mlp_forward_jet(net.trunk, xy, d1, d2).data
-    joint = (merged[:, None] * trunk.reshape(-1, n_b, n, p // (n_b * n), q)
+    joint = (merged[:, None]
+             * trunk.data.reshape(-1, n_b, n, p // (n_b * n), q)
              ).reshape(-1, n_b, p // n_b, q)
     weights, biases = net.dec.weights, net.dec.biases
     if n_b < n_dec:     # a full slice's pull would copy the whole stack
         run = slice(decoders.start, decoders.stop)
         weights, biases = [w[run] for w in weights], [b[run] for b in biases]
-    out = dense_layers(Jet2(joint, d1, d2), weights, biases)
-    return Jet2(out.data.reshape(-1, p), d1, d2)
+    out = dense_layers(Jet2(joint, trunk.d1, trunk.d2), weights, biases)
+    return Jet2(out.data.reshape(-1, p), out.d1, out.d2)
 
 
 def _mlp_feature_major(weights, biases, h, spare):

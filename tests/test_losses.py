@@ -67,16 +67,27 @@ def ic_losses(nets, merged, cset, alpha_init=0.05):
 
 
 def test_collocation_counts_round_up_to_equal_blocks():
-    triplet = fresh_triplet()
-    cfg = CollocationConfig(q_ic=25, q_bc=23, q_if=24, q_ct=22)
-    cset = sample_collocation(triplet, DESIGNS, cfg, 11, 61)
-    n, n_d = len(DESIGNS), CONFIG.n_subdomains
+    # one rule for every category: q points over n designs and B blocks
+    # give m = ceil(q / (n * B)) points per design per block; one subdomain
+    # or q_if = 0 leaves no interface points
+    n = len(DESIGNS)
     ceil = lambda a, b: -(-a // b)
-    for q, got in ((61, cset.int_x), (61, cset.ode_x),
-                   (cfg.q_bc, cset.bc_tau), (cfg.q_ct, cset.ct_tau)):
-        assert got.size == n_d * n * ceil(ceil(q, n), n_d) >= q
-    assert cset.ic_x.size == n * ceil(cfg.q_ic, n)
-    assert cset.if_x.size == (n_d - 1) * n * ceil(cfg.q_if, (n_d - 1) * n)
+    for n_d, q_if in ((3, 24), (1, 24), (3, 0)):
+        triplet = init_triplet(OperatorConfig(q=6, hidden_width=8,
+                                              hidden_layers=2,
+                                              n_subdomains=n_d), SPACE, 0)
+        cfg = CollocationConfig(q_ic=25, q_bc=23, q_if=q_if, q_ct=22)
+        cset = sample_collocation(triplet, DESIGNS, cfg, 11, 61)
+        for pts, q, blocks in ((cset.interior, 61, n_d), (cset.ode, 61, n_d),
+                               (cset.bc, cfg.q_bc, n_d),
+                               (cset.ct, cfg.q_ct, n_d),
+                               (cset.ic, cfg.q_ic, 1),
+                               (cset.interface, q_if, n_d - 1)):
+            m = ceil(q, n * blocks) if blocks else 0
+            assert pts.x.size == pts.tau.size == pts.idx.size \
+                == blocks * n * m
+            assert pts.x.size >= q or blocks == 0
+        assert (cset.interface.x.size == 0) == (n_d == 1 or q_if == 0)
 
 
 def test_collocation_deterministic_and_reseeded():
@@ -84,15 +95,15 @@ def test_collocation_deterministic_and_reseeded():
     a = cset_for(triplet, seed=11)
     b = cset_for(triplet, seed=11)
     c = cset_for(triplet, seed=12)
-    assert np.array_equal(a.int_x, b.int_x)
-    assert not np.array_equal(a.int_x, c.int_x)
+    assert np.array_equal(a.interior.x, b.interior.x)
+    assert not np.array_equal(a.interior.x, c.interior.x)
 
 
 def test_collocation_interface_points_sit_on_boundaries():
     triplet = fresh_triplet()
     cset = cset_for(triplet)
     internal = set(CONFIG.boundaries[1:-1])
-    assert set(np.unique(cset.if_tau)) == internal
+    assert set(np.unique(cset.interface.tau)) == internal
 
 
 def test_collocation_subdomain_coverage():
@@ -101,7 +112,7 @@ def test_collocation_subdomain_coverage():
                                           hidden_layers=2), SPACE, seed=0)
     big = CollocationConfig(q_ic=8, q_bc=8, q_if=8, q_ct=8)
     cset = sample_collocation(triplet, DESIGNS, big, 3, 2048)
-    seg = subdomain_index(triplet.g_tc.config.segments(), cset.int_tau)
+    seg = subdomain_index(triplet.g_tc.config.segments(), cset.interior.tau)
     counts = np.bincount(seg, minlength=7)
     assert np.all(counts >= 2048 // 14), counts
 
@@ -134,22 +145,22 @@ def test_stratified_layout_blocks_are_segment_major(inner, n_designs, counts,
         assert np.all(blocks >= np.asarray(lo)[:, None])
         assert np.all(blocks <= np.asarray(hi)[:, None])
 
-    for tau, idx in ((cset.int_tau, cset.int_idx),
-                     (cset.ode_tau, cset.ode_idx),
-                     (cset.bc_tau, cset.bc_idx), (cset.ct_tau, cset.ct_idx)):
-        check_blocks(tau, idx, bounds[:-1], bounds[1:])
-    check_blocks(np.zeros_like(cset.ic_x), cset.ic_idx, [0.0], [0.0])
+    for pts in (cset.interior, cset.ode, cset.bc, cset.ct):
+        check_blocks(pts.tau, pts.idx, bounds[:-1], bounds[1:])
+    check_blocks(cset.ic.tau, cset.ic.idx, [0.0], [0.0])
     if n_d > 1:
-        check_blocks(cset.if_tau, cset.if_idx, bounds[1:-1], bounds[1:-1])
+        check_blocks(cset.interface.tau, cset.interface.idx, bounds[1:-1],
+                     bounds[1:-1])
     else:
-        assert cset.if_x.size == 0
+        assert cset.interface.x.size == 0
 
 
 def test_collocation_ic_points_at_time_zero():
-    # ic points carry tau = 0 implicitly: the loss evaluates them at tau = 0
+    # ic points store tau = 0, where the loss evaluates them
     triplet = fresh_triplet()
-    cset = cset_for(triplet)
-    assert np.all(cset.ic_x >= 0.0) and np.all(cset.ic_x <= 1.0)
+    ic = cset_for(triplet).ic
+    assert ic.tau.shape == ic.x.shape and np.all(ic.tau == 0.0)
+    assert np.all(ic.x >= 0.0) and np.all(ic.x <= 1.0)
 
 
 def test_collocation_requires_designs():
@@ -185,8 +196,7 @@ def test_loss_ic_matches_recomputation():
     l_t, l_a = ic_losses(nets, merged, cset, alpha_init=triplet.alpha_init)
 
     acc_t, acc_a = 0.0, 0.0
-    for i, x in enumerate(cset.ic_x):
-        d = cset.ic_idx[i]
+    for x, d in zip(cset.ic.x, cset.ic.idx):
         for model, kind in ((triplet.g_tt, "t"), (triplet.g_tc, "t"),
                             (triplet.g_alpha, "a")):
             jet = _point_jet(model, cset.bn1[d], cset.bn2[d], x, 0.0, ())
@@ -194,8 +204,8 @@ def test_loss_ic_matches_recomputation():
                 acc_t += jet.value ** 2
             else:
                 acc_a += (jet.value - 0.05) ** 2
-    assert _rel_close(float(l_t), acc_t / cset.ic_x.size)
-    assert _rel_close(float(l_a), acc_a / cset.ic_x.size)
+    assert _rel_close(float(l_t), acc_t / cset.ic.x.size)
+    assert _rel_close(float(l_a), acc_a / cset.ic.x.size)
 
 
 def test_loss_bc_matches_recomputation():
@@ -206,9 +216,7 @@ def test_loss_bc_matches_recomputation():
                            triplet.horizon)
     dt = triplet.delta_t
     acc_top = acc_bot = 0.0
-    for i, tau in enumerate(cset.bc_tau):
-        d = cset.bc_idx[i]
-        ta = cset.ta_bc[i]
+    for tau, d, ta in zip(cset.bc.tau, cset.bc.idx, cset.ta_bc):
         top = _point_jet(triplet.g_tc, cset.bn1[d], cset.bn2[d], 1.0, tau,
                          (0,))
         bot = _point_jet(triplet.g_tt, cset.bn1[d], cset.bn2[d], 0.0, tau,
@@ -223,8 +231,8 @@ def test_loss_bc_matches_recomputation():
             * (t_bot - ta)
         acc_top += (r_top / dt) ** 2
         acc_bot += (r_bot / dt) ** 2
-    assert _rel_close(float(l_top), acc_top / cset.bc_tau.size)
-    assert _rel_close(float(l_bot), acc_bot / cset.bc_tau.size)
+    assert _rel_close(float(l_top), acc_top / cset.bc.tau.size)
+    assert _rel_close(float(l_bot), acc_bot / cset.bc.tau.size)
 
 
 def test_loss_physics_matches_recomputation():
@@ -242,8 +250,8 @@ def test_loss_physics_matches_recomputation():
     a_c = PROPS.part.diffusivity
     b_c = PROPS.part.heat_gen_coeff
     acc_tool = acc_part = 0.0
-    for i in range(cset.int_x.size):
-        x, tau, d = cset.int_x[i], cset.int_tau[i], cset.int_idx[i]
+    for x, tau, d in zip(cset.interior.x, cset.interior.tau,
+                         cset.interior.idx):
         jt = _point_jet(triplet.g_tt, cset.bn1[d], cset.bn2[d], x, tau,
                         (0, 1))
         r = dt / hz * jt.d1[1] - (a_t / cset.l_tool[d] ** 2) * dt * jt.d2[0]
@@ -256,19 +264,18 @@ def test_loss_physics_matches_recomputation():
         r = dt / hz * jc.d1[1] - (a_c / cset.l_part[d] ** 2) * dt * jc.d2[0] \
             - bc_scale * b_c * rate
         acc_part += (r * hz / dt) ** 2
-    assert _rel_close(float(l_tool), acc_tool / cset.int_x.size, 1e-8)
-    assert _rel_close(float(l_part), acc_part / cset.int_x.size, 1e-8)
+    assert _rel_close(float(l_tool), acc_tool / cset.interior.x.size, 1e-8)
+    assert _rel_close(float(l_part), acc_part / cset.interior.x.size, 1e-8)
 
     acc_ode = 0.0
-    for i in range(cset.ode_x.size):
-        x, tau, d = cset.ode_x[i], cset.ode_tau[i], cset.ode_idx[i]
+    for x, tau, d in zip(cset.ode.x, cset.ode.tau, cset.ode.idx):
         ja = _point_jet(triplet.g_alpha, cset.bn1[d], cset.bn2[d], x, tau,
                         (1,))
         jc = _point_jet(triplet.g_tc, cset.bn1[d], cset.bn2[d], x, tau, ())
         t_k = celsius_to_kelvin(20.0 + dt * jc.value)
         rate = cure_rate(np.clip(ja.value, 0.0, 1.0), t_k, PROPS.kinetics)
         acc_ode += (ja.d1[1] - hz * rate) ** 2
-    assert _rel_close(float(l_ode), acc_ode / cset.ode_x.size, 1e-8)
+    assert _rel_close(float(l_ode), acc_ode / cset.ode.x.size, 1e-8)
 
 
 def test_loss_continuity_matches_recomputation():
@@ -280,8 +287,7 @@ def test_loss_continuity_matches_recomputation():
                                              triplet.horizon)
     dt = triplet.delta_t
     acc_v = acc_f = 0.0
-    for i, tau in enumerate(cset.ct_tau):
-        d = cset.ct_idx[i]
+    for tau, d in zip(cset.ct.tau, cset.ct.idx):
         jt = _point_jet(triplet.g_tt, cset.bn1[d], cset.bn2[d], 1.0, tau,
                         (0,))
         jc = _point_jet(triplet.g_tc, cset.bn1[d], cset.bn2[d], 0.0, tau,
@@ -291,8 +297,8 @@ def test_loss_continuity_matches_recomputation():
             - PROPS.part.k / cset.l_part[d] * dt * jc.d1[0]
         acc_v += (val / dt) ** 2
         acc_f += (flux * cset.l_part[d] / (PROPS.part.k * dt)) ** 2
-    assert _rel_close(float(l_val), acc_v / cset.ct_tau.size)
-    assert _rel_close(float(l_flux), acc_f / cset.ct_tau.size)
+    assert _rel_close(float(l_val), acc_v / cset.ct.tau.size)
+    assert _rel_close(float(l_flux), acc_f / cset.ct.tau.size)
 
 
 def test_loss_interface_matches_recomputation():
@@ -302,9 +308,8 @@ def test_loss_interface_matches_recomputation():
     got = loss_interface_temporal(nets["tc"], merged["tc"], cset)
     model = triplet.g_tc
     acc = 0.0
-    for i, tau in enumerate(cset.if_tau):
-        d = cset.if_idx[i]
-        x = cset.if_x[i]
+    for x, tau, d in zip(cset.interface.x, cset.interface.tau,
+                         cset.interface.idx):
         b = mlp_forward(model.bn1, cset.bn1[d]) \
             * mlp_forward(model.bn2, cset.bn2[d])
         t = mlp_forward(model.trunk, np.array([x, tau]))
@@ -313,7 +318,7 @@ def test_loss_interface_matches_recomputation():
         left = mlp_forward(decoder(model, k_left), b * t)[0]
         right = mlp_forward(decoder(model, k_right), b * t)[0]
         acc += (left - right) ** 2
-    assert _rel_close(float(got), acc / cset.if_tau.size)
+    assert _rel_close(float(got), acc / cset.interface.tau.size)
 
 
 # -- trivial exact cases ---------------------------------------------------------
@@ -357,12 +362,11 @@ def test_insulated_bc_penalizes_gradient_only():
     l_top, _ = loss_bc(nets, merged, cset, PROPS, triplet.delta_t,
                        triplet.horizon)
     acc = 0.0
-    for i, tau in enumerate(cset.bc_tau):
-        d = cset.bc_idx[i]
+    for tau, d in zip(cset.bc.tau, cset.bc.idx):
         jet = _point_jet(triplet.g_tc, cset.bn1[d], cset.bn2[d], 1.0, tau,
                          (0,))
         acc += jet.d1[0] ** 2
-    assert _rel_close(float(l_top), acc / cset.bc_tau.size)
+    assert _rel_close(float(l_top), acc / cset.bc.tau.size)
 
 
 def test_manufactured_constant_solution_zeroes_all_components():

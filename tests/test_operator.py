@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cureonet.autodiff import mlp_forward_jet
 from cureonet.design import DesignSpace, encode, sample
 from cureonet.operator import (DEFAULT_BOUNDARIES_7, OperatorConfig,
                                branch_merge, decode_stratified, glorot_mlp,
@@ -208,7 +209,8 @@ def test_predict_grid_matches_decode_stratified(cfg):
         block_taus = np.concatenate([per_segment[k] for k in decoders])
         xx, tt = np.meshgrid(xs, block_taus)
         xy = np.stack([xx.ravel(), tt.ravel()], axis=1)
-        strat = decode_stratified(model, merged, xy, decoders).value
+        trunk = mlp_forward_jet(model.trunk, xy)
+        strat = decode_stratified(model, merged, trunk, decoders).value
         expect = grid[[row_of[tau] for tau in block_taus]]
         assert np.max(np.abs(strat.reshape(expect.shape) - expect)) <= 1e-13
 
@@ -223,7 +225,8 @@ def test_decode_stratified_refuses_a_range_that_is_no_run(decoders):
     merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
     xy = np.full((6, 2), 0.5)
     with pytest.raises(ValueError, match="no run"):
-        decode_stratified(model, merged, xy, decoders)
+        decode_stratified(model, merged, mlp_forward_jet(model.trunk, xy),
+                          decoders)
 
 
 def test_predict_factorization_same_branch_vector():

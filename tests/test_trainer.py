@@ -15,10 +15,11 @@ import pytest
 
 from cureonet.autodiff import backward
 from cureonet.design import DesignSpace, sample
-from cureonet.losses import (CollocationConfig, LossWeights, PHASE_ALL,
-                             PHASE_CURE, PHASE_MODELS, PHASE_TEMPERATURE,
-                             breakdown_from, compute_components,
-                             sample_collocation, total_loss)
+from cureonet.losses import (COMPONENT_NAMES, CollocationConfig,
+                             LossWeights, PHASE_ALL, PHASE_CURE,
+                             PHASE_MODELS, PHASE_TEMPERATURE, breakdown_from,
+                             compute_components, sample_collocation,
+                             total_loss)
 from cureonet.operator import (OperatorConfig, init_triplet, model_from_state,
                                model_state, taped_triplet)
 from cureonet.process import load_material_set
@@ -412,6 +413,58 @@ def test_group_sweeps_give_the_gradients_of_one_sweep(phase, bc_scale,
                         grouped[name].trainable_arrays()):
             assert a.grad is not None and b.grad is not None
             assert np.array_equal(a.grad, b.grad)
+
+
+INTERFACE_ONLY = LossWeights(**{name: float(name == "if_temporal")
+                                for name in COMPONENT_NAMES})
+
+
+@pytest.mark.parametrize("weights", [LossWeights(ic_t=2.0, ode=0.5),
+                                     INTERFACE_ONLY],
+                         ids=["all", "interface"])
+@pytest.mark.parametrize("phase", [PHASE_TEMPERATURE, PHASE_CURE])
+def test_group_sweep_gradients_match_central_differences(phase, weights):
+    # end to end through a training step's sweeps: a few weights each of
+    # bn1, the trunk and decoder 1's slice against central differences of
+    # the phase's loss; decoder 1 sits on both sides of an interface, and
+    # the interface-only weights isolate the group whose two decoder runs
+    # read one trunk pass
+    config = OperatorConfig(q=4, hidden_width=5, hidden_layers=2,
+                            n_subdomains=3)
+    triplet = init_triplet(config, SPACE, seed=3)
+    cset = sample_collocation(triplet, DESIGNS, CollocationConfig(
+        q_ic=8, q_bc=8, q_if=8, q_ct=8), 0, 24)
+    names = PHASE_MODELS[phase]
+    nets = taped_triplet(triplet, trainable=names)
+    _sweep_by_group(nets, names, triplet, cset, PROPS, 1.0, phase, weights)
+
+    def loss():
+        return total_loss(breakdown_from(compute_components(
+            triplet.models(), triplet, cset, PROPS, 1.0, phase)), weights)
+
+    # the difference quotient's roundoff is about eps * loss / h
+    rng = np.random.default_rng(4)
+    h = 1e-5
+    roundoff = np.finfo(float).eps * loss() / h
+    for name in names:
+        for net, layer, lead in (("bn1", 0, ()), ("trunk", 0, ()),
+                                 ("trunk", -1, ()), ("dec", 0, (1,)),
+                                 ("dec", -1, (1,))):
+            arr = getattr(triplet.models()[name], net).weights[layer]
+            grad = getattr(nets[name], net).weights[layer].grad
+            assert np.any(grad != 0.0), (name, net, layer)
+            for _ in range(3):
+                pos = lead + tuple(rng.integers(0, n)
+                                   for n in arr.shape[len(lead):])
+                old = arr[pos]
+                arr[pos] = old + h
+                up = loss()
+                arr[pos] = old - h
+                down = loss()
+                arr[pos] = old
+                fd = (up - down) / (2 * h)
+                assert abs(grad[pos] - fd) <= 1e-5 * abs(fd) + 10 * roundoff, \
+                    (name, net, layer, pos, grad[pos], fd)
 
 
 def test_group_sweeps_bound_the_tape_of_a_training_step():

@@ -1,6 +1,14 @@
-"""Dense-MLP autodiff engine: reverse-mode tape over float64 numpy arrays,
-with order-2 forward jets for first/second derivatives w.r.t. selected
-network inputs.
+"""Dense-MLP autodiff engine: reverse-mode tape over numpy arrays, with
+order-2 forward jets for first/second derivatives w.r.t. selected network
+inputs.
+
+A tape runs in the precision of the weights it is fed: float64 weights give
+a float64 tape, float32 weights a float32 one. Training tapes a float32 copy
+of float64 master weights (see `trainer.train`); the loss algebra around the
+network passes may stay float64, and each layer node casts the cotangent it
+receives to its own dtype, so the layer matmuls and every parameter gradient
+stay float32. Everything else (predictions, evaluation, the reference
+solver) runs in float64.
 
 A jet stacks its value and derivative slots on one leading axis (Taylor-mode
 propagation in the forward-Laplacian layout), and `dense` moves all slots
@@ -41,8 +49,9 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
 
 
 class Var:
-    """Node of the reverse-mode tape. Holds a float64 array, its gradient
-    slot, and vjp closures pulling gradient back to its parents.
+    """Node of the reverse-mode tape. Holds a float32 or float64 array (any
+    other input becomes float64), its gradient slot, and vjp closures
+    pulling gradient back to its parents.
 
     Graphs are built implicitly through parent references; each evaluation
     therefore owns a private tape. Parents that do not require gradients
@@ -55,7 +64,9 @@ class Var:
     __array_ufunc__ = None
 
     def __init__(self, data, parents=(), requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 \
+            else data.astype(np.float64, copy=False)
         self.grad = None
         self._parents = parents
         self.requires_grad = requires_grad
@@ -149,7 +160,7 @@ class Var:
         """Basic indexing (integers and slices)."""
 
         def pull(g, shape=self.data.shape):
-            out = np.zeros(shape)
+            out = np.zeros(shape, dtype=self.data.dtype)
             out[idx] = g
             return out
 
@@ -423,7 +434,9 @@ def dense(jet: Jet2, w, b, act: bool) -> Jet2:
                              [1 + first.index(k) for k in jet.d2])
     if not any(isinstance(p, Var) for p in (jet.data, w, b)):
         return Jet2(out, jet.d1, jet.d2)
-    parents = _shared_pulls(vjp, (
+    # a cotangent from wider loss algebra is narrowed to the layer's dtype
+    dtype = out.dtype
+    parents = _shared_pulls(lambda g: vjp(g.astype(dtype, copy=False)), (
         (jet.data, lambda gz: _unbroadcast(gz @ wd.swapaxes(-1, -2),
                                            h.shape)),
         (w, lambda gz: _unbroadcast(h.swapaxes(-1, -2) @ gz, wd.shape)),
@@ -446,15 +459,17 @@ def mlp_forward_jet(net, x: Array, d1=(), d2=()) -> Jet2:
     those in d2 (a subset of d1); e.g. d1=(0, 1), d2=(0,) for d/dx, d/dt
     and d2/dx2. `net` is an MlpParams of numpy arrays or of tape leaves
     (then each layer is one taped node, so parameter gradients of any slot
-    can be pulled back). Returns a Jet2 with (batch, out) slots.
+    can be pulled back). The jet takes the weights' dtype. Returns a Jet2
+    with (batch, out) slots.
     """
-    x = np.asarray(x, dtype=np.float64)
+    dtype = value_of(net.weights[0]).dtype
+    x = np.asarray(x, dtype=dtype)
     n_in = net.layer_sizes[0]
     if x.ndim != 2 or x.shape[1] != n_in:
         raise ValueError(f"input of shape {x.shape} is not (batch, {n_in})")
     if any(not 0 <= k < n_in for k in d1):
         raise ValueError(f"derivative inputs {d1} outside input width {n_in}")
-    data = np.zeros((1 + len(d1) + len(d2),) + x.shape)
+    data = np.zeros((1 + len(d1) + len(d2),) + x.shape, dtype=dtype)
     data[0] = x
     for i, k in enumerate(d1):
         data[1 + i, :, k] = 1.0

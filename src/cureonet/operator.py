@@ -108,8 +108,9 @@ class DeepONetModel:
         if self.dec.layer_sizes[0] != self.config.q:
             raise ValueError("decoder input width must equal q")
 
-    def copy(self) -> "DeepONetModel":
-        return replace(self, **{name: getattr(self, name).map(np.copy)
+    def map(self, fn) -> "DeepONetModel":
+        """The same operator with `fn` applied to every weight and bias."""
+        return replace(self, **{name: getattr(self, name).map(fn)
                                 for name in NETS})
 
     def trainable_arrays(self) -> list[np.ndarray]:
@@ -165,10 +166,14 @@ class OperatorTriplet:
     def models(self) -> dict:
         return {"tc": self.g_tc, "tt": self.g_tt, "alpha": self.g_alpha}
 
-    def copy(self) -> "OperatorTriplet":
-        return OperatorTriplet(self.g_tc.copy(), self.g_tt.copy(),
-                               self.g_alpha.copy(), self.space, self.horizon,
+    def map(self, fn) -> "OperatorTriplet":
+        """The same triplet with `fn` applied to every weight and bias."""
+        return OperatorTriplet(self.g_tc.map(fn), self.g_tt.map(fn),
+                               self.g_alpha.map(fn), self.space, self.horizon,
                                cooldown=self.cooldown)
+
+    def copy(self) -> "OperatorTriplet":
+        return self.map(np.copy)
 
     @property
     def delta_t(self) -> float:
@@ -217,12 +222,9 @@ def taped_triplet(triplet: OperatorTriplet,
     model is a copy whose subnets hold tape leaves aliasing its arrays (so
     optimizer updates stay visible), and its `trainable_arrays()` are those
     leaves; a frozen model is the triplet's own and adds nothing to the
-    tape."""
-    def taped(model):
-        return replace(model, **{name: getattr(model, name).map(
-            lambda a: Var(a, requires_grad=True)) for name in NETS})
-
-    return {name: taped(model) if name in trainable else model
+    tape. The tape runs in the arrays' dtype."""
+    return {name: model.map(lambda a: Var(a, requires_grad=True))
+            if name in trainable else model
             for name, model in triplet.models().items()}
 
 

@@ -5,6 +5,11 @@ curriculum on the heat-generation coefficient, and atomic checkpointing.
 Curriculum stages form the outer loop (equal epoch shares, remainder to the
 final full-coefficient stage); inside each stage the two phases alternate.
 Each phase owns its Adam state; moments persist across phases and stages.
+
+Precision is mixed: each step tapes a float32 copy of the three operators,
+and Adam applies the widened gradients to float64 master weights with
+float64 moments. Checkpoints, the per-epoch loss breakdown and everything
+downstream of training read the float64 masters.
 """
 
 from __future__ import annotations
@@ -240,10 +245,13 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
         cset = sample_collocation(triplet, _draw_designs(designs, plan, key),
                                   loss_config, key, plan.batch_size)
         names = PHASE_MODELS[phase]
-        nets = taped_triplet(triplet, trainable=names)
+        nets = taped_triplet(triplet.map(lambda a: a.astype(np.float32)),
+                             trainable=names)
         _sweep_by_group(nets, names, triplet, cset, props, bc_scale, phase,
                         weights)
-        grads = [v.grad if v.grad is not None else np.zeros_like(v.data)
+        # Adam moves the float64 masters by the widened float32 gradients
+        grads = [np.zeros(v.shape) if v.grad is None
+                 else v.grad.astype(np.float64)
                  for name in names for v in nets[name].trainable_arrays()]
         state = adam[phase]
         adam_step(arrays[phase], grads, state, lr_at(state.step, plan))

@@ -203,6 +203,38 @@ def test_gradient_of_second_derivative_loss_matches_fd(seed):
     assert checked == 40
 
 
+def test_dense_narrows_a_float64_cotangent_for_float32_leaves():
+    # a float32 network under float64 loss algebra, as in a training step:
+    # each layer casts the float64 cotangent it receives to its float32
+    # data, so every gradient stays float32 and within float32 rounding of
+    # the float64 network's
+    p = random_mlp([2, 12, 12, 1], seed=25, scale=0.5)
+    x = np.random.default_rng(25).uniform(-1, 1, size=(6, 2))
+    slot_scales = np.array([2.0, 0.5, 3.0])[:, None, None]   # float64
+    grads = {}
+    for dtype in (np.float64, np.float32):
+        tape = taped(p.map(lambda a: a.astype(dtype)))
+        jet = mlp_forward_jet(tape, x, d1=(0,), d2=(0,))
+        assert jet.data.data.dtype == dtype
+        res = jet.data * slot_scales
+        assert res.data.dtype == np.float64
+        backward((res * res).sum())
+        grads[dtype] = [leaf.grad for leaf in tape.arrays()]
+    for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64))
+
+
+def test_a_slice_pulls_back_in_its_leafs_dtype():
+    # a float64 cotangent through a slice of a float32 leaf (a run of the
+    # stacked decoders) leaves a float32 gradient
+    for dtype in (np.float32, np.float64):
+        leaf = Var(np.ones((3, 2), dtype=dtype), requires_grad=True)
+        backward((leaf[1:] * np.array([2.0, 4.0])).sum())
+        assert leaf.grad.dtype == dtype
+        assert np.array_equal(leaf.grad, [[0, 0], [2, 4], [2, 4]])
+
+
 def test_a_swept_graph_refuses_a_second_sweep():
     tape = taped(random_mlp([2, 6, 1], seed=23))
     x = np.random.default_rng(23).uniform(-1, 1, size=(5, 2))

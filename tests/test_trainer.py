@@ -13,6 +13,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from cureonet import trainer as trainer_module
 from cureonet.autodiff import backward
 from cureonet.design import DesignSpace, sample
 from cureonet.losses import (COMPONENT_NAMES, CollocationConfig,
@@ -21,7 +22,7 @@ from cureonet.losses import (COMPONENT_NAMES, CollocationConfig,
                              compute_components, sample_collocation,
                              total_loss)
 from cureonet.operator import (OperatorConfig, init_triplet, model_from_state,
-                               model_state, taped_triplet)
+                               model_state, predict_field, taped_triplet)
 from cureonet.process import load_material_set
 from cureonet.trainer import (AdamState, TrainPlan, TrainerError,
                               _epoch_schedule, _sweep_by_group, adam_step,
@@ -465,6 +466,77 @@ def test_group_sweep_gradients_match_central_differences(phase, weights):
                 fd = (up - down) / (2 * h)
                 assert abs(grad[pos] - fd) <= 1e-5 * abs(fd) + 10 * roundoff, \
                     (name, net, layer, pos, grad[pos], fd)
+
+
+@pytest.fixture(scope="module", params=[PHASE_TEMPERATURE, PHASE_CURE])
+def benchmark_step_leaves(request):
+    """The trainable leaves of one step of the `train` benchmark's scale (8
+    designs, default operators and collocation, batch 1024, the first
+    step's key), swept on a float64 tape and on the float32 tape that
+    training uses, from the same weights and points."""
+    phase = request.param
+    space = DesignSpace.named("small").narrowed(0.2)
+    triplet = init_triplet(OperatorConfig(), space, seed=0)
+    cset = sample_collocation(triplet, sample(space, 8, seed=1),
+                              CollocationConfig(), [0, 7001, 0, 0], 1024)
+    names = PHASE_MODELS[phase]
+    leaves = []
+    for source in (triplet, triplet.map(lambda a: a.astype(np.float32))):
+        nets = taped_triplet(source, trainable=names)
+        _sweep_by_group(nets, names, triplet, cset, PROPS, 1.0, phase,
+                        LossWeights())
+        leaves.append([v for name in names
+                       for v in nets[name].trainable_arrays()])
+    return leaves
+
+
+def test_every_gradient_of_a_float32_step_is_float32(benchmark_step_leaves):
+    # a float64 gradient anywhere (say on the decoder stack, whose runs are
+    # sliced) would mean float64 arithmetic on the float32 tape
+    for leaf in benchmark_step_leaves[1]:
+        assert leaf.data.dtype == np.float32
+        assert leaf.grad is not None and leaf.grad.dtype == np.float32
+
+
+def test_a_float32_step_matches_the_float64_gradients(benchmark_step_leaves):
+    # measured 1.3e-7 (temperature) and 2.2e-7 (cure) relative L2; the
+    # float64 tape of `taped_triplet` stays float64
+    wide, narrow = benchmark_step_leaves
+    assert all(leaf.grad.dtype == np.float64 for leaf in wide)
+    ref = np.concatenate([leaf.grad.ravel() for leaf in wide])
+    got = np.concatenate([leaf.grad.ravel() for leaf in narrow])
+    assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+def test_training_tapes_float32_and_keeps_the_rest_float64(tmp_path,
+                                                           monkeypatch):
+    # every step sweeps float32 leaves; the float32 tape is the step's own:
+    # weights, both phases' Adam moments, checkpoints and predictions stay
+    # float64
+    swept = []
+
+    def sweep(nets, names, *args):
+        swept.extend(leaf.data.dtype for name in names
+                     for leaf in nets[name].trainable_arrays())
+        _sweep_by_group(nets, names, *args)
+
+    monkeypatch.setattr(trainer_module, "_sweep_by_group", sweep)
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
+    train(triplet, DESIGNS, quick_plan(epochs=2), PROPS, seed=5,
+          loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    assert swept and set(swept) == {np.dtype(np.float32)}
+    for model in triplet.models().values():
+        assert all(a.dtype == np.float64 for a in model.trainable_arrays())
+    arrays = load_checkpoint(tmp_path / "checkpoint.npz")["arrays"]
+    assert all(a.dtype == np.float64 for a in arrays.values())
+    for tag in ("temp", "cure"):
+        moments = [a for key, a in arrays.items()
+                   if key.startswith(f"adam_{tag}/")]
+        assert moments and any(a.any() for a in moments)
+    field = predict_field(triplet, DESIGNS[0], np.linspace(0.0, 3600.0, 5),
+                          n_tool=7, n_part=9)
+    for values in (field.t_tool, field.t_part, field.alpha):
+        assert values.dtype == np.float64
 
 
 def test_group_sweeps_bound_the_tape_of_a_training_step():

@@ -80,10 +80,10 @@ def _design_from_config(d: dict) -> DesignPoint:
 
 
 def _grid_from_config(cfg: dict) -> Grid1D:
-    g = cfg.get("grid", {})
-    return Grid1D(**{**g, "n_tool": int(g.get("n_tool", 81)),
-                     "n_part": int(g.get("n_part", 81)),
-                     "dt": float(g.get("dt", 1.0))})
+    # coerce the keys the section gives; Grid1D supplies the rest
+    types = {"n_tool": int, "n_part": int, "dt": float}
+    return Grid1D(**{k: types[k](v) if k in types else v
+                     for k, v in cfg.get("grid", {}).items()})
 
 
 def cmd_simulate(args) -> int:
@@ -216,7 +216,8 @@ def cmd_ablate(args) -> int:
     report = ablation_run(args.kind, setup, out_dir=args.out_dir)
     for v in report["variants"]:
         print(f"{v['name']}: final_total={v['final_total']:.6f} "
-              f"midpoint_rel_l2={v['midpoint_rel_l2']:.4e}")
+              f"midpoint_rel_l2={v['midpoint_rel_l2']:.4e} "
+              f"midpoint_rel_l2_alpha={v['midpoint_rel_l2_alpha']:.4e}")
     return 0
 
 

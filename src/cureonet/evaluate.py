@@ -296,6 +296,9 @@ def ablation_run(kind: str, setup: AblationSetup, out_dir=None) -> dict:
             "loss_history": [r.total for r in history.records],
             "midpoint_rel_l2": float(np.mean(
                 [midpoint_trace_rel_l2(triplet, ref) for ref in refs])),
+            "midpoint_rel_l2_alpha": float(np.mean(
+                [midpoint_trace_rel_l2(triplet, ref, field_name="alpha")
+                 for ref in refs])),
         }
         if kind == "domain_decomp":
             rep["exotherm_window_max_err"] = float(np.mean(

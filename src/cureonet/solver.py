@@ -14,7 +14,8 @@ conduction makes it first order in time.
 (designs, nodes) arrays: each design's conduction matrix is inverted once,
 so a step is one batched matrix-vector product, and the kinetics run as one
 RK4 over designs x nodes. One design is a batch of one. Every design starts
-from process.T0 and process.ALPHA_INIT.
+from process.T0 and process.ALPHA_INIT under its own cure-cycle air, unless
+the `forcing` test seam (manufactured solutions) replaces them.
 """
 
 from __future__ import annotations
@@ -61,21 +62,6 @@ class Grid1D:
 
 
 @dataclass
-class MmsForcing:
-    """Manufactured-solution hooks: volumetric sources (degC/s), boundary and
-    interface inhomogeneities, and initial fields. Test scaffolding only."""
-
-    source_tool: object = None    # f(x1_array, t) -> degC/s
-    source_part: object = None    # f(x2_array, t) -> degC/s
-    g_bot: object = None          # f(t) -> residual target at tool bottom
-    g_top: object = None
-    g_val: object = None
-    g_flux: object = None
-    ic_tool: object = None        # f(x1_array) -> degC
-    ic_part: object = None
-
-
-@dataclass
 class FieldSolution:
     """Discretized T_tool(x1,t), T_part(x2,t), alpha(x2,t) for one design."""
 
@@ -98,9 +84,7 @@ class FieldSolution:
 
 def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
                 bc_scale: float = 1.0, cooldown: bool = False,
-                forcing: MmsForcing | None = None,
-                air_override=None,
-                store_every: int = 1) -> list[FieldSolution]:
+                forcing=None, store_every: int = 1) -> list[FieldSolution]:
     """March several designs in lockstep on (designs, nodes) arrays and
     return one FieldSolution per design, in order.
 
@@ -109,11 +93,15 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     stores no step past its own end, so its solution matches, to rounding,
     the one it gets in a batch of one. The solutions' fields are views into
     one padded array per field.
-    `forcing` and `air_override` (an f(t) -> degC replacing the cure-cycle
-    air profile) apply to every design. Each solution's `meta` holds its
-    `steps` and stored alpha range, and the batch's `wall_s`, `factor_s`
-    (time spent building the conduction factors) and `kinetics_s` (time
-    spent advancing the degree of cure).
+    Each solution's `meta` holds its `grid`, `steps` and stored alpha
+    range, and the batch's `wall_s`, `factor_s` (time spent building the
+    conduction factors) and `kinetics_s` (time spent advancing the degree
+    of cure).
+    `forcing`, the test seam for manufactured solutions, applies to every
+    design: `forcing.initial(x1, x2)` gives (t_tool0, t_part0) in place of
+    T0, `forcing.air(t)` the air at the step times t in place of each
+    cycle's, and `forcing.rhs(x1, x2, t_new, t_mid, dt)` an (n_tool +
+    n_part,) vector added to that step's right-hand side.
     """
     if not 0.0 <= bc_scale <= 1.0:
         raise DomainError("bc_scale must lie in [0, 1]")
@@ -161,20 +149,16 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
             raise SolverError(f"design {b}: non-finite conduction system")
     factor_s = time.perf_counter() - factor_start
 
-    # air temperature at every step's new time level, per design
+    # per design: the air at each step's new time level, and the start state
+    levels = dt * np.arange(1, n_max + 1)
     air = np.empty((n_designs, n_max))
-    if air_override is not None:
-        air[:] = [air_override(step * dt) for step in range(1, n_max + 1)]
-    else:
-        for b, cycle in enumerate(cycles):
-            air[b] = air_temperature(cycle, dt * np.arange(1, n_max + 1))
-
-    fz = forcing or MmsForcing()
     u = np.full((n_designs, n), T0, dtype=np.float64)
-    if fz.ic_tool is not None:
-        u[:, :n1] = fz.ic_tool(x1)
-    if fz.ic_part is not None:
-        u[:, n1:] = fz.ic_part(x2)
+    if forcing is None:
+        for b, cycle in enumerate(cycles):
+            air[b] = air_temperature(cycle, levels)
+    else:
+        air[:] = forcing.air(levels)
+        u[:, :n1], u[:, n1:] = forcing.initial(x1, x2)
     alpha = np.full((n_designs, n2), ALPHA_INIT, dtype=np.float64)
 
     # one padded (designs, rows, nodes) array per field, written row by
@@ -205,11 +189,11 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
                                 + keep_c * u[:, n1 + 1:n - 1]
                                 + gen * (alpha_new - alpha)[:, 1:-1])
         rhs[:, n - 1] = beta_top * ta_new
-        if forcing is not None:
-            _add_forcing(rhs, fz, n1, x1, x2, t_new,
-                         (step - 1) * dt + 0.5 * dt, dt)
+        # the interface rows of `rhs` stay 0; forcing adds to a copy
+        rhs_step = rhs if forcing is None else rhs + forcing.rhs(
+            x1, x2, t_new, (step - 1) * dt + 0.5 * dt, dt)
 
-        u = np.matmul(inv, rhs[:, :, None])[:, :, 0]
+        u = np.matmul(inv, rhs_step[:, :, None])[:, :, 0]
         alpha = alpha_new
         # a design past its own t_end marches on but stores nothing more
         store = ((step % store_every == 0) & (step <= n_steps)) \
@@ -225,9 +209,7 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
         alpha_out[store, row] = alpha[store]
 
     wall_s = time.perf_counter() - wall_start
-    base_meta = {"property_hash": props.content_hash(),
-                 "code_version": code_version, "cooldown": cooldown,
-                 "wall_s": wall_s, "factor_s": factor_s,
+    base_meta = {"wall_s": wall_s, "factor_s": factor_s,
                  "kinetics_s": kinetics_s}
     return [
         FieldSolution(
@@ -265,24 +247,6 @@ def _conduction_matrix(n1, n2, r_t, r_c, beta_bot, beta_top, kt_l, kc_l):
     a[n - 1, n - 3:n] = (1.0 / (2 * h2), -4.0 / (2 * h2),
                          3.0 / (2 * h2) + beta_top)
     return a
-
-
-def _add_forcing(rhs, fz: MmsForcing, n1, x1, x2, t_new, t_mid, dt):
-    """Add the manufactured-solution sources and inhomogeneities to every
-    design's right-hand side."""
-    n = rhs.shape[1]
-    if fz.g_bot is not None:
-        rhs[:, 0] += fz.g_bot(t_new)
-    if fz.source_tool is not None:
-        rhs[:, 1:n1 - 1] += dt * fz.source_tool(x1[1:-1], t_mid)
-    if fz.g_val is not None:
-        rhs[:, n1 - 1] = fz.g_val(t_new)
-    if fz.g_flux is not None:
-        rhs[:, n1] = fz.g_flux(t_new)
-    if fz.source_part is not None:
-        rhs[:, n1 + 1:n - 1] += dt * fz.source_part(x2[1:-1], t_mid)
-    if fz.g_top is not None:
-        rhs[:, n - 1] += fz.g_top(t_new)
 
 
 def _advance_alpha(alpha, t_part_c, p: CureKineticsParams, dt):

@@ -8,7 +8,10 @@ in the tests, and a helper nothing calls any more goes.
 A second guard asks the same of options: every defaulted parameter of a
 public function or method must be passed, by keyword or by position, at
 some call in the package, the benchmark harness or the tests. A parameter
-that only its default reaches is not an option but a constant."""
+that only its default reaches is not an option but a constant. A third
+asks it of the package and the harness alone: what only the tests pass is
+a test seam, and the reviewed seams are listed here, so a new one needs a
+deliberate edit."""
 
 import ast
 import math
@@ -115,11 +118,12 @@ def _passes(calls, name: str, param: str, position) -> int:
                for n_pos, keywords in calls.get(name, []))
 
 
-def defaults_never_passed(root=ROOT) -> list:
+def defaults_never_passed(root=ROOT, callers=("perfbench", "tests")) -> list:
+    """Defaulted parameters that no call in the package or in the `callers`
+    directories passes."""
     package = root / "src" / "cureonet"
-    sources = sorted(package.glob("*.py")) \
-        + sorted((root / "perfbench").glob("*.py")) \
-        + sorted((root / "tests").glob("*.py"))
+    sources = sorted(package.glob("*.py")) + [
+        p for where in callers for p in sorted((root / where).glob("*.py"))]
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sources}
     everywhere = {}
     for tree in trees.values():
@@ -190,6 +194,31 @@ def test_the_guard_sees_a_default_nobody_passes(tmp_path):
         "from cureonet.a import f, g\n\nf(0, by_keyword=1)\ng(*[1])\n")
     assert defaults_never_passed(tmp_path) == [
         "a.f(never)", "a.f(only_kw)", "a.Box.m(alone)"]
+
+
+# defaulted parameters only the tests pass, each reviewed: `main(argv)`
+# drives the CLI in-process, and `solve_batch(forcing)` takes the
+# manufactured solutions of tests/test_solver.py
+TEST_SEAMS = ["cli.main(argv)", "solver.solve_batch(forcing)"]
+
+
+def test_only_the_reviewed_test_seams_are_passed_by_the_tests_alone():
+    assert defaults_never_passed(callers=("perfbench",)) == TEST_SEAMS
+
+
+def test_the_guard_sees_a_default_only_the_tests_pass(tmp_path):
+    for where in ("src/cureonet", "perfbench", "tests"):
+        (tmp_path / where).mkdir(parents=True)
+    (tmp_path / "src" / "cureonet" / "a.py").write_text(
+        "def f(x, used=1, seam=2, *, bench=3):\n    return x\n\n\n"
+        "def g(x=1):\n    return f(x, used=x)\n")
+    (tmp_path / "perfbench" / "b.py").write_text(
+        "from cureonet.a import f\n\nf(0, bench=1)\n")
+    (tmp_path / "tests" / "test_c.py").write_text(
+        "from cureonet.a import f, g\n\nf(0, 1, 2)\ng(1)\n")
+    assert defaults_never_passed(tmp_path) == []
+    assert defaults_never_passed(tmp_path, callers=("perfbench",)) == [
+        "a.f(seam)", "a.g(x)"]
 
 
 def test_every_name_in_all_exists_on_the_package():

@@ -337,6 +337,15 @@ def test_cli_simulate_refuses_an_unknown_key(tmp_path, capsys, section,
     assert not (tmp_path / "out" / "solution.csv").exists()
 
 
+def test_grid_config_coerces_only_the_keys_it_gives():
+    # Grid1D, not the CLI, holds the grid's defaults
+    assert cli._grid_from_config({}) == Grid1D()
+    assert cli._grid_from_config({"grid": {}}) == Grid1D()
+    grid = cli._grid_from_config({"grid": {"n_tool": 41.0, "dt": 8}})
+    assert grid == Grid1D(n_tool=41, dt=8.0)
+    assert type(grid.n_tool) is int and type(grid.dt) is float
+
+
 @pytest.mark.parametrize("command", ["simulate", "train"])
 def test_cli_refuses_an_unknown_top_level_key(tmp_path, capsys, command):
     # a misspelt "cooldown" would otherwise run without cooldown, exit 0
@@ -498,6 +507,12 @@ def test_cli_ablate_writes_each_kind(tmp_path, capsys):
             (tmp_path / "ab" / f"ablation_{kind}.json").read_text())
         assert report["kind"] == kind and report["seed"] == 5
         assert [v["name"] for v in report["variants"]] == expected
+        # the cure trace is reported for every variant, and gated nowhere
+        assert all(np.isfinite(v["midpoint_rel_l2_alpha"])
+                   for v in report["variants"])
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(expected)
+        assert all("midpoint_rel_l2_alpha=" in line for line in printed)
 
 
 def test_cli_ablate_honours_cooldown(tmp_path):

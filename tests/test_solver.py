@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cureonet.design import VARIABLE_NAMES, DesignPoint, DesignSpace, sample
-from cureonet.process import (DomainError, celsius_to_kelvin, cure_rate,
+from cureonet.process import (T0, DomainError, celsius_to_kelvin, cure_rate,
                               load_material_set)
-from cureonet.solver import (FieldSolution, Grid1D, MmsForcing, SolverError,
+from cureonet.solver import (FieldSolution, Grid1D, SolverError,
                              _advance_alpha, exotherm, export_solution_csv,
                              probe, run_manifest, solve_batch)
 from oracles import import_solution_csv, midpoint
@@ -25,10 +25,46 @@ DESIGN = DesignPoint(h_top=100.0, h_bot=80.0, r1=2.0, ht1=110.0, hd1=60.0,
                      r2=2.0, ht2=180.0, hd2=110.0, l_tool=0.03, l_part=0.028)
 
 
+@dataclasses.dataclass
+class MmsForcing:
+    """`solve_batch`'s `forcing` seam for manufactured solutions: air
+    temperature, volumetric sources (degC/s), boundary and interface
+    inhomogeneities, and initial fields (T0 where None)."""
+
+    air: object                   # f(t_array) -> degC
+    source_tool: object = None    # f(x1_array, t) -> degC/s
+    source_part: object = None    # f(x2_array, t) -> degC/s
+    g_bot: object = None          # f(t) -> residual target at tool bottom
+    g_top: object = None
+    g_val: object = None
+    g_flux: object = None
+    ic_tool: object = None        # f(x1_array) -> degC
+    ic_part: object = None
+
+    def initial(self, x1, x2):
+        return tuple(np.full(x.shape, T0) if ic is None else ic(x)
+                     for ic, x in ((self.ic_tool, x1), (self.ic_part, x2)))
+
+    def rhs(self, x1, x2, t_new, t_mid, dt):
+        """Sources x dt on the interior rows, the g_* targets on the
+        boundary and interface rows, 0 where a hook is None."""
+        n1, n = len(x1), len(x1) + len(x2)
+        f = np.zeros(n)
+        for row, g in ((0, self.g_bot), (n1 - 1, self.g_val),
+                       (n1, self.g_flux), (n - 1, self.g_top)):
+            if g is not None:
+                f[row] = g(t_new)
+        for rows, source, x in ((slice(1, n1 - 1), self.source_tool, x1),
+                                (slice(n1 + 1, n - 1), self.source_part, x2)):
+            if source is not None:
+                f[rows] = dt * source(x[1:-1], t_mid)
+        return f
+
+
 def test_equilibrium_is_preserved_to_machine_precision():
     grid = Grid1D(n_tool=41, n_part=41, dt=2.0, t_end=600.0)
     sol = solve_batch([DESIGN], PROPS_NO_HEAT, grid,
-                      air_override=lambda t: 20.0)[0]
+                      forcing=MmsForcing(air=lambda t: 20.0))[0]
     assert np.max(np.abs(sol.t_tool - 20.0)) < 1e-10
     assert np.max(np.abs(sol.t_part - 20.0)) < 1e-10
     # kinetics barely move at room temperature over this horizon
@@ -96,6 +132,7 @@ def _manufactured_setup():
     kt_l = PROPS.tool.k / d.l_tool
     kc_l = PROPS_NO_HEAT.part.k / d.l_part
     forcing = MmsForcing(
+        air=tair,
         source_tool=lambda x, t: m1_t(x, t) - a_t * m1_xx(x, t),
         source_part=lambda x, t: m2_t(x, t) - a_c * m2_xx(x, t),
         g_bot=lambda t: m1_x(0.0, t) - beta_b * (m1(0.0, t) - tair(t)),
@@ -104,14 +141,14 @@ def _manufactured_setup():
         g_flux=lambda t: kt_l * m1_x(1.0, t) - kc_l * m2_x(0.0, t),
         ic_tool=lambda x: m1(x, 0.0),
         ic_part=lambda x: m2(x, 0.0))
-    return m1, m2, tair, forcing
+    return m1, m2, forcing
 
 
 def _mms_error(n, dt, t_end=600.0):
-    m1, m2, tair, forcing = _manufactured_setup()
+    m1, m2, forcing = _manufactured_setup()
     grid = Grid1D(n_tool=n, n_part=n, dt=dt, t_end=t_end)
     sol = solve_batch([DESIGN], PROPS_NO_HEAT, grid, forcing=forcing,
-                      air_override=tair, store_every=10 ** 9)[0]
+                      store_every=10 ** 9)[0]
     t_n = sol.times[-1]
     return max(np.max(np.abs(sol.t_tool[-1] - m1(sol.x_tool, t_n))),
                np.max(np.abs(sol.t_part[-1] - m2(sol.x_part, t_n))))
@@ -125,12 +162,12 @@ def test_spatial_convergence_order_at_least_1p9():
 
 def test_temporal_convergence_order_at_least_1p9():
     # temporal error isolated against a small-dt run on the same grid
-    m1, m2, tair, forcing = _manufactured_setup()
+    m1, m2, forcing = _manufactured_setup()
 
     def run(dt):
         grid = Grid1D(n_tool=41, n_part=41, dt=dt, t_end=600.0)
         return solve_batch([DESIGN], PROPS_NO_HEAT, grid, forcing=forcing,
-                           air_override=tair, store_every=10 ** 9)[0]
+                           store_every=10 ** 9)[0]
 
     ref = run(0.5)
     errs = []
@@ -361,7 +398,7 @@ def test_batch_keeps_equilibrium_for_random_designs(points):
          for v, u in zip(VARIABLE_NAMES, p)]) for p in points]
     grid = Grid1D(n_tool=11, n_part=11, dt=60.0, t_end=600.0)
     sols = solve_batch(designs, PROPS_NO_HEAT, grid,
-                       air_override=lambda t: 20.0)
+                       forcing=MmsForcing(air=lambda t: 20.0))
     assert len(sols) == len(designs)
     for sol in sols:
         assert np.max(np.abs(sol.t_tool - 20.0)) < 1e-10

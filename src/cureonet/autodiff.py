@@ -97,9 +97,6 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Var._node(-self.data, ((self, lambda g: -g),))
-
     def __sub__(self, other):
         other = _lift(other)
         return Var._node(

@@ -1,6 +1,7 @@
 """Design space for the curing scenarios: the ten design variables, their
 published ranges at three space sizes, uniform sampling, and encoding of a
-design point into the two branch-net input vectors."""
+batch of designs into the two branch-net input matrices, one row per
+design."""
 
 from __future__ import annotations
 
@@ -153,48 +154,27 @@ def sample(space: DesignSpace, n: int, seed: int) -> list[DesignPoint]:
     return [DesignPoint.from_array(row) for row in mat]
 
 
-@dataclass(frozen=True)
-class SensorizedInput:
-    """Branch-net inputs for one design: bn2 is the normalized air profile
-    at N_SENSORS fixed fractions of the global horizon, bn1 the min-max
-    normalized time-invariant scalars named by SCALAR_NAMES."""
-
-    bn1: np.ndarray
-    bn2: np.ndarray
-
-    def __post_init__(self):
-        if self.bn2.shape != (N_SENSORS,) or \
-                self.bn1.shape != (len(SCALAR_NAMES),):
-            raise ValueError("bad sensorized input shapes")
-
-
-def normalize_temperature(t_c, t0: float, t_hi: float):
-    return (t_c - t0) / (t_hi - t0)
-
-
-def encode(d: DesignPoint, space: DesignSpace, horizon: float,
-           cooldown: bool = False) -> SensorizedInput:
-    """Encode a design point against its space and the shared time horizon;
-    the air profile is normalized from T0 to the space's hottest air."""
-    cycle = d.cycle(cooldown=cooldown)
-    if horizon < cycle.duration_s:
-        raise DomainError(
-            f"horizon {horizon:.0f}s shorter than cycle {cycle.duration_s:.0f}s")
+def encode(designs, space: DesignSpace, horizon: float,
+           cooldown: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-net inputs of a batch of designs against their space and the
+    shared time horizon, one row per design: bn1, (n, 4), the min-max
+    normalized scalars named by SCALAR_NAMES, and bn2, (n, N_SENSORS), the
+    air profile at N_SENSORS fixed fractions of the horizon, normalized
+    from T0 to the space's hottest air."""
     times = np.linspace(0.0, horizon, N_SENSORS)
-    profile = air_temperature(cycle, times)
-    bn2 = normalize_temperature(profile, T0, space.max_t_air())
-    scalars = np.array([getattr(d, n) for n in SCALAR_NAMES])
+    profiles = []
+    for d in designs:
+        cycle = d.cycle(cooldown=cooldown)
+        if horizon < cycle.duration_s:
+            raise DomainError(f"horizon {horizon:.0f}s shorter than cycle "
+                              f"{cycle.duration_s:.0f}s")
+        profiles.append(air_temperature(cycle, times))
+    scalars = np.array([[getattr(d, n) for n in SCALAR_NAMES]
+                        for d in designs])
     lo = np.array([space.ranges[n][0] for n in SCALAR_NAMES])
     hi = np.array([space.ranges[n][1] for n in SCALAR_NAMES])
-    bn1 = (scalars - lo) / (hi - lo)
-    return SensorizedInput(bn1=bn1, bn2=bn2)
-
-
-def encode_batch(designs, space, horizon, cooldown=False):
-    """Stack encodings: returns (bn1 matrix [n,4], bn2 matrix [n,100])."""
-    encs = [encode(d, space, horizon, cooldown=cooldown) for d in designs]
-    return (np.stack([e.bn1 for e in encs]),
-            np.stack([e.bn2 for e in encs]))
+    return ((scalars - lo) / (hi - lo),
+            (np.array(profiles) - T0) / (space.max_t_air() - T0))
 
 
 def normalize_query(x, t, horizon: float):

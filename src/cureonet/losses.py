@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import Jet2, mlp_forward_jet, value_of
-from .design import encode_batch
+from .design import encode
 from .operator import OperatorTriplet, decode_stratified, merged_branch
 from .process import (ALPHA_INIT, MaterialSet, air_temperature,
                       bc_residuals, celsius_to_kelvin, continuity_residuals,
@@ -121,8 +121,8 @@ def sample_collocation(triplet: OperatorTriplet, designs,
         raise ValueError("need at least one design")
     rng = np.random.default_rng(seed)
     n = len(designs)
-    bn1, bn2 = encode_batch(designs, triplet.space, triplet.horizon,
-                            cooldown=triplet.cooldown)
+    bn1, bn2 = encode(designs, triplet.space, triplet.horizon,
+                      cooldown=triplet.cooldown)
     op_config = triplet.g_tc.config
     draw = lambda q, spans=op_config.segments(): _draw(rng, n, q, spans)
     interior, ode = draw(batch_size), draw(batch_size)

@@ -1,5 +1,6 @@
 """Operator networks: two branch nets merged by Hadamard product, a trunk
-net, and one decoder per temporal subdomain. Three fully decoupled operator
+net, and one decoder per temporal subdomain. The branch nets read the rows
+of `design.encode`, one per design. Three fully decoupled operator
 instances predict part temperature, tool temperature, and degree of cure.
 
 Decoders are nonlinear MLPs by default; a linear read-out mode (inner
@@ -25,7 +26,7 @@ import numpy as np
 from .autodiff import (Jet2, MlpParams, Var, dense_layers, mlp_forward_jet,
                        value_of)
 from .design import (N_SENSORS, SCALAR_NAMES, DesignPoint, DesignSpace,
-                     SensorizedInput, encode, normalize_query)
+                     encode, normalize_query)
 from .process import ALPHA_INIT, T0
 from .solver import FieldSolution
 
@@ -199,13 +200,6 @@ def init_triplet(config: OperatorConfig, space: DesignSpace, seed: int,
 # -- evaluation ---------------------------------------------------------------
 
 
-def branch_merge(b1, b2):
-    """Hadamard product of the two branch embeddings."""
-    if value_of(b1).shape != value_of(b2).shape:
-        raise ValueError("branch outputs must have equal shapes")
-    return b1 * b2
-
-
 def subdomain_index(segments, tau):
     """Map tau in [0,1] to its subdomain (left-closed intervals; tau = 1
     belongs to the segment that ends at 1). Accepts scalars or arrays."""
@@ -228,10 +222,12 @@ def taped_triplet(triplet: OperatorTriplet,
             for name, model in triplet.models().items()}
 
 
-def merged_branch(net: DeepONetModel, bn1_in, bn2_in):
-    """Branch embeddings merged by Hadamard product; rows index designs."""
-    return branch_merge(mlp_forward_jet(net.bn1, bn1_in).value,
-                        mlp_forward_jet(net.bn2, bn2_in).value)
+def merged_branch(net: DeepONetModel, bn1, bn2):
+    """Branch embeddings of `encode`'s rows merged by Hadamard product,
+    (n, q); rows index designs. `net.config.net_sizes()` gives both branch
+    nets the output width q."""
+    return mlp_forward_jet(net.bn1, bn1).value \
+        * mlp_forward_jet(net.bn2, bn2).value
 
 
 def decode_stratified(net: DeepONetModel, merged, trunk: Jet2,
@@ -286,9 +282,11 @@ def _mlp_feature_major(weights, biases, h, spare):
     return h, spare
 
 
-def predict_grid(model: DeepONetModel, u: SensorizedInput,
+def predict_grid(model: DeepONetModel, bn1: np.ndarray, bn2: np.ndarray,
                  xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Normalized outputs on the tensor grid taus x xs, shape (n_t, n_x).
+    """Normalized outputs of one design on the tensor grid taus x xs, shape
+    (n_t, n_x). `bn1` and `bn2` are the design's `encode` rows, (1, 4) and
+    (1, N_SENSORS).
 
     Values only, without the tape: the tau rows of each occupied subdomain
     go through the trunk as one block, are multiplied by the merged branch,
@@ -297,7 +295,7 @@ def predict_grid(model: DeepONetModel, u: SensorizedInput,
     same composition point-major."""
     xs = np.asarray(xs, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
-    merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])[0]
+    merged, = merged_branch(model, bn1, bn2)
     seg = subdomain_index(model.config.segments(), taus)
     occupied, counts = np.unique(seg, return_counts=True)
     width = max(model.trunk.layer_sizes + model.dec.layer_sizes) + 1
@@ -328,25 +326,18 @@ def predict_field(triplet: OperatorTriplet, design: DesignPoint,
     the clamp count is reported in meta."""
     times = np.asarray(times, dtype=np.float64)
     taus = normalize_query(0.0, times, triplet.horizon)[1]
-    u = encode(design, triplet.space, triplet.horizon,
-               cooldown=triplet.cooldown)
-    x1 = np.linspace(0.0, 1.0, n_tool)
-    x2 = np.linspace(0.0, 1.0, n_part)
-
-    tc = predict_grid(triplet.g_tc, u, x2, taus)
-    tt = predict_grid(triplet.g_tt, u, x1, taus)
-    al = predict_grid(triplet.g_alpha, u, x2, taus)
-
-    tc_phys = triplet.g_tc.out_offset + triplet.g_tc.out_scale * tc
-    tt_phys = triplet.g_tt.out_offset + triplet.g_tt.out_scale * tt
-    al_phys = triplet.g_alpha.out_offset + triplet.g_alpha.out_scale * al
-    n_clamped = int(np.sum((al_phys < 0.0) | (al_phys > 1.0)))
-    al_phys = np.clip(al_phys, 0.0, 1.0)
-
-    return FieldSolution(times=times, t_tool=tt_phys, t_part=tc_phys,
-                         alpha=al_phys, design=design,
-                         meta={"alpha_clamped": n_clamped,
-                               "source": "operator"})
+    bn1, bn2 = encode([design], triplet.space, triplet.horizon,
+                      cooldown=triplet.cooldown)
+    x_part = np.linspace(0.0, 1.0, n_part)
+    xs = {"tc": x_part, "tt": np.linspace(0.0, 1.0, n_tool), "alpha": x_part}
+    fields = {name: model.out_offset + model.out_scale
+              * predict_grid(model, bn1, bn2, xs[name], taus)
+              for name, model in triplet.models().items()}
+    alpha = fields["alpha"]
+    n_clamped = int(np.sum((alpha < 0.0) | (alpha > 1.0)))
+    return FieldSolution(times=times, t_tool=fields["tt"],
+                         t_part=fields["tc"], alpha=np.clip(alpha, 0.0, 1.0),
+                         design=design, meta={"alpha_clamped": n_clamped})
 
 
 # -- serialization ------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as code_version
-from .design import DesignPoint
+from .design import VARIABLE_NAMES, DesignPoint
 from .process import (ALPHA_EPS, ALPHA_INIT, T0, T_FLOOR_K,
                       CureKineticsParams, DomainError, MaterialSet,
                       air_temperature, atomic_write, celsius_to_kelvin,
@@ -334,8 +334,7 @@ SOLVER_STATS = ("steps", "wall_s", "factor_s", "kinetics_s", "alpha_min",
 def run_manifest(sol: FieldSolution, props: MaterialSet) -> dict:
     return {
         "design": {k: float(v) for k, v in
-                   zip(("h_top", "h_bot", "r1", "ht1", "hd1", "r2", "ht2",
-                        "hd2", "l_tool", "l_part"), sol.design.as_array())},
+                   zip(VARIABLE_NAMES, sol.design.as_array())},
         "grid": sol.meta.get("grid", {}),
         "solver": {k: sol.meta[k] for k in SOLVER_STATS if k in sol.meta},
         "bc_scale": sol.bc_scale,

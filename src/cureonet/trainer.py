@@ -105,7 +105,7 @@ class AdamState:
 
 def adam_step(params: list, grads: list, state: AdamState, rate: float):
     """Standard bias-corrected Adam update, applied in place so that views
-    aliasing the parameter arrays stay valid. Returns (params, state)."""
+    aliasing the parameter arrays stay valid."""
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ValueError("parameter/gradient/state trees differ in length")
     for g in grads:
@@ -121,7 +121,6 @@ def adam_step(params: list, grads: list, state: AdamState, rate: float):
         v *= b2
         v += (1.0 - b2) * g * g
         p -= rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return params, state
 
 
 @dataclass
@@ -212,20 +211,25 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
               for phase, names in PHASE_MODELS.items()}
     adam = {phase: AdamState.for_arrays(a) for phase, a in arrays.items()}
     history = TrainHistory()
+    schedule = _epoch_schedule(plan)
+    run = _run_meta(seed, plan, weights, loss_config, props)
     start_epoch = 0
+    stage_start_total = None
+    last_stage = None
 
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
-        _check_same_run(ck, seed, plan, weights, loss_config, designs)
-        _copy_weights(triplet, triplet_from_checkpoint(ck)[0])
+        rebuilt = triplet_from_checkpoint(ck)[0]
+        _check_same_run(ck, run, plan, designs, triplet, rebuilt)
+        _copy_weights(triplet, rebuilt)
         for phase, state in adam.items():
             _restore_adam(state, ck, _ADAM_TAGS[phase])
         start_epoch = ck["meta"]["epoch"] + 1
         history.records = [EpochRecord(**r) for r in ck["meta"]["history"]]
-
-    schedule = _epoch_schedule(plan)
-    stage_start_total = None
-    last_stage = None
+        if "stage_start_total" in ck["meta"]:
+            # the divergence baseline of the checkpoint's stage
+            stage_start_total = ck["meta"]["stage_start_total"]
+            last_stage = schedule[start_epoch - 1][0]
     # the weights the divergence guard restores; the Adam moments are not
     # kept, since a diverged run ends
     last_good = triplet.copy()
@@ -295,10 +299,9 @@ def train(triplet: OperatorTriplet, designs, plan: TrainPlan,
             _copy_weights(last_good, triplet)
             if out_dir is not None:
                 save_checkpoint(os.path.join(out_dir, "checkpoint.npz"),
-                                _make_checkpoint(triplet, adam, plan, seed,
-                                                 designs, weights,
-                                                 loss_config, epoch=epoch,
-                                                 history=history))
+                                _make_checkpoint(triplet, adam, run, designs,
+                                                 epoch, history,
+                                                 stage_start_total))
 
     if out_dir is not None:
         history_to_csv(history, os.path.join(out_dir, "history.csv"))
@@ -331,10 +334,11 @@ def _sweep_by_group(nets, names, triplet, cset, props, bc_scale, phase,
 # -- checkpointing -------------------------------------------------------------
 
 
-def _make_checkpoint(triplet, adam, plan, seed, designs, weights,
-                     loss_config, epoch, history) -> dict:
-    """The run's state for `save_checkpoint`. Its arrays are the live
-    weights and Adam moments, not copies: save it before training goes on."""
+def _make_checkpoint(triplet, adam, run: dict, designs, epoch, history,
+                     stage_start_total) -> dict:
+    """The run's state for `save_checkpoint`, with `run` its `_run_meta`.
+    Its arrays are the live weights and Adam moments, not copies: save it
+    before training goes on."""
     arrays = {}
     for name, model in triplet.models().items():
         arrays.update(model_state(model, name))
@@ -348,7 +352,7 @@ def _make_checkpoint(triplet, adam, plan, seed, designs, weights,
         "version": CHECKPOINT_VERSION,
         "code_version": code_version,
         "epoch": epoch,
-        **_run_meta(seed, plan, weights, loss_config),
+        **run,
         "adam_steps": {_ADAM_TAGS[phase]: st.step
                        for phase, st in adam.items()},
         "models": {name: model_meta(model)
@@ -359,6 +363,7 @@ def _make_checkpoint(triplet, adam, plan, seed, designs, weights,
         "horizon": triplet.horizon,
         "cooldown": triplet.cooldown,
         "history": [asdict(r) for r in history.records],
+        "stage_start_total": stage_start_total,
     }
     return {"meta": meta, "arrays": arrays}
 
@@ -403,30 +408,41 @@ def triplet_from_checkpoint(ck: dict) -> tuple[OperatorTriplet, list]:
 
 
 def _run_meta(seed, plan: TrainPlan, weights: LossWeights,
-              loss_config: CollocationConfig) -> dict:
-    """The checkpoint fields that identify a run, besides its designs."""
+              loss_config: CollocationConfig, props: MaterialSet) -> dict:
+    """The checkpoint fields that identify a run, besides its designs and
+    its operators."""
     return {"seed": seed, "plan": asdict(plan), "weights": asdict(weights),
-            "loss_config": asdict(loss_config)}
+            "loss_config": asdict(loss_config),
+            "property_hash": props.content_hash()}
 
 
-def _check_same_run(ck: dict, seed, plan: TrainPlan, weights: LossWeights,
-                    loss_config: CollocationConfig, designs) -> None:
-    """Refuse to resume a checkpoint into a different run. The plan may
-    only add epochs, and only where that keeps the schedule of the epochs
-    already done."""
+def _check_same_run(ck: dict, run: dict, plan: TrainPlan, designs,
+                    triplet: OperatorTriplet,
+                    rebuilt: OperatorTriplet) -> None:
+    """Refuse to resume a checkpoint, whose triplet is `rebuilt`, into a
+    different run: `run` is the run's `_run_meta`. The plan may only add
+    epochs, and only where that keeps the schedule of the epochs already
+    done. A file without a property hash is not checked on it."""
     meta = ck["meta"]
-    ours = _run_meta(seed, plan, weights, loss_config)
-    if meta["seed"] != seed:
-        raise TrainerError(f"resume: seed {seed} differs from the "
-                           f"checkpoint's {meta['seed']}")
+
+    def differs(what, ours, theirs):
+        if ours != theirs:
+            raise TrainerError(f"resume: {what} {ours!r} differs from the "
+                               f"checkpoint's {theirs!r}")
+
+    differs("seed", run["seed"], meta["seed"])
     for group in ("plan", "weights", "loss_config"):
-        for key, value in ours[group].items():
-            if group == "plan" and key == "epochs":
-                continue
-            if meta[group].get(key) != value:
-                raise TrainerError(
-                    f"resume: {group}.{key} {value!r} differs from the "
-                    f"checkpoint's {meta[group].get(key)!r}")
+        for key, value in run[group].items():
+            if group != "plan" or key != "epochs":
+                differs(f"{group}.{key}", value, meta[group].get(key))
+    for key in ("space", "cooldown", "horizon"):
+        differs(key, getattr(triplet, key), getattr(rebuilt, key))
+    for name, model in triplet.models().items():
+        for key in ("config", "out_offset", "out_scale"):
+            differs(f"{name}.{key}", getattr(model, key),
+                    getattr(rebuilt.models()[name], key))
+    differs("property_hash", run["property_hash"],
+            meta.get("property_hash", run["property_hash"]))
     done = meta["epoch"] + 1
     old_plan = TrainPlan(**meta["plan"])
     if _epoch_schedule(old_plan)[:done] != _epoch_schedule(plan)[:done]:

@@ -11,7 +11,11 @@ some call in the package, the benchmark harness or the tests. A parameter
 that only its default reaches is not an option but a constant. A third
 asks it of the package and the harness alone: what only the tests pass is
 a test seam, and the reviewed seams are listed here, so a new one needs a
-deliberate edit."""
+deliberate edit.
+
+A last guard asks it of imports: every name a package module imports must
+be used in that module, so that a deletion leaves no stale import
+behind."""
 
 import ast
 import math
@@ -219,6 +223,44 @@ def test_the_guard_sees_a_default_only_the_tests_pass(tmp_path):
     assert defaults_never_passed(tmp_path) == []
     assert defaults_never_passed(tmp_path, callers=("perfbench",)) == [
         "a.f(seam)", "a.g(x)"]
+
+
+def unused_imports(root=ROOT) -> list:
+    """`module.name` of each name a package module imports but never reads.
+    A read is a name in the code or a string that is an identifier (the
+    entries of `__all__`, quoted annotations); `__future__` imports are
+    directives, not names."""
+    unused = []
+    for path in sorted((root / "src" / "cureonet").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        read |= {sub.value for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Constant)
+                 and isinstance(sub.value, str) and sub.value.isidentifier()}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                unused += [f"{path.stem}.{bound}" for bound in
+                           ((a.asname or a.name).split(".")[0]
+                            for a in node.names) if bound not in read]
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_the_guard_sees_an_import_nobody_reads(tmp_path):
+    (tmp_path / "src" / "cureonet").mkdir(parents=True)
+    (tmp_path / "src" / "cureonet" / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport json\nimport numpy as np\n\n"
+        "from .b import Thing, kept, stale as alias\n\n\n"
+        "def f() -> 'Thing':\n"
+        "    return np.zeros(1), os.path.sep, kept.attr\n")
+    (tmp_path / "src" / "cureonet" / "__init__.py").write_text(
+        "from .a import f, g\n\n__all__ = ['f']\n")
+    assert unused_imports(tmp_path) == ["__init__.g", "a.json", "a.alias"]
 
 
 def test_every_name_in_all_exists_on_the_package():

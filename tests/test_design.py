@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from cureonet.design import (DesignPoint, DesignSpace, N_SENSORS,
                              VARIABLE_NAMES, encode, load_designs,
-                             normalize_query, normalize_temperature, sample,
-                             save_designs)
+                             normalize_query, sample, save_designs)
 from cureonet.process import DomainError, air_temperature
 from oracles import contains, midpoint
 
@@ -104,19 +103,19 @@ def test_encode_shapes_and_first_sensor():
     space = DesignSpace.named("small")
     d = midpoint(space)
     horizon = space.max_cycle_duration()
-    enc = encode(d, space, horizon)
-    assert enc.bn2.shape == (N_SENSORS,)
-    assert enc.bn1.shape == (4,)
+    bn1, bn2 = encode([d], space, horizon)
+    assert bn2.shape == (1, N_SENSORS)
+    assert bn1.shape == (1, 4)
     # the profile starts at the initial temperature -> normalized 0
-    assert enc.bn2[0] == 0.0
-    assert np.all(enc.bn2 >= 0.0) and np.all(enc.bn2 <= 1.0)
+    assert bn2[0, 0] == 0.0
+    assert np.all(bn2 >= 0.0) and np.all(bn2 <= 1.0)
 
 
 def test_encode_lower_bound_design_gives_zero_scalars():
     space = DesignSpace.named("small")
     d = DesignPoint(**{n: space.ranges[n][0] for n in VARIABLE_NAMES})
-    enc = encode(d, space, space.max_cycle_duration())
-    assert np.array_equal(enc.bn1, np.zeros(4))
+    bn1, _ = encode([d], space, space.max_cycle_duration())
+    assert np.array_equal(bn1, np.zeros((1, 4)))
 
 
 @pytest.mark.parametrize("bad", [dict(h_top=-1.0), dict(h_bot=-1.0),
@@ -135,23 +134,44 @@ def test_encode_monotone_transform_of_profile():
     space = DesignSpace.named("small")
     d = midpoint(space)
     horizon = space.max_cycle_duration()
-    enc = encode(d, space, horizon)
+    _, bn2 = encode([d], space, horizon)
     times = np.linspace(0.0, horizon, N_SENSORS)
     profile = air_temperature(d.cycle(), times)
     order = np.argsort(profile, kind="stable")
-    assert np.array_equal(np.argsort(enc.bn2, kind="stable"), order)
+    assert np.array_equal(np.argsort(bn2[0], kind="stable"), order)
 
 
 def test_encode_rejects_short_horizon():
     space = DesignSpace.named("small")
     d = midpoint(space)
-    with pytest.raises(DomainError):
-        encode(d, space, d.cycle().duration_s - 1.0)
+    faster = dataclasses.replace(d, r1=space.ranges["r1"][1],
+                                 r2=space.ranges["r2"][1])
+    horizon = d.cycle().duration_s - 1.0
+    assert faster.cycle().duration_s <= horizon
+    encode([faster], space, horizon)
+    for designs in ([d], [faster, d], [d, faster]):
+        with pytest.raises(DomainError):
+            encode(designs, space, horizon)
 
 
-def test_temperature_normalization_maps_t0_to_0_and_t_hi_to_1():
-    y = normalize_temperature(np.array([20.0, 233.0]), 20.0, 233.0)
-    assert np.array_equal(y, [0.0, 1.0])
+def test_encode_maps_t0_to_0_and_the_hottest_air_to_1():
+    # a design at the top of the ht2 range holds the space's hottest air
+    space = DesignSpace.named("small")
+    hottest = dataclasses.replace(midpoint(space), ht2=space.max_t_air())
+    _, bn2 = encode([hottest], space, space.max_cycle_duration())
+    assert bn2[0, 0] == 0.0 and bn2.max() == 1.0
+
+
+def test_encode_rows_equal_the_encodings_of_single_designs():
+    space = DesignSpace.named("medium")
+    horizon = space.max_cycle_duration(cooldown=True)
+    designs = sample(space, 7, seed=3)
+    bn1, bn2 = encode(designs, space, horizon, cooldown=True)
+    assert bn1.shape == (7, 4) and bn2.shape == (7, N_SENSORS)
+    for i, d in enumerate(designs):
+        one1, one2 = encode([d], space, horizon, cooldown=True)
+        assert np.array_equal(bn1[i], one1[0])
+        assert np.array_equal(bn2[i], one2[0])
 
 
 def test_max_cycle_duration_dominates_samples():
@@ -195,7 +215,7 @@ def test_encoding_injective_on_scalar_block():
     space = DesignSpace.named("small")
     horizon = space.max_cycle_duration()
     designs = sample(space, 50, seed=5)
-    encs = [tuple(encode(d, space, horizon).bn1) for d in designs]
+    encs = [tuple(row) for row in encode(designs, space, horizon)[0]]
     assert len(set(encs)) == len(encs)
 
 
@@ -220,7 +240,7 @@ def test_encode_scalar_block_inverts_to_the_design(point, label):
     ranges = [space.ranges[v] for v in VARIABLE_NAMES]
     d = DesignPoint.from_array([lo + u * (hi - lo)
                                 for (lo, hi), u in zip(ranges, point)])
-    bn1 = encode(d, space, space.max_cycle_duration()).bn1
+    bn1 = encode([d], space, space.max_cycle_duration())[0][0]
     assert np.all((bn1 >= 0.0) & (bn1 <= 1.0))
     names = ("h_top", "h_bot", "l_tool", "l_part")
     for name, scaled in zip(names, bn1):

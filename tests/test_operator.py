@@ -1,6 +1,6 @@
-"""Operator-network tests: branch merge, subdomain dispatch, prediction
-against a straight-line re-implementation, initialization statistics, and
-parameter serialization round trips."""
+"""Operator-network tests: subdomain dispatch, prediction against a
+straight-line re-implementation, initialization statistics, and parameter
+serialization round trips."""
 
 import numpy as np
 import pytest
@@ -10,19 +10,22 @@ from hypothesis import strategies as st
 from cureonet.autodiff import mlp_forward_jet
 from cureonet.design import DesignSpace, encode, sample
 from cureonet.operator import (DEFAULT_BOUNDARIES_7, OperatorConfig,
-                               branch_merge, decode_stratified, glorot_mlp,
-                               init, init_triplet, merged_branch,
+                               decode_stratified, glorot_mlp, init,
+                               init_triplet, merged_branch,
                                model_from_state, model_meta, model_state,
                                predict_field, predict_grid, subdomain_index)
 from oracles import decoder, midpoint, mlp_forward
 
 SPACE = DesignSpace.named("small")
 HORIZON = SPACE.max_cycle_duration()
+# the branch inputs of the space's midpoint design, (1, 4) and (1, 100)
+U = encode([midpoint(SPACE)], SPACE, HORIZON)
 
 
 def predict(model, u, y):
-    """Normalized output at one point y = (x, tau): a 1 x 1 predict_grid."""
-    return predict_grid(model, u, np.array([y[0]]), np.array([y[1]]))[0, 0]
+    """Normalized output at one point y = (x, tau): a 1 x 1 predict_grid
+    of the design whose `encode` rows are u = (bn1, bn2)."""
+    return predict_grid(model, *u, np.array([y[0]]), np.array([y[1]]))[0, 0]
 
 
 def small_config(**kw):
@@ -65,28 +68,6 @@ def test_config_validation():
         OperatorConfig(decoder="cubic")
 
 
-def test_branch_merge_identity_and_commutativity():
-    rng = np.random.default_rng(0)
-    b = rng.normal(size=50)
-    assert np.array_equal(branch_merge(np.ones(50), b), b)
-    a = rng.normal(size=50)
-    assert np.array_equal(branch_merge(a, b), branch_merge(b, a))
-
-
-def test_branch_merge_matches_elementwise_loop():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=50)
-    b = rng.normal(size=50)
-    merged = branch_merge(a, b)
-    for i in range(50):
-        assert merged[i] == a[i] * b[i]
-
-
-def test_branch_merge_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        branch_merge(np.ones(3), np.ones(4))
-
-
 def test_subdomain_index_endpoints_and_boundaries():
     segments = OperatorConfig().segments()
     assert subdomain_index(segments, 0.0) == 0
@@ -120,7 +101,6 @@ def test_subdomain_index_finds_the_one_containing_segment(inner, taus):
 
 
 _GRID_MODEL = init(small_config(n_subdomains=4), seed=12)
-_GRID_U = encode(midpoint(SPACE), SPACE, HORIZON)
 
 
 @settings(max_examples=40)
@@ -131,12 +111,12 @@ def test_predict_grid_matches_one_by_one_calls(xs, taus):
     segments = _GRID_MODEL.config.segments()
     taus = np.array(taus + [0.5 * (lo + hi) for lo, hi in segments]
                     + taus[:2])
-    grid = predict_grid(_GRID_MODEL, _GRID_U, np.array(xs), taus)
+    grid = predict_grid(_GRID_MODEL, *U, np.array(xs), taus)
     assert grid.shape == (taus.size, len(xs))
     for i, tau in enumerate(taus):
         for j, x in enumerate(xs):
             assert grid[i, j] == pytest.approx(
-                predict(_GRID_MODEL, _GRID_U, (x, tau)), abs=1e-13)
+                predict(_GRID_MODEL, U, (x, tau)), abs=1e-13)
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -166,26 +146,24 @@ def test_zeroed_final_decoder_layer_predicts_zero():
     model = init(cfg, seed=0)
     model.dec.weights[-1][...] = 0.0
     model.dec.biases[-1][...] = 0.0
-    u = encode(midpoint(SPACE), SPACE, HORIZON)
     for y in ((0.0, 0.0), (0.5, 0.4), (1.0, 1.0)):
-        assert predict(model, u, y) == 0.0
+        assert predict(model, U, y) == 0.0
 
 
 @pytest.mark.parametrize("cfg", PATH_CONFIGS, ids=PATH_IDS)
 def test_predict_matches_straight_line_composition(cfg):
     model = perturbed(init(cfg, seed=3), seed=30)
-    u = encode(midpoint(SPACE), SPACE, HORIZON)
     rng = np.random.default_rng(4)
     for _ in range(10):
         x = float(rng.uniform())
         tau = float(rng.uniform())
         # independent recomposition from raw parts
-        b1 = mlp_forward(model.bn1, u.bn1)
-        b2 = mlp_forward(model.bn2, u.bn2)
+        b1 = mlp_forward(model.bn1, U[0][0])
+        b2 = mlp_forward(model.bn2, U[1][0])
         t = mlp_forward(model.trunk, np.array([x, tau]))
         k = subdomain_index(model.config.segments(), tau)
         expect = mlp_forward(decoder(model, k), b1 * b2 * t)[0]
-        assert predict(model, u, (x, tau)) == pytest.approx(expect,
+        assert predict(model, U, (x, tau)) == pytest.approx(expect,
                                                             abs=1e-12)
 
 
@@ -195,15 +173,14 @@ def test_predict_grid_matches_decode_stratified(cfg):
     # they must give the same values
     rng = np.random.default_rng(21)
     model = perturbed(init(cfg, seed=13), seed=31)
-    u = encode(midpoint(SPACE), SPACE, HORIZON)
     xs = rng.uniform(size=5)
     per_segment = [rng.uniform(lo, hi, size=3) for lo, hi in cfg.segments()]
     taus = rng.permutation(np.concatenate(per_segment))   # unsorted
-    grid = predict_grid(model, u, xs, taus)
+    grid = predict_grid(model, *U, xs, taus)
 
     # every decoder in order, and a run that skips decoder 0
     n_d = cfg.n_subdomains
-    merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
+    merged = merged_branch(model, *U)
     row_of = {tau: i for i, tau in enumerate(taus)}
     for decoders in [range(n_d)] + ([range(1, n_d)] if n_d > 1 else []):
         block_taus = np.concatenate([per_segment[k] for k in decoders])
@@ -221,8 +198,7 @@ def test_decode_stratified_refuses_a_range_that_is_no_run(decoders):
     # range(-1, 2) has as many blocks as there are decoders, so unchecked
     # it would decode block i with decoder i rather than i - 1
     model = init(small_config(), seed=13)
-    u = encode(midpoint(SPACE), SPACE, HORIZON)
-    merged = merged_branch(model, u.bn1[None, :], u.bn2[None, :])
+    merged = merged_branch(model, *U)
     xy = np.full((6, 2), 0.5)
     with pytest.raises(ValueError, match="no run"):
         decode_stratified(model, merged, mlp_forward_jet(model.trunk, xy),
@@ -233,37 +209,40 @@ def test_predict_factorization_same_branch_vector():
     # two taus in one subdomain share the merged branch vector exactly
     cfg = small_config()
     model = init(cfg, seed=8)
-    u = encode(midpoint(SPACE), SPACE, HORIZON)
-    b1 = mlp_forward(model.bn1, u.bn1)
-    b2 = mlp_forward(model.bn2, u.bn2)
-    merged_a = branch_merge(b1, b2)
+    merged_a = merged_branch(model, *U)
+    assert np.array_equal(merged_a, mlp_forward(model.bn1, U[0])
+                          * mlp_forward(model.bn2, U[1]))
     # recompute through a second encode of the same design
-    u2 = encode(midpoint(SPACE), SPACE, HORIZON)
-    merged_b = branch_merge(mlp_forward(model.bn1, u2.bn1),
-                            mlp_forward(model.bn2, u2.bn2))
+    merged_b = merged_branch(model, *encode([midpoint(SPACE)], SPACE,
+                                            HORIZON))
     assert np.array_equal(merged_a, merged_b)
-    va = predict(model, u, (0.3, 0.05))
-    vb = predict(model, u, (0.3, 0.25))
+    va = predict(model, U, (0.3, 0.05))
+    vb = predict(model, U, (0.3, 0.25))
     assert va != vb  # trunk path differs even with equal branch vector
 
 
 def test_predict_rejects_bad_tau():
     model = init(small_config(), seed=0)
-    u = encode(midpoint(SPACE), SPACE, HORIZON)
     with pytest.raises(ValueError):
-        predict(model, u, (0.5, 1.2))
+        predict(model, U, (0.5, 1.2))
+
+
+def test_predict_grid_takes_the_rows_of_one_design():
+    model = init(small_config(), seed=0)
+    two = encode([midpoint(SPACE)] * 2, SPACE, HORIZON)
+    with pytest.raises(ValueError):
+        predict(model, two, (0.5, 0.5))
 
 
 def test_predict_grid_matches_pointwise_predict():
     model = init(small_config(), seed=11)
-    u = encode(midpoint(SPACE), SPACE, HORIZON)
     xs = np.array([0.0, 0.5, 1.0])
     taus = np.array([0.1, 0.5, 0.9])
-    grid = predict_grid(model, u, xs, taus)
+    grid = predict_grid(model, *U, xs, taus)
     for i, tau in enumerate(taus):
         for j, x in enumerate(xs):
             assert grid[i, j] == pytest.approx(
-                predict(model, u, (x, tau)), abs=1e-13)
+                predict(model, U, (x, tau)), abs=1e-13)
 
 
 def test_predict_field_denormalizes_and_clamps():
@@ -277,7 +256,7 @@ def test_predict_field_denormalizes_and_clamps():
     assert np.all(sol.alpha >= 0.0) and np.all(sol.alpha <= 1.0)
     assert sol.meta["alpha_clamped"] >= 0
     # pointwise consistency with predict, including denormalization
-    v = predict(triplet.g_tc, encode(d, SPACE, HORIZON), (0.5, times[3] / HORIZON))
+    v = predict(triplet.g_tc, U, (0.5, times[3] / HORIZON))
     expect = triplet.g_tc.out_offset + triplet.g_tc.out_scale * v
     assert sol.t_part[3, 3] == pytest.approx(expect, abs=1e-10)
 
@@ -335,13 +314,12 @@ def test_linear_decoder_mode_is_inner_product_readout():
     cfg = small_config(decoder="linear")
     model = init(cfg, seed=2)
     assert model.dec.layer_sizes == [cfg.q, 1]
-    u = encode(midpoint(SPACE), SPACE, HORIZON)
     x, tau = 0.4, 0.2
-    b = mlp_forward(model.bn1, u.bn1) * mlp_forward(model.bn2, u.bn2)
+    b = mlp_forward(model.bn1, U[0][0]) * mlp_forward(model.bn2, U[1][0])
     t = mlp_forward(model.trunk, np.array([x, tau]))
     k = subdomain_index(model.config.segments(), tau)
     w = model.dec.weights[0][k, :, 0]
     b0 = model.dec.biases[0][k, 0]
-    assert predict(model, u, (x, tau)) == pytest.approx(
+    assert predict(model, U, (x, tau)) == pytest.approx(
         float(np.dot(b * t, w) + b0), abs=1e-13)
 

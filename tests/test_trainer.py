@@ -215,21 +215,66 @@ def test_resume_matches_uninterrupted_trajectory(tmp_path):
             assert np.array_equal(x, y)
 
 
+def test_resume_keeps_the_divergence_baseline_of_its_stage(tmp_path,
+                                                           monkeypatch):
+    # every loss breakdown a run computes: the stage-start baseline of the
+    # divergence guard, then one per epoch
+    totals = []
+    real = trainer_module.compute_components
+
+    def spy(*args, **kw):
+        comps = real(*args, **kw)
+        totals.append(total_loss(breakdown_from(comps), LossWeights()))
+        return comps
+
+    monkeypatch.setattr(trainer_module, "compute_components", spy)
+    plan = quick_plan(epochs=4)
+    run = lambda triplet, plan, **kw: train(
+        triplet, DESIGNS, plan, PROPS_NO_HEAT, seed=5,
+        loss_config=SMALL_COLLOC, **kw)
+    run(init_triplet(SMALL_CONFIG, SPACE, seed=0), plan)
+    whole = totals[:]
+    assert len(whole) == 1 + plan.epochs
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
+    run(triplet, dataclasses.replace(plan, epochs=2), out_dir=tmp_path)
+    # the resumed epochs keep the stage's baseline rather than taking one
+    # in the middle of the stage
+    path = tmp_path / "checkpoint.npz"
+    del totals[:]
+    run(triplet, plan, resume_from=path)
+    assert totals == whole[-2:]
+    ck = load_checkpoint(path)
+    assert ck["meta"]["stage_start_total"] == whole[0]
+    # a file without the baseline takes one from the resumed weights
+    del ck["meta"]["stage_start_total"], totals[:]
+    save_checkpoint(path, ck)
+    run(triplet, plan, resume_from=path)
+    assert len(totals) == 3 and totals[1:] == whole[-2:]
+
+
 @pytest.mark.parametrize("change, field", [
     (dict(seed=6), "seed"),
     (dict(designs=sample(SPACE, 2, seed=2)), "designs"),
     (dict(plan=quick_plan(epochs=4, lr0=2e-3)), "plan.lr0"),
-], ids=["seed", "designs", "plan"])
+    (dict(config=dataclasses.replace(SMALL_CONFIG, boundaries=(0, 0.3, 1))),
+     "tc.config"),
+    (dict(space=DesignSpace.named("small").narrowed(0.5)), "space"),
+    (dict(cooldown=True), "cooldown"),
+    (dict(props=PROPS), "property_hash"),
+], ids=["seed", "designs", "plan", "config", "space", "cooldown", "props"])
 def test_resume_rejects_a_different_run(tmp_path, change, field):
-    args = dict(designs=DESIGNS, plan=quick_plan(epochs=4), seed=5)
+    args = dict(designs=DESIGNS, plan=quick_plan(epochs=4), seed=5,
+                config=SMALL_CONFIG, space=SPACE, cooldown=False,
+                props=PROPS_NO_HEAT)
     train(init_triplet(SMALL_CONFIG, SPACE, seed=0), args["designs"],
           quick_plan(epochs=2), PROPS_NO_HEAT, seed=5,
           loss_config=SMALL_COLLOC, out_dir=tmp_path)
     args.update(change)
+    triplet = init_triplet(args["config"], args["space"], seed=0,
+                           cooldown=args["cooldown"])
     with pytest.raises(TrainerError, match=f"resume: {field} "):
-        train(init_triplet(SMALL_CONFIG, SPACE, seed=0), args["designs"],
-              args["plan"], PROPS_NO_HEAT, seed=args["seed"],
-              loss_config=SMALL_COLLOC,
+        train(triplet, args["designs"], args["plan"], args["props"],
+              seed=args["seed"], loss_config=SMALL_COLLOC,
               resume_from=tmp_path / "checkpoint.npz")
 
 

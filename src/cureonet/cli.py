@@ -30,9 +30,9 @@ from .trainer import (TrainPlan, load_checkpoint, train,
 # its default.
 CONFIG_KEYS = frozenset({
     "space", "narrow", "properties_file", "zero_heat_generation", "design",
-    "grid", "bc_scale", "cooldown", "store_every", "seed", "design_seed",
-    "n_designs", "plan", "operator", "weights", "collocation",
-    "n_test_designs", "test_seed", "nd_list"})
+    "grid", "cooldown", "store_every", "seed", "design_seed", "n_designs",
+    "plan", "operator", "weights", "collocation", "n_test_designs",
+    "test_seed", "nd_list"})
 
 
 def _read_config(path) -> dict:
@@ -92,7 +92,6 @@ def cmd_simulate(args) -> int:
     props = _props_from_config(cfg)
     grid = _grid_from_config(cfg)
     [sol] = solve_batch([design], props, grid,
-                        bc_scale=float(cfg.get("bc_scale", 1.0)),
                         cooldown=bool(cfg.get("cooldown", False)),
                         store_every=int(cfg.get("store_every", 1)))
     os.makedirs(args.out_dir, exist_ok=True)

@@ -150,7 +150,7 @@ def _thinned(sol: FieldSolution, n_times: int | None) -> FieldSolution:
     rows = _thin_indices(len(sol.times), n_times)
     return FieldSolution(times=sol.times[rows], t_tool=sol.t_tool[rows],
                          t_part=sol.t_part[rows], alpha=sol.alpha[rows],
-                         design=sol.design, bc_scale=sol.bc_scale)
+                         design=sol.design)
 
 
 def solution_metrics(pred: FieldSolution, ref: FieldSolution) -> dict:

@@ -38,7 +38,7 @@ from .design import encode
 from .operator import OperatorTriplet, decode_stratified, merged_branch
 from .process import (ALPHA_INIT, MaterialSet, air_temperature,
                       bc_residuals, celsius_to_kelvin, continuity_residuals,
-                      cure_rate, pde_residual_part, pde_residual_tool)
+                      cure_rate, pde_residual)
 
 
 @dataclass(frozen=True)
@@ -264,29 +264,27 @@ def loss_pde_tool(net, merged, cset: CollocationSet, props: MaterialSet,
     pts = cset.interior
     jet = _flat_eval(net, merged, pts.x, pts.tau, d1=(0, 1), d2=(0,))
     phys = _phys_temp_jet(jet, net.out_scale, net.out_offset, horizon)
-    res = pde_residual_tool(phys, props.tool, cset.l_tool[pts.idx])
+    res = pde_residual(phys, props.tool, cset.l_tool[pts.idx])
     return _mean_sq(res * (horizon / delta_t), pts.x.size)
 
 
 def loss_pde_part(nets: dict, merged: dict, cset: CollocationSet,
                   props: MaterialSet, bc_scale: float, delta_t: float,
                   horizon: float):
-    """PDE residual loss of the part, in the units of loss_pde_tool. The
-    part's heat generation reads the cure operator's rate, scaled by the
-    curriculum's bc_scale."""
+    """PDE residual loss of the part, in the units of loss_pde_tool, with
+    the losses' one heat-source term: the cure operator's rate times b_c,
+    scaled by the curriculum's bc_scale (at 0 the cure pass is skipped)."""
     if not 0.0 <= bc_scale <= 1.0:
         raise ValueError("bc_scale must lie in [0, 1]")
     tc, pts = nets["tc"], cset.interior
     jet = _flat_eval(tc, merged["tc"], pts.x, pts.tau, d1=(0, 1), d2=(0,))
     phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
+    res = pde_residual(phys, props.part, cset.l_part[pts.idx])
     if bc_scale > 0.0:
         jet_a = _flat_eval(nets["alpha"], merged["alpha"], pts.x, pts.tau,
                            d1=(1,))
-        alpha_rate = jet_a.d1[1] * (1.0 / horizon)
-    else:
-        alpha_rate = 0.0
-    res = pde_residual_part(phys, alpha_rate, props.part,
-                            cset.l_part[pts.idx], bc_scale)
+        res = res - (bc_scale * props.part.heat_gen_coeff) \
+            * (jet_a.d1[1] * (1.0 / horizon))
     return _mean_sq(res * (horizon / delta_t), pts.x.size)
 
 

@@ -10,7 +10,7 @@ local spatial coordinate and k = 1 for physical time in seconds.
 
 The residuals only compute: they take thicknesses, HTCs and conductivities
 as already checked, by `DesignPoint` and `MaterialProps` where those are
-built, and the heat-generation scale as checked by their caller.
+built.
 """
 
 from __future__ import annotations
@@ -302,25 +302,16 @@ def air_temperature(cycle: CureCycleSpec, t):
 #
 # Jet convention: d1/d2 input 0 = local spatial coordinate of the jet's
 # material, input 1 = physical time in seconds. All residuals vanish
-# identically on exact solutions of the governing equations.
+# identically on exact solutions of the governing equations, the part's
+# conduction residual once losses.loss_pde_part subtracts its heat source.
 
 
-def pde_residual_tool(jet: Jet2, props: MaterialProps, l_tool):
-    """Tool conduction residual dT/dt - (a_t / L_t^2) d2T/dx1^2.
-    Thickness may be an array for batched multi-design evaluation."""
-    coeff = props.diffusivity / l_tool ** 2
+def pde_residual(jet: Jet2, props: MaterialProps, thickness):
+    """Conduction residual dT/dt - (a / L^2) d2T/dx^2 of one material, with
+    no source term. Thickness may be an array for batched multi-design
+    evaluation."""
+    coeff = props.diffusivity / thickness ** 2
     return jet.d1[1] - coeff * jet.d2[0]
-
-
-def pde_residual_part(jet: Jet2, alpha_rate, props: MaterialProps,
-                      l_part, bc_scale: float = 1.0):
-    """Part conduction residual with curriculum-scaled heat generation:
-    dT/dt - (a_c / L_c^2) d2T/dx2^2 - bc_scale * b_c * dalpha/dt."""
-    coeff = props.diffusivity / l_part ** 2
-    res = jet.d1[1] - coeff * jet.d2[0]
-    if bc_scale > 0.0:
-        res = res - (bc_scale * props.heat_gen_coeff) * alpha_rate
-    return res
 
 
 def bc_residuals(top_jet: Jet2, bot_jet: Jet2, t_air,

@@ -4,7 +4,8 @@ continuity rows, and operator-split cure-kinetics integration.
 
 Time stepping is Crank-Nicolson for conduction; the degree of cure advances
 per step with one classical RK4 step using start-of-step temperature, and its
-increment feeds the part's heat-generation source. Boundary and interface
+increment times the part's b_c is the heat source (always in full: the
+training curriculum scales it in the loss only). Boundary and interface
 conditions are enforced as algebraic rows (second-order one-sided stencils)
 at the new time level. Without heat generation the scheme is second order in
 space and time; with it, the lagged (Lie-type) coupling of kinetics and
@@ -70,7 +71,6 @@ class FieldSolution:
     t_part: np.ndarray           # (nt, n_part), degC
     alpha: np.ndarray            # (nt, n_part)
     design: DesignPoint
-    bc_scale: float = 1.0
     meta: dict = field(default_factory=dict)
 
     @property
@@ -83,8 +83,8 @@ class FieldSolution:
 
 
 def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
-                bc_scale: float = 1.0, cooldown: bool = False,
-                forcing=None, store_every: int = 1) -> list[FieldSolution]:
+                cooldown: bool = False, forcing=None,
+                store_every: int = 1) -> list[FieldSolution]:
     """March several designs in lockstep on (designs, nodes) arrays and
     return one FieldSolution per design, in order.
 
@@ -103,8 +103,6 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     cycle's, and `forcing.rhs(x1, x2, t_new, t_mid, dt)` an (n_tool +
     n_part,) vector added to that step's right-hand side.
     """
-    if not 0.0 <= bc_scale <= 1.0:
-        raise DomainError("bc_scale must lie in [0, 1]")
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
     designs = list(designs)
@@ -171,7 +169,7 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
     tool_out[:, 0], part_out[:, 0] = u[:, :n1], u[:, n1:]
     alpha_out[:, 0] = alpha
 
-    gen = bc_scale * part.heat_gen_coeff
+    gen = part.heat_gen_coeff
     r_t, r_c = r_t[:, None], r_c[:, None]
     keep_t, keep_c = 1.0 - 2.0 * r_t, 1.0 - 2.0 * r_c
     rhs = np.zeros((n_designs, n))
@@ -215,7 +213,6 @@ def solve_batch(designs, props: MaterialSet, grid: Grid1D, *,
         FieldSolution(
             times=times_out[b, :r], t_tool=tool_out[b, :r],
             t_part=part_out[b, :r], alpha=alpha_out[b, :r], design=design,
-            bc_scale=bc_scale,
             meta={**base_meta,
                   "grid": {"n_tool": n1, "n_part": n2, "dt": dt,
                            "t_end": int(n_steps[b]) * dt},
@@ -337,7 +334,6 @@ def run_manifest(sol: FieldSolution, props: MaterialSet) -> dict:
                    zip(VARIABLE_NAMES, sol.design.as_array())},
         "grid": sol.meta.get("grid", {}),
         "solver": {k: sol.meta[k] for k in SOLVER_STATS if k in sol.meta},
-        "bc_scale": sol.bc_scale,
         "property_hash": props.content_hash(),
         "property_source": props.source,
         "code_version": code_version,

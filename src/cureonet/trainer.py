@@ -34,6 +34,10 @@ from .process import (ALPHA_INIT, T0, MaterialSet, atomic_write,
                       savez_atomic)
 
 CHECKPOINT_VERSION = 1
+# the BLAS thread settings are part of a run: the float32 tape's matmul
+# reductions follow the thread split, so another count moves the trajectory
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -413,7 +417,8 @@ def _run_meta(seed, plan: TrainPlan, weights: LossWeights,
     its operators."""
     return {"seed": seed, "plan": asdict(plan), "weights": asdict(weights),
             "loss_config": asdict(loss_config),
-            "property_hash": props.content_hash()}
+            "property_hash": props.content_hash(),
+            "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}}
 
 
 def _check_same_run(ck: dict, run: dict, plan: TrainPlan, designs,
@@ -422,7 +427,8 @@ def _check_same_run(ck: dict, run: dict, plan: TrainPlan, designs,
     """Refuse to resume a checkpoint, whose triplet is `rebuilt`, into a
     different run: `run` is the run's `_run_meta`. The plan may only add
     epochs, and only where that keeps the schedule of the epochs already
-    done. A file without a property hash is not checked on it."""
+    done. A file without a property hash or BLAS thread settings is not
+    checked on them."""
     meta = ck["meta"]
 
     def differs(what, ours, theirs):
@@ -441,8 +447,8 @@ def _check_same_run(ck: dict, run: dict, plan: TrainPlan, designs,
         for key in ("config", "out_offset", "out_scale"):
             differs(f"{name}.{key}", getattr(model, key),
                     getattr(rebuilt.models()[name], key))
-    differs("property_hash", run["property_hash"],
-            meta.get("property_hash", run["property_hash"]))
+    for key in ("property_hash", "blas_threads"):
+        differs(key, run[key], meta.get(key, run[key]))
     done = meta["epoch"] + 1
     old_plan = TrainPlan(**meta["plan"])
     if _epoch_schedule(old_plan)[:done] != _epoch_schedule(plan)[:done]:

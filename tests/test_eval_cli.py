@@ -360,6 +360,18 @@ def test_cli_refuses_an_unknown_top_level_key(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_refuses_a_heat_generation_scale(tmp_path, capsys):
+    # the reference solver always solves the physical problem; heat
+    # generation is switched off by "zero_heat_generation", not scaled
+    cfg = _write(tmp_path / "sim.json", {**SIM_CONFIG, "bc_scale": 0.5})
+    code = main(["simulate", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    _assert_one_error_line(
+        capsys, f"ValueError: unknown config key(s) ['bc_scale'] in {cfg}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_keys_are_the_keys_the_cli_reads():
     # every top-level key a subcommand reads is accepted, and no other
     read = set()

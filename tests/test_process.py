@@ -15,8 +15,7 @@ from cureonet.process import (CureCycleSpec, CureKineticsParams,
                               MaterialProps, air_temperature, bc_residuals,
                               celsius_to_kelvin, continuity_residuals,
                               cure_rate, cure_rate_law, load_material_set,
-                              pde_residual_part, pde_residual_tool,
-                              savez_atomic)
+                              pde_residual, savez_atomic)
 
 # frozen oracle values (50-digit evaluation of the rate law, precomputed)
 ORACLE_RATE_050_450 = 2.487319192168067e-4
@@ -205,14 +204,14 @@ def grad_jet(value, d_x):
 
 def test_tool_residual_zero_on_constant_field():
     jet = pde_jet([40.0], [0.0], [0.0])
-    assert pde_residual_tool(jet, TOOL, 0.03)[0] == 0.0
+    assert pde_residual(jet, TOOL, 0.03)[0] == 0.0
 
 
 def test_tool_residual_steady_parabola():
     # T = x^2 with a_t / L_t^2 = 1 gives residual -2
     jet = pde_jet([0.25], [0.0], [2.0])
     tool = MaterialProps(k=1.0, rho=1.0, cp=1.0)
-    res = pde_residual_tool(jet, tool, 1.0)
+    res = pde_residual(jet, tool, 1.0)
     assert res[0] == pytest.approx(-2.0)
 
 
@@ -228,30 +227,8 @@ def test_residuals_vanish_on_manufactured_field():
     ts = rng.uniform(0, 2, 20)
     jet = pde_jet(np.sin(np.pi * xs) * np.exp(-ts), d_t(xs, ts),
                   d_xx(xs, ts))
-    res = pde_residual_tool(jet, tool, 1.0)
+    res = pde_residual(jet, tool, 1.0)
     assert np.max(np.abs(res)) < 1e-12
-    # part form with a prescribed cure-rate source
-    part = MaterialProps(k=1.0 / float(sp.pi) ** 2, rho=1.0, cp=1.0,
-                         v_r=1.0, rho_r=1.0, h_r=1.0)
-    rate = np.cos(xs * ts)
-    jet2 = pde_jet(jet.value, d_t(xs, ts) + part.heat_gen_coeff * rate,
-                   d_xx(xs, ts))
-    res2 = pde_residual_part(jet2, rate, part, 1.0, bc_scale=1.0)
-    assert np.max(np.abs(res2)) < 1e-12
-
-
-def test_part_residual_with_zero_scale_matches_tool_form():
-    rng = np.random.default_rng(2)
-    jet = pde_jet(rng.normal(size=5), rng.normal(size=5),
-                  rng.normal(size=5))
-    a = pde_residual_part(jet, rng.normal(size=5), PART, 0.028, bc_scale=0.0)
-    b = pde_residual_tool(jet, PART, 0.028)
-    assert np.array_equal(a, b)
-
-
-def test_part_residual_constant_field_zero_rate():
-    jet = pde_jet([80.0], [0.0], [0.0])
-    assert pde_residual_part(jet, 0.0, PART, 0.03)[0] == 0.0
 
 
 def _consts(h_top=100.0, h_bot=80.0, l_tool=0.03, l_part=0.028):

@@ -15,7 +15,7 @@ import pytest
 
 from cureonet import trainer as trainer_module
 from cureonet.autodiff import backward
-from cureonet.design import DesignSpace, sample
+from cureonet.design import DesignSpace, encode, sample
 from cureonet.losses import (COMPONENT_NAMES, CollocationConfig,
                              LossWeights, PHASE_ALL, PHASE_CURE,
                              PHASE_MODELS, PHASE_TEMPERATURE, breakdown_from,
@@ -25,7 +25,8 @@ from cureonet.operator import (OperatorConfig, init_triplet, model_from_state,
                                model_state, predict_field, taped_triplet)
 from cureonet.process import load_material_set
 from cureonet.trainer import (AdamState, TrainPlan, TrainerError,
-                              _epoch_schedule, _sweep_by_group, adam_step,
+                              _draw_designs, _epoch_schedule,
+                              _sweep_by_group, adam_step,
                               history_to_csv, load_checkpoint, lr_at,
                               save_checkpoint, train,
                               triplet_from_checkpoint)
@@ -276,6 +277,48 @@ def test_resume_rejects_a_different_run(tmp_path, change, field):
         train(triplet, args["designs"], args["plan"], args["props"],
               seed=args["seed"], loss_config=SMALL_COLLOC,
               resume_from=tmp_path / "checkpoint.npz")
+
+
+def test_resume_refuses_other_blas_thread_settings(tmp_path, monkeypatch):
+    # the float32 tape's reductions follow the BLAS thread split, so a
+    # resume under another thread count would leave the trajectory
+    path = tmp_path / "checkpoint.npz"
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    train(init_triplet(SMALL_CONFIG, SPACE, seed=0), DESIGNS,
+          quick_plan(epochs=2), PROPS_NO_HEAT, seed=5,
+          loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    ck = load_checkpoint(path)
+    assert ck["meta"]["blas_threads"]["OMP_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    resume = lambda: train(init_triplet(SMALL_CONFIG, SPACE, seed=0),
+                           DESIGNS, quick_plan(epochs=3), PROPS_NO_HEAT,
+                           seed=5, loss_config=SMALL_COLLOC,
+                           resume_from=path)
+    with pytest.raises(TrainerError, match="resume: blas_threads "):
+        resume()
+    # a file without the settings is not checked on them
+    del ck["meta"]["blas_threads"]
+    save_checkpoint(path, ck)
+    assert len(resume()[1].records) == 3
+
+
+def test_a_draw_covers_a_seeded_sorted_subset_of_a_larger_run():
+    designs = sample(SPACE, 18, seed=3)
+    plan = quick_plan(designs_per_draw=16)
+    index = {id(d): i for i, d in enumerate(designs)}
+    picked = lambda key: [index[id(d)]
+                          for d in _draw_designs(designs, plan, key)]
+    first, second = picked([5, 7001, 0, 0]), picked([5, 7001, 0, 1])
+    for pick in (first, second):
+        assert len(set(pick)) == 16 and pick == sorted(pick)
+    assert picked([5, 7001, 0, 0]) == first
+    assert second != first
+    # the draw's branch inputs are the encodings of exactly that subset
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
+    subset = _draw_designs(designs, plan, [5, 7001, 0, 1])
+    cset = sample_collocation(triplet, subset, SMALL_COLLOC, 0, 128)
+    bn1, bn2 = encode([designs[i] for i in second], SPACE, triplet.horizon)
+    assert np.array_equal(cset.bn1, bn1) and np.array_equal(cset.bn2, bn2)
 
 
 def test_resume_rejects_epochs_that_reshape_the_done_schedule(tmp_path):

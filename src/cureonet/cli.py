@@ -19,7 +19,7 @@ from .evaluate import (AblationSetup, ablation_run, evaluate, export_plot_data,
 from .losses import CollocationConfig, LossWeights
 from .operator import OperatorConfig, init_triplet, predict_field
 from .process import load_material_set, write_json_atomic
-from .solver import Grid1D, export_solution_csv, solve_batch, write_manifest
+from .solver import Grid1D, export_solution_csv, run_manifest, solve_batch
 from .trainer import (TrainPlan, load_checkpoint, train,
                       triplet_from_checkpoint)
 
@@ -97,7 +97,8 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "solution.csv")
     export_solution_csv(sol, csv_path)
-    write_manifest(sol, props, os.path.join(args.out_dir, "manifest.json"))
+    write_json_atomic(os.path.join(args.out_dir, "manifest.json"),
+                      run_manifest(sol, props))
     print(f"wrote {csv_path} ({len(sol.times)} time rows)")
     return 0
 

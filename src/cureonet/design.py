@@ -154,13 +154,15 @@ def sample(space: DesignSpace, n: int, seed: int) -> list[DesignPoint]:
     return [DesignPoint.from_array(row) for row in mat]
 
 
-def encode(designs, space: DesignSpace, horizon: float,
+def encode(designs, space: DesignSpace,
            cooldown: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Branch-net inputs of a batch of designs against their space and the
-    shared time horizon, one row per design: bn1, (n, 4), the min-max
-    normalized scalars named by SCALAR_NAMES, and bn2, (n, N_SENSORS), the
-    air profile at N_SENSORS fixed fractions of the horizon, normalized
-    from T0 to the space's hottest air."""
+    """Branch-net inputs of a batch of designs against their space, one row
+    per design: bn1, (n, 4), the min-max normalized scalars named by
+    SCALAR_NAMES, and bn2, (n, N_SENSORS), the air profile at N_SENSORS
+    fixed fractions of the space's longest cycle, normalized from T0 to the
+    space's hottest air. A design whose cycle outlasts that horizon (one
+    from outside the space) is refused."""
+    horizon = space.max_cycle_duration(cooldown=cooldown)
     times = np.linspace(0.0, horizon, N_SENSORS)
     profiles = []
     for d in designs:
@@ -175,17 +177,6 @@ def encode(designs, space: DesignSpace, horizon: float,
     hi = np.array([space.ranges[n][1] for n in SCALAR_NAMES])
     return ((scalars - lo) / (hi - lo),
             (np.array(profiles) - T0) / (space.max_t_air() - T0))
-
-
-def normalize_query(x, t, horizon: float):
-    """Map a (local coord, physical time) query to trunk inputs (x, tau).
-    `x` and `t` may be arrays; every entry is range-checked, and NaN is
-    out of range."""
-    if not np.all((0.0 <= x) & (x <= 1.0)):
-        raise DomainError("local coordinate outside [0, 1]")
-    if not np.all((0.0 <= t) & (t <= horizon)):
-        raise DomainError("time outside [0, horizon]")
-    return x, t / horizon
 
 
 # -- persistence --------------------------------------------------------------

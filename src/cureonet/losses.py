@@ -36,7 +36,7 @@ import numpy as np
 from .autodiff import Jet2, mlp_forward_jet, value_of
 from .design import encode
 from .operator import OperatorTriplet, decode_stratified, merged_branch
-from .process import (ALPHA_INIT, MaterialSet, air_temperature,
+from .process import (ALPHA_INIT, T0, MaterialSet, air_temperature,
                       bc_residuals, celsius_to_kelvin, continuity_residuals,
                       cure_rate, pde_residual)
 
@@ -121,8 +121,7 @@ def sample_collocation(triplet: OperatorTriplet, designs,
         raise ValueError("need at least one design")
     rng = np.random.default_rng(seed)
     n = len(designs)
-    bn1, bn2 = encode(designs, triplet.space, triplet.horizon,
-                      cooldown=triplet.cooldown)
+    bn1, bn2 = encode(designs, triplet.space, cooldown=triplet.cooldown)
     op_config = triplet.g_tc.config
     draw = lambda q, spans=op_config.segments(): _draw(rng, n, q, spans)
     interior, ode = draw(batch_size), draw(batch_size)
@@ -130,11 +129,11 @@ def sample_collocation(triplet: OperatorTriplet, designs,
     ic = draw(config.q_ic, [(0.0, 0.0)])
     interface = draw(config.q_if, [(b, b) for b in op_config.boundaries[1:-1]])
 
-    ta_bc = np.empty_like(bc.tau)
+    ta_bc, horizon = np.empty_like(bc.tau), triplet.horizon
     for i, d in enumerate(designs):
         cycle = d.cycle(cooldown=triplet.cooldown)
         rows = bc.idx == i
-        ta_bc[rows] = air_temperature(cycle, bc.tau[rows] * triplet.horizon)
+        ta_bc[rows] = air_temperature(cycle, bc.tau[rows] * horizon)
 
     arr = lambda name: np.array([getattr(d, name) for d in designs])
     return CollocationSet(
@@ -204,16 +203,15 @@ def _flat_eval(net, merged, x, tau, decoders=None, d1=(), d2=()) -> Jet2:
                              decoders)
 
 
-def _phys_temp_jet(jet: Jet2, scale: float, offset: float,
-                   horizon: float) -> Jet2:
-    """Network jet (normalized output, tau time) -> physical jet (degC, s):
-    every slot scales by `scale`, and by 1/horizon per time derivative; the
-    value slot gains `offset`."""
-    scales = [scale] + [scale / horizon if k == 1 else scale
-                        for k in jet.d1] \
-        + [scale / horizon ** 2 if k == 1 else scale for k in jet.d2]
+def _phys_temp_jet(jet: Jet2, delta_t: float, horizon: float) -> Jet2:
+    """Temperature operator jet (normalized output, tau time) -> physical
+    jet (degC, s): every slot scales by `delta_t`, and by 1/horizon per
+    time derivative; the value slot gains T0."""
+    scales = [delta_t] + [delta_t / horizon if k == 1 else delta_t
+                          for k in jet.d1] \
+        + [delta_t / horizon ** 2 if k == 1 else delta_t for k in jet.d2]
     offsets = np.zeros((len(scales), 1))
-    offsets[0] = offset
+    offsets[0] = T0
     return Jet2(jet.data * np.reshape(scales, (-1, 1)) + offsets,
                 jet.d1, jet.d2)
 
@@ -247,8 +245,8 @@ def loss_bc(nets: dict, merged: dict, cset: CollocationSet,
     tc, tt = nets["tc"], nets["tt"]
     top_jet = _flat_eval(tc, merged["tc"], np.ones(total), tau, d1=(0,))
     bot_jet = _flat_eval(tt, merged["tt"], np.zeros(total), tau, d1=(0,))
-    top_phys = _phys_temp_jet(top_jet, tc.out_scale, tc.out_offset, horizon)
-    bot_phys = _phys_temp_jet(bot_jet, tt.out_scale, tt.out_offset, horizon)
+    top_phys = _phys_temp_jet(top_jet, delta_t, horizon)
+    bot_phys = _phys_temp_jet(bot_jet, delta_t, horizon)
     top, bot = bc_residuals(top_phys, bot_phys, cset.ta_bc,
                             props.part, props.tool, cset.h_top[idx],
                             cset.h_bot[idx], cset.l_part[idx],
@@ -263,7 +261,7 @@ def loss_pde_tool(net, merged, cset: CollocationSet, props: MaterialSet,
     temperature-span) units."""
     pts = cset.interior
     jet = _flat_eval(net, merged, pts.x, pts.tau, d1=(0, 1), d2=(0,))
-    phys = _phys_temp_jet(jet, net.out_scale, net.out_offset, horizon)
+    phys = _phys_temp_jet(jet, delta_t, horizon)
     res = pde_residual(phys, props.tool, cset.l_tool[pts.idx])
     return _mean_sq(res * (horizon / delta_t), pts.x.size)
 
@@ -278,7 +276,7 @@ def loss_pde_part(nets: dict, merged: dict, cset: CollocationSet,
         raise ValueError("bc_scale must lie in [0, 1]")
     tc, pts = nets["tc"], cset.interior
     jet = _flat_eval(tc, merged["tc"], pts.x, pts.tau, d1=(0, 1), d2=(0,))
-    phys = _phys_temp_jet(jet, tc.out_scale, tc.out_offset, horizon)
+    phys = _phys_temp_jet(jet, delta_t, horizon)
     res = pde_residual(phys, props.part, cset.l_part[pts.idx])
     if bc_scale > 0.0:
         jet_a = _flat_eval(nets["alpha"], merged["alpha"], pts.x, pts.tau,
@@ -289,13 +287,13 @@ def loss_pde_part(nets: dict, merged: dict, cset: CollocationSet,
 
 
 def loss_ode(nets: dict, merged: dict, cset: CollocationSet,
-             props: MaterialSet, horizon: float):
+             props: MaterialSet, delta_t: float, horizon: float):
     """Cure-kinetics ODE loss in tau units, at the part temperature."""
     tc, pts = nets["tc"], cset.ode
     jet_a = _flat_eval(nets["alpha"], merged["alpha"], pts.x, pts.tau,
                        d1=(1,))
     jet_t = _flat_eval(tc, merged["tc"], pts.x, pts.tau)
-    t_kelvin = celsius_to_kelvin(tc.out_offset + tc.out_scale * jet_t.value)
+    t_kelvin = celsius_to_kelvin(T0 + delta_t * jet_t.value)
     rate = cure_rate(jet_a.value, t_kelvin, props.kinetics)
     return _mean_sq(jet_a.d1[1] - horizon * rate, pts.x.size)
 
@@ -325,8 +323,8 @@ def loss_continuity_material(nets: dict, merged: dict, cset: CollocationSet,
     tc, tt = nets["tc"], nets["tt"]
     tool_jet = _flat_eval(tt, merged["tt"], np.ones(total), tau, d1=(0,))
     part_jet = _flat_eval(tc, merged["tc"], np.zeros(total), tau, d1=(0,))
-    tool_phys = _phys_temp_jet(tool_jet, tt.out_scale, tt.out_offset, horizon)
-    part_phys = _phys_temp_jet(part_jet, tc.out_scale, tc.out_offset, horizon)
+    tool_phys = _phys_temp_jet(tool_jet, delta_t, horizon)
+    part_phys = _phys_temp_jet(part_jet, delta_t, horizon)
     l_tool_pt = cset.l_tool[cset.ct.idx]
     l_part_pt = cset.l_part[cset.ct.idx]
     val, flux = continuity_residuals(tool_phys, part_phys, props.tool,
@@ -380,7 +378,8 @@ def loss_groups(nets: dict, merged: dict, triplet: OperatorTriplet,
     if phase != PHASE_TEMPERATURE:
         yield {"ic_alpha": loss_ic(nets["alpha"], merged["alpha"], cset,
                                    target=ALPHA_INIT)}
-        yield {"ode": loss_ode(nets, merged, cset, props, horizon)}
+        yield {"ode": loss_ode(nets, merged, cset, props, delta_t,
+                               horizon)}
         yield interface("alpha")
 
 

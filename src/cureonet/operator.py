@@ -25,9 +25,8 @@ import numpy as np
 
 from .autodiff import (Jet2, MlpParams, Var, dense_layers, mlp_forward_jet,
                        value_of)
-from .design import (N_SENSORS, SCALAR_NAMES, DesignPoint, DesignSpace,
-                     encode, normalize_query)
-from .process import ALPHA_INIT, T0
+from .design import N_SENSORS, SCALAR_NAMES, DesignPoint, DesignSpace, encode
+from .process import ALPHA_INIT, T0, DomainError
 from .solver import FieldSolution
 
 # smaller subdomains concentrated where the cure transition tends to sit
@@ -85,19 +84,17 @@ class OperatorConfig:
 
 @dataclass
 class DeepONetModel:
-    """Parameters of one operator plus its output denormalization
-    (physical = out_offset + out_scale * network output). The subnets are
-    the MlpParams named by NETS, of numpy arrays or, in a model
-    `taped_triplet` prepared for training, of tape leaves; `dec` stacks the
-    decoders, and decoder k serves the k-th segment of config.segments()."""
+    """Parameters of one operator, whose outputs are normalized: its
+    triplet maps them to physical units. The subnets are the MlpParams
+    named by NETS, of numpy arrays or, in a model `taped_triplet` prepared
+    for training, of tape leaves; `dec` stacks the decoders, and decoder k
+    serves the k-th segment of config.segments()."""
 
     bn1: MlpParams
     bn2: MlpParams
     trunk: MlpParams
     dec: MlpParams
     config: OperatorConfig
-    out_offset: float = 0.0
-    out_scale: float = 1.0
 
     def __post_init__(self):
         for name in NETS:
@@ -128,8 +125,7 @@ def glorot_mlp(layer_sizes, rng) -> MlpParams:
     return MlpParams(list(layer_sizes), weights, biases)
 
 
-def init(config: OperatorConfig, seed: int,
-         out_offset: float = 0.0, out_scale: float = 1.0) -> DeepONetModel:
+def init(config: OperatorConfig, seed: int) -> DeepONetModel:
     """Deterministic Glorot initialization of one operator: bn1, bn2, trunk,
     then each decoder in turn draw from one stream; decoders are stacked."""
     rng = np.random.default_rng(seed)
@@ -139,21 +135,21 @@ def init(config: OperatorConfig, seed: int,
     dec = MlpParams(sizes["dec"],
                     [np.stack(ws) for ws in zip(*(d.weights for d in decs))],
                     [np.stack(bs) for bs in zip(*(d.biases for d in decs))])
-    return DeepONetModel(*nets, dec, config, out_offset=out_offset,
-                         out_scale=out_scale)
+    return DeepONetModel(*nets, dec, config)
 
 
 @dataclass
 class OperatorTriplet:
     """Three independent operators (part T, tool T, degree of cure) sharing
-    a design space, time horizon, and subdomain partition but no weights.
-    Its class attributes t0 and alpha_init are T0 and ALPHA_INIT."""
+    a design space and subdomain partition but no weights. Its class
+    attributes t0 and alpha_init are T0 and ALPHA_INIT; its units follow
+    from space and cooldown: a temperature operator's output u is
+    T0 + delta_t * u degC, and tau is time / horizon."""
 
     g_tc: DeepONetModel
     g_tt: DeepONetModel
     g_alpha: DeepONetModel
     space: DesignSpace
-    horizon: float
     cooldown: bool = False
     t0 = T0
     alpha_init = ALPHA_INIT
@@ -170,7 +166,7 @@ class OperatorTriplet:
     def map(self, fn) -> "OperatorTriplet":
         """The same triplet with `fn` applied to every weight and bias."""
         return OperatorTriplet(self.g_tc.map(fn), self.g_tt.map(fn),
-                               self.g_alpha.map(fn), self.space, self.horizon,
+                               self.g_alpha.map(fn), self.space,
                                cooldown=self.cooldown)
 
     def copy(self) -> "OperatorTriplet":
@@ -181,19 +177,17 @@ class OperatorTriplet:
         """Temperature normalization span (degC)."""
         return self.space.t_ref() - T0
 
+    @property
+    def horizon(self) -> float:
+        """Time normalization span (s): the space's longest cycle."""
+        return self.space.max_cycle_duration(cooldown=self.cooldown)
+
 
 def init_triplet(config: OperatorConfig, space: DesignSpace, seed: int,
                  cooldown: bool = False) -> OperatorTriplet:
-    """Three independently initialized operators with the temperature models
-    denormalizing to [T0, t_ref] and the cure model passing through, over
-    the horizon of the space's longest cycle."""
-    t_scale = space.t_ref() - T0
+    """Three independently initialized operators over one space."""
     rng_seeds = np.random.SeedSequence(seed).generate_state(3)
-    g_tc = init(config, int(rng_seeds[0]), out_offset=T0, out_scale=t_scale)
-    g_tt = init(config, int(rng_seeds[1]), out_offset=T0, out_scale=t_scale)
-    g_alpha = init(config, int(rng_seeds[2]), out_offset=0.0, out_scale=1.0)
-    return OperatorTriplet(g_tc, g_tt, g_alpha, space,
-                           space.max_cycle_duration(cooldown=cooldown),
+    return OperatorTriplet(*(init(config, int(s)) for s in rng_seeds), space,
                            cooldown=cooldown)
 
 
@@ -322,22 +316,25 @@ def predict_field(triplet: OperatorTriplet, design: DesignPoint,
                   times: np.ndarray, n_tool: int = 81,
                   n_part: int = 81) -> FieldSolution:
     """Dense prediction of all three operators on a space-time grid,
-    denormalized to physical units. Degree of cure is clamped to [0, 1];
-    the clamp count is reported in meta."""
+    in physical units. Every time must lie in [0, horizon] (NaN does not).
+    Degree of cure is clamped to [0, 1]; the clamp count is reported in
+    meta."""
     times = np.asarray(times, dtype=np.float64)
-    taus = normalize_query(0.0, times, triplet.horizon)[1]
-    bn1, bn2 = encode([design], triplet.space, triplet.horizon,
-                      cooldown=triplet.cooldown)
+    horizon = triplet.horizon
+    if not np.all((0.0 <= times) & (times <= horizon)):
+        raise DomainError("time outside [0, horizon]")
+    bn1, bn2 = encode([design], triplet.space, cooldown=triplet.cooldown)
     x_part = np.linspace(0.0, 1.0, n_part)
     xs = {"tc": x_part, "tt": np.linspace(0.0, 1.0, n_tool), "alpha": x_part}
-    fields = {name: model.out_offset + model.out_scale
-              * predict_grid(model, bn1, bn2, xs[name], taus)
-              for name, model in triplet.models().items()}
-    alpha = fields["alpha"]
+    out = {name: predict_grid(model, bn1, bn2, xs[name], times / horizon)
+           for name, model in triplet.models().items()}
+    alpha = out["alpha"]
     n_clamped = int(np.sum((alpha < 0.0) | (alpha > 1.0)))
-    return FieldSolution(times=times, t_tool=fields["tt"],
-                         t_part=fields["tc"], alpha=np.clip(alpha, 0.0, 1.0),
-                         design=design, meta={"alpha_clamped": n_clamped})
+    return FieldSolution(times=times,
+                         t_tool=T0 + triplet.delta_t * out["tt"],
+                         t_part=T0 + triplet.delta_t * out["tc"],
+                         alpha=np.clip(alpha, 0.0, 1.0), design=design,
+                         meta={"alpha_clamped": n_clamped})
 
 
 # -- serialization ------------------------------------------------------------
@@ -354,9 +351,7 @@ def model_state(model: DeepONetModel, prefix: str) -> dict:
 
 
 def model_meta(model: DeepONetModel) -> dict:
-    return {"config": asdict(model.config),
-            "out_offset": model.out_offset,
-            "out_scale": model.out_scale}
+    return {"config": asdict(model.config)}
 
 
 def model_from_state(meta: dict, arrays: dict, prefix: str) -> DeepONetModel:
@@ -376,8 +371,6 @@ def model_from_state(meta: dict, arrays: dict, prefix: str) -> DeepONetModel:
                 sizes[name], [arrays[f"{where}/w{i}"] for i in range(n)],
                 [arrays[f"{where}/b{i}"] for i in range(n)])
         where = prefix
-        return DeepONetModel(**nets, config=config,
-                             out_offset=float(meta["out_offset"]),
-                             out_scale=float(meta["out_scale"]))
+        return DeepONetModel(**nets, config=config)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None

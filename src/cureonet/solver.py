@@ -32,7 +32,7 @@ from .design import VARIABLE_NAMES, DesignPoint
 from .process import (ALPHA_EPS, ALPHA_INIT, T0, T_FLOOR_K,
                       CureKineticsParams, DomainError, MaterialSet,
                       air_temperature, atomic_write, celsius_to_kelvin,
-                      cure_rate_law, write_json_atomic)
+                      cure_rate_law)
 
 # the solver's numerical scheme, part of the reference cache's stamp: change
 # it whenever a change to the scheme moves the solutions
@@ -338,7 +338,3 @@ def run_manifest(sol: FieldSolution, props: MaterialSet) -> dict:
         "property_source": props.source,
         "code_version": code_version,
     }
-
-
-def write_manifest(sol: FieldSolution, props: MaterialSet, path) -> None:
-    write_json_atomic(path, run_manifest(sol, props))

@@ -81,6 +81,10 @@ class TrainPlan:
         if self.curriculum and self.curriculum_stages < 2:
             raise ValueError("a curriculum needs at least 2 stages, so that "
                              "its last one has heat generation on")
+        if self.curriculum and self.epochs < self.curriculum_stages:
+            raise ValueError(f"a curriculum of {self.curriculum_stages} "
+                             f"stages needs as many epochs, one per stage; "
+                             f"the plan has {self.epochs}")
 
     def bc_scales(self) -> list[float]:
         if not self.curriculum:
@@ -364,7 +368,6 @@ def _make_checkpoint(triplet, adam, run: dict, designs, epoch, history,
         "space": {"label": triplet.space.label,
                   "ranges": {k: list(v)
                              for k, v in triplet.space.ranges.items()}},
-        "horizon": triplet.horizon,
         "cooldown": triplet.cooldown,
         "history": [asdict(r) for r in history.records],
         "stage_start_total": stage_start_total,
@@ -393,20 +396,30 @@ def load_checkpoint(path) -> dict:
 
 def triplet_from_checkpoint(ck: dict) -> tuple[OperatorTriplet, list]:
     """Rebuild the operator triplet and its training designs. An older
-    file's `t0` and `alpha_init` must be the start state, T0 and ALPHA_INIT."""
+    file may store what is now fixed or derived: its `t0` and `alpha_init`
+    must be T0 and ALPHA_INIT, and its `horizon` and its models' output
+    scalings (their `out_*` entries) the units the triplet derives."""
     meta, arrays = ck["meta"], ck["arrays"]
-    start = (meta.get("t0", T0), meta.get("alpha_init", ALPHA_INIT))
-    if start != (T0, ALPHA_INIT):
-        raise TrainerError(f"checkpoint start state (t0, alpha_init) {start} "
-                           f"is not {(T0, ALPHA_INIT)}")
     space = DesignSpace(meta["space"]["label"],
                         {k: tuple(v)
                          for k, v in meta["space"]["ranges"].items()})
     models = {name: model_from_state(meta["models"][name], arrays, name)
               for name in ("tc", "tt", "alpha")}
     triplet = OperatorTriplet(models["tc"], models["tt"], models["alpha"],
-                              space, float(meta["horizon"]),
-                              cooldown=bool(meta["cooldown"]))
+                              space, cooldown=bool(meta["cooldown"]))
+    scaled = {"offset": T0, "scale": triplet.delta_t}
+    derived = {"t0": T0, "alpha_init": ALPHA_INIT,
+               "horizon": triplet.horizon, "tc": scaled, "tt": scaled,
+               "alpha": {"offset": 0.0, "scale": 1.0}}
+    stored = {key: meta.get(key, value) for key, value in derived.items()}
+    for name in models:
+        stored[name] = {**derived[name], **{
+            key.removeprefix("out_"): value
+            for key, value in meta["models"][name].items()
+            if key.startswith("out_")}}
+    if stored != derived:
+        raise TrainerError(f"checkpoint start state and units {stored} are "
+                           f"not {derived}")
     designs = [DesignPoint.from_array(row) for row in arrays["designs"]]
     return triplet, designs
 
@@ -441,12 +454,10 @@ def _check_same_run(ck: dict, run: dict, plan: TrainPlan, designs,
         for key, value in run[group].items():
             if group != "plan" or key != "epochs":
                 differs(f"{group}.{key}", value, meta[group].get(key))
-    for key in ("space", "cooldown", "horizon"):
+    for key in ("space", "cooldown"):
         differs(key, getattr(triplet, key), getattr(rebuilt, key))
     for name, model in triplet.models().items():
-        for key in ("config", "out_offset", "out_scale"):
-            differs(f"{name}.{key}", getattr(model, key),
-                    getattr(rebuilt.models()[name], key))
+        differs(f"{name}.config", model.config, rebuilt.models()[name].config)
     for key in ("property_hash", "blas_threads"):
         differs(key, run[key], meta.get(key, run[key]))
     done = meta["epoch"] + 1

@@ -13,6 +13,11 @@ asks it of the package and the harness alone: what only the tests pass is
 a test seam, and the reviewed seams are listed here, so a new one needs a
 deliberate edit.
 
+A fourth guard asks the converse of the package and the harness: a
+parameter of a public function that every call there passes as one and
+the same literal is a constant, not a parameter. A `*` or `**` argument
+counts as a varied one.
+
 A last guard asks it of imports: every name a package module imports must
 be used in that module, so that a deletion leaves no stale import
 behind."""
@@ -82,6 +87,13 @@ def unused_definitions(root=ROOT) -> list:
     return unused
 
 
+def _callee(call) -> str:
+    """The name a call calls: `f` of `f(...)` and of `obj.f(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) \
+        else getattr(func, "attr", None)
+
+
 def _calls(node) -> dict:
     """Per callee name, the (positional count, keyword names) of each call
     in a syntax tree. A starred argument counts as every position, and a
@@ -90,30 +102,34 @@ def _calls(node) -> dict:
     for call in ast.walk(node):
         if not isinstance(call, ast.Call):
             continue
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) \
-            else getattr(func, "attr", None)
         starred = any(isinstance(a, ast.Starred) for a in call.args)
-        out.setdefault(name, []).append(
+        out.setdefault(_callee(call), []).append(
             (math.inf if starred else len(call.args),
              {k.arg for k in call.keywords}))
     return out
 
 
-def _defaulted(definition, method: bool) -> list:
-    """(name, call position) of each defaulted parameter of a function;
-    a method's self is no call position, and a keyword-only parameter has
-    none (None)."""
+def _parameters(definition, method: bool) -> list:
+    """(name, call position, whether defaulted) of each named parameter of
+    a function; a method's self is no parameter, and a keyword-only
+    parameter has no call position (None)."""
     a = definition.args
     positional = a.posonlyargs + a.args
     static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                  for d in definition.decorator_list)
     shift = 1 if method and not static else 0
     first = len(positional) - len(a.defaults)
-    out = [(p.arg, i - shift) for i, p in enumerate(positional) if i >= first]
-    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
-            if d is not None]
+    out = [(p.arg, i - shift, i >= first)
+           for i, p in enumerate(positional) if i >= shift]
+    out += [(p.arg, None, d is not None)
+            for p, d in zip(a.kwonlyargs, a.kw_defaults)]
     return out
+
+
+def _defaulted(definition, method: bool) -> list:
+    """(name, call position) of each defaulted parameter of a function."""
+    return [(name, position) for name, position, defaulted
+            in _parameters(definition, method) if defaulted]
 
 
 def _passes(calls, name: str, param: str, position) -> int:
@@ -223,6 +239,79 @@ def test_the_guard_sees_a_default_only_the_tests_pass(tmp_path):
     assert defaults_never_passed(tmp_path) == []
     assert defaults_never_passed(tmp_path, callers=("perfbench",)) == [
         "a.f(seam)", "a.g(x)"]
+
+
+def _literal(call, param: str, position):
+    """The source of the literal a call passes for a parameter, or None if
+    it passes something else, nothing, or a `*` or `**` argument."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return None
+    node = next((k.value for k in call.keywords if k.arg == param), None)
+    if node is None and position is not None and position < len(call.args):
+        node = call.args[position]
+    if node is None:
+        return None
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def constant_arguments(root=ROOT) -> list:
+    """Parameters of public functions that every call in the package and
+    the benchmark harness passes as one and the same literal."""
+    package = root / "src" / "cureonet"
+    sources = sorted(package.glob("*.py")) \
+        + sorted((root / "perfbench").glob("*.py"))
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sources]
+    calls = [c for tree in trees for c in ast.walk(tree)
+             if isinstance(c, ast.Call)]
+    constant = []
+    for path, tree in zip(sources, trees):
+        if path.parent != package or path.name == "__init__.py":
+            continue
+        for qualname, definition in _public_defs(tree):
+            if not isinstance(definition, ast.FunctionDef):
+                continue
+            # calls inside the definition itself do not count
+            inside = {id(c) for c in ast.walk(definition)}
+            mine = [c for c in calls if _callee(c) == definition.name
+                    and id(c) not in inside]
+            for param, position, _ in _parameters(definition,
+                                                  "." in qualname):
+                passed = {_literal(c, param, position) for c in mine}
+                if len(passed) == 1 and None not in passed:
+                    constant.append(f"{path.stem}.{qualname}({param})")
+    return constant
+
+
+def test_no_parameter_is_passed_one_literal_by_every_call():
+    assert constant_arguments() == []
+
+
+def test_the_guard_sees_a_parameter_every_call_fixes(tmp_path):
+    for where in ("src/cureonet", "perfbench", "tests"):
+        (tmp_path / where).mkdir(parents=True)
+    (tmp_path / "src" / "cureonet" / "a.py").write_text(
+        "def f(x, fixed, varied, kw=1, *, only=2):\n"
+        "    return f(x, 0, 1, only=3)\n\n\n"
+        "class Box:\n"
+        "    def m(self, fixed):\n        return fixed\n\n\n"
+        "def g(x):\n    return x\n\n\n"
+        "def h(x):\n    return x\n\n\n"
+        "def k(x):\n    return x\n")
+    (tmp_path / "perfbench" / "b.py").write_text(
+        "from cureonet.a import Box, f, g, h, k\n\n"
+        "f(0, 'a', 1, kw=5, only=1)\nf(y, fixed='a', varied=2, only=1)\n"
+        "Box().m(-1.5)\nBox().m(fixed=-1.5)\n"
+        "g(*[1])\ng(1)\nh(1)\nh(1.0)\nk(7)\n")
+    # the tests do not count: they may pin what the package varies
+    (tmp_path / "tests" / "test_c.py").write_text(
+        "from cureonet.a import k\n\nk(8)\n")
+    assert constant_arguments(tmp_path) == [
+        "a.f(fixed)", "a.f(only)", "a.Box.m(fixed)", "a.k(x)"]
 
 
 def unused_imports(root=ROOT) -> list:

@@ -1,5 +1,5 @@
 """Design-space tests: published ranges, uniform sampling statistics,
-encoding/normalization round trips, and CSV persistence."""
+encoding round trips, and CSV persistence."""
 
 import dataclasses
 import math
@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cureonet.design import (DesignPoint, DesignSpace, N_SENSORS,
-                             VARIABLE_NAMES, encode, load_designs,
-                             normalize_query, sample, save_designs)
+                             VARIABLE_NAMES, encode, load_designs, sample,
+                             save_designs)
 from cureonet.process import DomainError, air_temperature
 from oracles import contains, midpoint
 
@@ -102,8 +102,7 @@ def test_narrowed_space_shrinks_about_midpoint():
 def test_encode_shapes_and_first_sensor():
     space = DesignSpace.named("small")
     d = midpoint(space)
-    horizon = space.max_cycle_duration()
-    bn1, bn2 = encode([d], space, horizon)
+    bn1, bn2 = encode([d], space)
     assert bn2.shape == (1, N_SENSORS)
     assert bn1.shape == (1, 4)
     # the profile starts at the initial temperature -> normalized 0
@@ -114,7 +113,7 @@ def test_encode_shapes_and_first_sensor():
 def test_encode_lower_bound_design_gives_zero_scalars():
     space = DesignSpace.named("small")
     d = DesignPoint(**{n: space.ranges[n][0] for n in VARIABLE_NAMES})
-    bn1, _ = encode([d], space, space.max_cycle_duration())
+    bn1, _ = encode([d], space)
     assert np.array_equal(bn1, np.zeros((1, 4)))
 
 
@@ -134,7 +133,7 @@ def test_encode_monotone_transform_of_profile():
     space = DesignSpace.named("small")
     d = midpoint(space)
     horizon = space.max_cycle_duration()
-    _, bn2 = encode([d], space, horizon)
+    _, bn2 = encode([d], space)
     times = np.linspace(0.0, horizon, N_SENSORS)
     profile = air_temperature(d.cycle(), times)
     order = np.argsort(profile, kind="stable")
@@ -142,34 +141,32 @@ def test_encode_monotone_transform_of_profile():
 
 
 def test_encode_rejects_short_horizon():
+    # a design from outside the space may outlast the space's longest cycle
     space = DesignSpace.named("small")
     d = midpoint(space)
-    faster = dataclasses.replace(d, r1=space.ranges["r1"][1],
-                                 r2=space.ranges["r2"][1])
-    horizon = d.cycle().duration_s - 1.0
-    assert faster.cycle().duration_s <= horizon
-    encode([faster], space, horizon)
-    for designs in ([d], [faster, d], [d, faster]):
+    longer = dataclasses.replace(d, hd2=space.ranges["hd2"][1] + 60.0)
+    assert longer.cycle().duration_s > space.max_cycle_duration()
+    encode([d], space)
+    for designs in ([longer], [longer, d], [d, longer]):
         with pytest.raises(DomainError):
-            encode(designs, space, horizon)
+            encode(designs, space)
 
 
 def test_encode_maps_t0_to_0_and_the_hottest_air_to_1():
     # a design at the top of the ht2 range holds the space's hottest air
     space = DesignSpace.named("small")
     hottest = dataclasses.replace(midpoint(space), ht2=space.max_t_air())
-    _, bn2 = encode([hottest], space, space.max_cycle_duration())
+    _, bn2 = encode([hottest], space)
     assert bn2[0, 0] == 0.0 and bn2.max() == 1.0
 
 
 def test_encode_rows_equal_the_encodings_of_single_designs():
     space = DesignSpace.named("medium")
-    horizon = space.max_cycle_duration(cooldown=True)
     designs = sample(space, 7, seed=3)
-    bn1, bn2 = encode(designs, space, horizon, cooldown=True)
+    bn1, bn2 = encode(designs, space, cooldown=True)
     assert bn1.shape == (7, 4) and bn2.shape == (7, N_SENSORS)
     for i, d in enumerate(designs):
-        one1, one2 = encode([d], space, horizon, cooldown=True)
+        one1, one2 = encode([d], space, cooldown=True)
         assert np.array_equal(bn1[i], one1[0])
         assert np.array_equal(bn2[i], one2[0])
 
@@ -179,25 +176,6 @@ def test_max_cycle_duration_dominates_samples():
     horizon = space.max_cycle_duration()
     for d in sample(space, 200, seed=11):
         assert d.cycle().duration_s <= horizon + 1e-9
-
-
-def test_normalize_query_endpoints():
-    assert normalize_query(0.0, 0.0, 100.0) == (0.0, 0.0)
-    assert normalize_query(1.0, 100.0, 100.0) == (1.0, 1.0)
-    assert normalize_query(0.5, 50.0, 100.0)[1] == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        normalize_query(0.5, 101.0, 100.0)
-    with pytest.raises(DomainError):
-        normalize_query(1.5, 10.0, 100.0)
-
-
-def test_normalize_query_accepts_time_arrays():
-    times = np.array([0.0, 25.0, 100.0])
-    x, taus = normalize_query(0.0, times, 100.0)
-    assert x == 0.0 and np.array_equal(taus, times / 100.0)
-    for bad in (101.0, -1.0, np.nan):
-        with pytest.raises(DomainError):
-            normalize_query(0.0, np.array([0.0, bad, 50.0]), 100.0)
 
 
 def test_design_csv_round_trip(tmp_path):
@@ -213,22 +191,12 @@ def test_design_csv_round_trip(tmp_path):
 
 def test_encoding_injective_on_scalar_block():
     space = DesignSpace.named("small")
-    horizon = space.max_cycle_duration()
     designs = sample(space, 50, seed=5)
-    encs = [tuple(row) for row in encode(designs, space, horizon)[0]]
+    encs = [tuple(row) for row in encode(designs, space)[0]]
     assert len(set(encs)) == len(encs)
 
 
 UNIT = st.floats(0.0, 1.0, allow_nan=False)
-
-
-@settings(max_examples=50)
-@given(x=UNIT, frac=UNIT, horizon=st.floats(1.0, 1e6, allow_nan=False))
-def test_normalize_query_round_trips(x, frac, horizon):
-    t = frac * horizon
-    x_out, tau = normalize_query(x, t, horizon)
-    assert x_out == x and 0.0 <= tau <= 1.0
-    assert math.isclose(tau * horizon, t, rel_tol=1e-15, abs_tol=0.0)
 
 
 @settings(max_examples=30)
@@ -240,7 +208,7 @@ def test_encode_scalar_block_inverts_to_the_design(point, label):
     ranges = [space.ranges[v] for v in VARIABLE_NAMES]
     d = DesignPoint.from_array([lo + u * (hi - lo)
                                 for (lo, hi), u in zip(ranges, point)])
-    bn1 = encode([d], space, space.max_cycle_duration())[0][0]
+    bn1 = encode([d], space)[0][0]
     assert np.all((bn1 >= 0.0) & (bn1 <= 1.0))
     names = ("h_top", "h_bot", "l_tool", "l_part")
     for name, scaled in zip(names, bn1):

@@ -508,7 +508,10 @@ def test_cli_train_evaluate_predict_pipeline(tmp_path, capsys):
 
 
 def test_cli_ablate_writes_each_kind(tmp_path, capsys):
-    cfg = _write(tmp_path / "ablate.json", {**TRAIN_CONFIG, "nd_list": [1, 2]})
+    # the curriculum variant's 2 stages fit the plan's 2 epochs
+    cfg = _write(tmp_path / "ablate.json", {
+        **TRAIN_CONFIG, "nd_list": [1, 2],
+        "plan": {**TRAIN_CONFIG["plan"], "curriculum_stages": 2}})
     names = {"decoder": ["nonlinear", "linear"],
              "curriculum": ["curriculum", "regular"],
              "domain_decomp": ["nd1", "nd2"]}
@@ -525,6 +528,20 @@ def test_cli_ablate_writes_each_kind(tmp_path, capsys):
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == len(expected)
         assert all("midpoint_rel_l2_alpha=" in line for line in printed)
+
+
+def test_cli_ablate_refuses_a_curriculum_stage_without_epochs(tmp_path,
+                                                             capsys):
+    # 2 epochs over the default 5 stages would run only the last stage, so
+    # the curriculum variant would train exactly as the regular one
+    cfg = _write(tmp_path / "ablate.json", TRAIN_CONFIG)
+    code = main(["ablate", "--kind", "curriculum", "--config", cfg,
+                 "--out-dir", str(tmp_path / "ab")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: ValueError: a curriculum of 5 stages needs as "
+                   "many epochs, one per stage; the plan has 2"]
+    assert not (tmp_path / "ab" / "ablation_curriculum.json").exists()
 
 
 def test_cli_ablate_honours_cooldown(tmp_path):

@@ -244,7 +244,8 @@ def test_loss_physics_matches_recomputation():
                            triplet.delta_t, triplet.horizon)
     l_part = loss_pde_part(nets, merged, cset, PROPS, bc_scale,
                            triplet.delta_t, triplet.horizon)
-    l_ode = loss_ode(nets, merged, cset, PROPS, triplet.horizon)
+    l_ode = loss_ode(nets, merged, cset, PROPS, triplet.delta_t,
+                     triplet.horizon)
     dt, hz = triplet.delta_t, triplet.horizon
     a_t = PROPS.tool.diffusivity
     a_c = PROPS.part.diffusivity

@@ -14,12 +14,13 @@ from cureonet.operator import (DEFAULT_BOUNDARIES_7, OperatorConfig,
                                init_triplet, merged_branch,
                                model_from_state, model_meta, model_state,
                                predict_field, predict_grid, subdomain_index)
+from cureonet.process import DomainError
 from oracles import decoder, midpoint, mlp_forward
 
 SPACE = DesignSpace.named("small")
 HORIZON = SPACE.max_cycle_duration()
 # the branch inputs of the space's midpoint design, (1, 4) and (1, 100)
-U = encode([midpoint(SPACE)], SPACE, HORIZON)
+U = encode([midpoint(SPACE)], SPACE)
 
 
 def predict(model, u, y):
@@ -213,8 +214,7 @@ def test_predict_factorization_same_branch_vector():
     assert np.array_equal(merged_a, mlp_forward(model.bn1, U[0])
                           * mlp_forward(model.bn2, U[1]))
     # recompute through a second encode of the same design
-    merged_b = merged_branch(model, *encode([midpoint(SPACE)], SPACE,
-                                            HORIZON))
+    merged_b = merged_branch(model, *encode([midpoint(SPACE)], SPACE))
     assert np.array_equal(merged_a, merged_b)
     va = predict(model, U, (0.3, 0.05))
     vb = predict(model, U, (0.3, 0.25))
@@ -229,7 +229,7 @@ def test_predict_rejects_bad_tau():
 
 def test_predict_grid_takes_the_rows_of_one_design():
     model = init(small_config(), seed=0)
-    two = encode([midpoint(SPACE)] * 2, SPACE, HORIZON)
+    two = encode([midpoint(SPACE)] * 2, SPACE)
     with pytest.raises(ValueError):
         predict(model, two, (0.5, 0.5))
 
@@ -257,8 +257,19 @@ def test_predict_field_denormalizes_and_clamps():
     assert sol.meta["alpha_clamped"] >= 0
     # pointwise consistency with predict, including denormalization
     v = predict(triplet.g_tc, U, (0.5, times[3] / HORIZON))
-    expect = triplet.g_tc.out_offset + triplet.g_tc.out_scale * v
+    expect = 20.0 + triplet.delta_t * v
     assert sol.t_part[3, 3] == pytest.approx(expect, abs=1e-10)
+
+
+def test_predict_field_refuses_times_outside_the_horizon():
+    triplet = init_triplet(small_config(), SPACE, seed=1)
+    assert triplet.horizon == HORIZON
+    d = midpoint(SPACE)
+    sol = predict_field(triplet, d, np.array([0.0, HORIZON]), 3, 3)
+    assert sol.t_part.shape == (2, 3)
+    for bad in (-1.0, HORIZON + 1.0, np.nan):
+        with pytest.raises(DomainError, match="horizon"):
+            predict_field(triplet, d, np.array([0.0, bad, 50.0]), 3, 3)
 
 
 def test_triplet_models_share_no_parameters():
@@ -279,19 +290,18 @@ def test_triplet_requires_shared_partition():
     g3 = init(small_config(n_subdomains=2), seed=2)
     with pytest.raises(ValueError):
         from cureonet.operator import OperatorTriplet
-        OperatorTriplet(g1, g2, g3, SPACE, HORIZON)
+        OperatorTriplet(g1, g2, g3, SPACE)
 
 
 @pytest.mark.parametrize("config", [
     small_config(), small_config(decoder="linear"),
     small_config(n_subdomains=1)], ids=["nonlinear", "linear", "one-domain"])
 def test_model_state_round_trip_bit_exact(config):
-    model = init(config, seed=21, out_offset=20.0, out_scale=213.0)
+    model = init(config, seed=21)
     state = model_state(model, "tc")
     meta = model_meta(model)
+    assert list(meta) == ["config"]
     back = model_from_state(meta, state, "tc")
-    assert back.out_offset == model.out_offset
-    assert back.out_scale == model.out_scale
     assert back.config == model.config
     for a, b in zip(model.trainable_arrays(), back.trainable_arrays()):
         assert np.array_equal(a, b)

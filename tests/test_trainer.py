@@ -130,6 +130,16 @@ def test_a_curriculum_of_one_stage_is_refused():
         == [1.0]
 
 
+def test_a_curriculum_stage_without_epochs_is_refused():
+    # an equal share of 0 epochs per stage would leave only the last,
+    # full-heat stage to run: no curriculum at all
+    with pytest.raises(ValueError, match="5 stages needs as many epochs"):
+        TrainPlan(epochs=4, curriculum=True, curriculum_stages=5)
+    stages = [s[0] for s in _epoch_schedule(TrainPlan(epochs=5))]
+    assert stages == [0, 1, 2, 3, 4]
+    assert len(_epoch_schedule(TrainPlan(epochs=4, curriculum=False))) == 4
+
+
 @pytest.mark.parametrize("field, value", [
     ("checkpoint_every", 0), ("checkpoint_every", -1),
     ("divergence_factor", 0.0), ("divergence_factor", -1.0),
@@ -317,7 +327,7 @@ def test_a_draw_covers_a_seeded_sorted_subset_of_a_larger_run():
     triplet = init_triplet(SMALL_CONFIG, SPACE, seed=0)
     subset = _draw_designs(designs, plan, [5, 7001, 0, 1])
     cset = sample_collocation(triplet, subset, SMALL_COLLOC, 0, 128)
-    bn1, bn2 = encode([designs[i] for i in second], SPACE, triplet.horizon)
+    bn1, bn2 = encode([designs[i] for i in second], SPACE)
     assert np.array_equal(cset.bn1, bn1) and np.array_equal(cset.bn2, bn2)
 
 
@@ -364,6 +374,32 @@ def test_checkpoint_stores_no_start_state_and_refuses_another(tmp_path):
     ck["meta"]["t0"] = 30.0
     with pytest.raises(TrainerError, match="start state"):
         triplet_from_checkpoint(ck)
+
+
+def test_checkpoint_stores_no_units_and_refuses_other_stored_ones(
+        tmp_path):
+    triplet = init_triplet(SMALL_CONFIG, SPACE, seed=3)
+    train(triplet, DESIGNS, quick_plan(epochs=1), PROPS_NO_HEAT, seed=9,
+          loss_config=SMALL_COLLOC, out_dir=tmp_path)
+    ck = load_checkpoint(tmp_path / "checkpoint.npz")
+    assert "horizon" not in ck["meta"]
+    assert all(list(m) == ["config"] for m in ck["meta"]["models"].values())
+    # an older file stores the horizon and the output scalings: it loads
+    # only if they are the units the triplet derives from its space
+    ck["meta"]["horizon"] = triplet.horizon
+    for name, pair in (("tc", (20.0, triplet.delta_t)),
+                       ("tt", (20.0, triplet.delta_t)), ("alpha", (0.0, 1.0))):
+        ck["meta"]["models"][name].update(zip(("out_offset", "out_scale"),
+                                              pair))
+    assert triplet_from_checkpoint(ck)[0].horizon == triplet.horizon
+    for where, key in ((ck["meta"], "horizon"),
+                       (ck["meta"]["models"]["tt"], "out_scale"),
+                       (ck["meta"]["models"]["alpha"], "out_offset")):
+        kept = where[key]
+        where[key] = kept + 1.0
+        with pytest.raises(TrainerError, match="units"):
+            triplet_from_checkpoint(ck)
+        where[key] = kept
 
 
 def test_checkpoint_version_mismatch_rejected(tmp_path):
@@ -809,6 +845,25 @@ def test_checkpoint_of_the_previous_layout_loads_and_resaves_bit_exact(
     for key, value in ck["arrays"].items():
         assert again[key].dtype == value.dtype
         assert np.array_equal(again[key], value)
+
+
+def test_checkpoint_of_the_previous_layout_resumes(tmp_path):
+    # the file stores a horizon and output scalings but no Adam moments:
+    # zero ones stand in for them
+    ck = load_checkpoint(OLD_CHECKPOINT)
+    triplet = triplet_from_checkpoint(ck)[0]
+    for phase, tag in trainer_module._ADAM_TAGS.items():
+        arrays = [a for name in PHASE_MODELS[phase]
+                  for a in triplet.models()[name].trainable_arrays()]
+        for i, a in enumerate(arrays):
+            ck["arrays"][f"adam_{tag}/m{i}"] = np.zeros_like(a)
+            ck["arrays"][f"adam_{tag}/v{i}"] = np.zeros_like(a)
+    save_checkpoint(tmp_path / "old.npz", ck)
+    _, history = train(init_triplet(SMALL_CONFIG, SPACE, seed=0), DESIGNS,
+                       quick_plan(lr0=0.0, epochs=3), PROPS, seed=0,
+                       loss_config=SMALL_COLLOC,
+                       resume_from=tmp_path / "old.npz")
+    assert [r.epoch for r in history.records] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("layers", ["w0", "all"])
